@@ -20,8 +20,10 @@ so the only wasted bytes TAPS can produce come from preempted victims.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from time import perf_counter
 
 from repro.core.allocation import (
@@ -213,7 +215,7 @@ class TapsScheduler(Scheduler):
         self._switch_of_link: dict[int, str] = {}
         self.stats = TapsStats()
         self.ledger = self._new_ledger()
-        self.plans: dict[int, FlowPlan] = {}
+        self.plans = {}
         self._capacity: float = 0.0
         self._task_states: dict[int, TaskState] = {}
         self._pending: list[TaskState] = []
@@ -224,6 +226,21 @@ class TapsScheduler(Scheduler):
     def _new_ledger(self) -> OccupancyLedger:
         """A fresh ledger in this controller's mode, wired to the profile."""
         return OccupancyLedger(profile=self.stats.profile, cache=self.fast_path)
+
+    @property
+    def plans(self) -> dict[int, FlowPlan]:
+        """The committed plan table, flow id → plan.
+
+        Replace it by assignment, which also resets the sender model's
+        slice-boundary heaps; in place, entries may only be popped.
+        """
+        return self._plans
+
+    @plans.setter
+    def plans(self, table: dict[int, FlowPlan]) -> None:
+        self._plans = table
+        self._rate_heap: list[tuple[float, int]] | None = None
+        self._change_heap: list[tuple[float, int]] | None = None
 
     def attach(self, topology, paths) -> None:
         super().attach(topology, paths)
@@ -602,7 +619,7 @@ class TapsScheduler(Scheduler):
             trial_ledger.commit_trial()
         else:
             self.ledger = trial_ledger
-        self.plans.update(trial_plans)
+        self.plans = {**self.plans, **trial_plans}
         for plan in trial_plans.values():
             plan.flow_state.path = plan.path
         task_state.accepted = True
@@ -662,31 +679,84 @@ class TapsScheduler(Scheduler):
         return True
 
     # -- sender model (paper §IV-D) -------------------------------------------
+    #
+    # A plan's rate, ``capacity if slices.contains(now + 2·EPS) else 0``,
+    # can only change at one of its own slice boundaries, so each pending
+    # plan waits in two min-heaps of ``(boundary, flow_id)``: ``_rate_heap``
+    # holds its first boundary after the probe its rate was last set at,
+    # ``_change_heap`` its first boundary after ``now + EPS`` at the last
+    # ``next_change``.  The thresholds differ by one EPS — a boundary in
+    # (now + EPS, now + 2·EPS] is passed for rates but still upcoming as a
+    # change point — hence two heaps.  Each event then costs O(log n) per
+    # plan whose rate changes.  Replacing the plan table drops both heaps
+    # (the ``plans`` setter) and the next call re-seeds them from the whole
+    # table; plans popped on completion, preemption or fault drop, and
+    # flows killed without a pop, are skipped when their entry surfaces.
+
+    def _seed(self) -> list[tuple[float, int]]:
+        """A heap with every plan due at once."""
+        heap = [(-math.inf, fid) for fid in self._plans]
+        heapify(heap)
+        return heap
 
     def assign_rates(self, now: float) -> None:
+        """Rates follow the slices: full rate inside one, zero outside.
+
+        Only plans with a slice boundary since the last call are
+        re-evaluated.  A rate the engine zeroed on a down link is not
+        restored before the flow's next boundary.  That is exact: the
+        down-link set changes only through :meth:`on_link_state_change`,
+        which replaces the plan table and so re-evaluates every plan.
+        """
         if self._flush_at is not None and now >= self._flush_at - EPS:
             self._flush_pending(now)
         # probe just inside 'now' so a boundary landing within float dust
         # of a slice edge resolves to the correct side
         probe = now + 2 * EPS
         capacity = self._capacity
-        for plan in self.plans.values():
-            fs = plan.flow_state
-            if fs.status is not FlowStatus.PENDING:
+        plans = self._plans
+        pending = FlowStatus.PENDING
+        heap = self._rate_heap
+        if heap is None:
+            heap = self._rate_heap = self._seed()
+        while heap and heap[0][0] <= probe:
+            fid = heap[0][1]
+            plan = plans.get(fid)
+            if plan is None or plan.flow_state.status is not pending:
+                heappop(heap)
                 continue
-            fs.rate = capacity if plan.slices.contains(probe) else 0.0
+            inside, nxt = plan.slices.locate(probe)
+            plan.flow_state.rate = capacity if inside else 0.0
+            if nxt is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (nxt, fid))
 
     def next_change(self, now: float) -> float | None:
         """Earliest upcoming slice boundary or batch-flush time."""
-        best: float | None = None
-        if self._flush_at is not None and self._flush_at > now + EPS:
-            best = self._flush_at
-        for plan in self.plans.values():
-            if plan.flow_state.status is not FlowStatus.PENDING:
-                continue
-            b = plan.slices.next_boundary(now)
-            if b is not None and (best is None or b < best):
-                best = b
+        plans = self._plans
+        pending = FlowStatus.PENDING
+        heap = self._change_heap
+        if heap is None:
+            heap = self._change_heap = self._seed()
+        horizon = now + EPS
+        while heap:
+            b, fid = heap[0]
+            plan = plans.get(fid)
+            if plan is None or plan.flow_state.status is not pending:
+                heappop(heap)
+            elif b <= horizon:
+                nxt = plan.slices.next_boundary(now)
+                if nxt is None:
+                    heappop(heap)
+                else:
+                    heapreplace(heap, (nxt, fid))
+            else:
+                break
+        best = heap[0][0] if heap else None
+        flush = self._flush_at
+        if flush is not None and flush > horizon and (best is None or flush < best):
+            best = flush
         return best
 
     # -- faults -------------------------------------------------------------

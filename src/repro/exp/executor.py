@@ -50,6 +50,16 @@ from repro.workload.generator import (
 )
 
 
+DECISION_VERSION = 1
+"""Version of the decision code: the controller, the baselines, the engine.
+
+Part of every cache key, so bumping it retires every cached result.  Bump
+it in any change that alters a scheduling decision or a simulated
+outcome; ``tests/integration/golden_traces.json`` records the version its
+digests were made with, and the golden test fails until the two agree.
+"""
+
+
 def _dumbbell(**kwargs) -> Topology:
     # imported lazily: workload.traces pulls in the testbed module
     from repro.workload.traces import dumbbell
@@ -117,10 +127,12 @@ class SimJob:
     def cache_payload(self) -> dict:
         """The content that addresses this job's cached result.
 
-        Includes both schema versions: a workload-generator change or a
-        RunMetrics shape change silently retires every old entry.
+        Includes both schema versions and :data:`DECISION_VERSION`: a
+        workload-generator change, a RunMetrics shape change or a
+        decision change silently retires every old entry.
         """
         return {
+            "decision_version": DECISION_VERSION,
             "workload_schema": WORKLOAD_SCHEMA_VERSION,
             "result_schema": RESULT_SCHEMA_VERSION,
             "topology": self.topology.as_payload(),

@@ -5,7 +5,8 @@ A scheduler owns four decisions, invoked by the engine:
 1. **Admission** (:meth:`Scheduler.on_task_arrival`): accept, reject, or
    preempt; route flows (set ``FlowState.path``).
 2. **Rates** (:meth:`Scheduler.assign_rates`): write ``FlowState.rate`` for
-   every flow it manages; called only when the allocation is dirty.
+   every flow it manages — there and nowhere else; called only when the
+   allocation is dirty.
 3. **Change points** (:meth:`Scheduler.next_change`): the next time rates
    would change with no external event (e.g. a TAPS slice boundary, a
    Varys reservation expiry that frees capacity).
@@ -50,7 +51,15 @@ class Scheduler(ABC):
 
     @abstractmethod
     def assign_rates(self, now: float) -> None:
-        """Write ``rate`` on every managed flow state."""
+        """Write ``rate`` on every managed flow state.
+
+        Rate ownership: rates are written only here, and
+        ``FlowState.kill``/``finish`` zero them.  The other callbacks may
+        kill flows but never set a rate.  The engine relies on this: only
+        flows with ``rate > 0`` after this call progress or complete until
+        the next call, so those are the only flows it advances, times and
+        checks for completion.
+        """
 
     def next_change(self, now: float) -> float | None:
         """Next spontaneous rate-change time, or ``None``."""

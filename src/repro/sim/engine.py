@@ -12,16 +12,22 @@ The engine never decides policy: admission, routing, rates, and reactions
 to deadline misses all live in the attached
 :class:`~repro.sched.base.Scheduler`.
 
-Performance: rates are recomputed only when the allocation is *dirty*
-(arrival / completion / kill / scheduler change point), so long quiet
-stretches cost one ``min`` scan each, per the HPC guide's "recompute only
-what changed".
+Performance: an event costs time in proportion to the flows that send or
+change state, not to every flow in flight.  Rates are recomputed only when
+the allocation is *dirty* (arrival / completion / kill / scheduler change
+point).  Only sending flows (``rate > 0``) can progress or complete, so
+next-event timing, integration, completion and slice tracking visit just
+those; the earliest deadline comes from a lazy min-heap.  What is left per
+event is a list comprehension or two over the active flows: one that
+finds (and drops) flows which left the active set, one that picks out
+the sending flows after a rate recompute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from heapq import heappop, heappush
 
 from repro.net.paths import PathService
 from repro.net.topology import Topology
@@ -107,7 +113,10 @@ class Engine:
     hooks:
         Objects with optional ``on_advance(t0, t1, flows)``,
         ``on_flow_settled(fs, now)``, ``on_task_settled(ts, now)``
-        callbacks (see :mod:`repro.metrics.timeseries`).
+        callbacks (see :mod:`repro.metrics.timeseries`).  ``flows`` is
+        the engine's list of every active flow, sending or not: read it
+        during the call, do not keep it.  Hooks observe; they must not
+        kill flows or write rates.
     max_events:
         Safety valve against runaway loops; ``SimulationError`` when hit.
     horizon:
@@ -237,8 +246,22 @@ class Engine:
 
         now = 0.0
         next_arrival_idx = 0
+        pending = FlowStatus.PENDING
         active: list[FlowState] = []
+        active_set: set[FlowState] = set()  # `active`, for membership tests
+        # the active flows with rate > 0, in `active` order.  Rates change
+        # only in step 3 or through kill()/finish() (which zero them), so
+        # only these flows progress, complete or hold a slice.
+        sending: list[FlowState] = []
+        # lazy min-heap of (deadline, push seq, flow) over `active`: an
+        # entry dies when its flow leaves `active` (not when it is killed)
+        # or when its deadline is no longer after now + EPS
+        deadlines: list[tuple[float, int, FlowState]] = []
+        pushed = 0
         unsettled_tasks: set[int] = set()
+        # tasks with a flow that arrived or left `active` this event: the
+        # only ones that can settle at it
+        touched: set[int] = set()
         dirty = True
         down_links: set[int] = set()
         # Lower bound on the earliest deadline of any active, not-yet-
@@ -262,6 +285,11 @@ class Engine:
                 break
 
             # 1. deliver arrivals due now
+            # (a flow that is complete on arrival — size below the
+            # completion tolerance — never sends; step 6 must still see it)
+            callbacks = False  # a scheduler callback (which may kill) ran
+            born_done = False
+            touched.clear()
             while (
                 next_arrival_idx < len(self._arrivals)
                 and self._arrivals[next_arrival_idx].task.arrival <= now + EPS
@@ -283,11 +311,17 @@ class Engine:
                     with tel.spans.span("arrival"):
                         sched.on_task_arrival(ts, now)
                 unsettled_tasks.add(ts.task.task_id)
+                touched.add(ts.task.task_id)
                 for fs in ts.flow_states:
-                    if fs.active:
+                    if fs.status is pending:
                         active.append(fs)
+                        active_set.add(fs)
+                        pushed += 1
+                        heappush(deadlines, (fs.flow.deadline, pushed, fs))
                         if fs.flow.deadline < next_deadline:
                             next_deadline = fs.flow.deadline
+                        born_done |= _done(fs.remaining, fs.flow.size)
+                callbacks = True
                 dirty = True
 
             # 2. deadline expiries due now (notify each flow once)
@@ -298,7 +332,7 @@ class Engine:
             if now + EPS >= next_deadline:
                 nd = math.inf
                 for fs in active:
-                    if fs.status is not FlowStatus.PENDING or fs.deadline_notified:
+                    if fs.status is not pending or fs.deadline_notified:
                         continue
                     if fs.flow.deadline <= now + EPS:
                         if not _done(fs.remaining, fs.flow.size):
@@ -310,7 +344,8 @@ class Engine:
                                     task_id=fs.flow.task_id,
                                 ))
                             sched.on_deadline_expired(fs, now)
-                            if fs.status is not FlowStatus.PENDING:
+                            callbacks = True
+                            if fs.status is not pending:
                                 dirty = True
                         # else: already (numerically) complete — it settles
                         # as a completion this same event, never an expiry
@@ -320,7 +355,13 @@ class Engine:
             else:
                 self.counters.deadline_scan_skips += 1
 
-            active = [fs for fs in active if fs.status is FlowStatus.PENDING]
+            # flows killed in steps 1-2 leave `active` (only scheduler
+            # callbacks kill, and step 6 dropped every earlier kill)
+            if callbacks:
+                kept = self._drop_inactive(active, active_set, touched)
+                if kept is not active:
+                    active = kept
+                    sending = [fs for fs in sending if fs.status is pending]
 
             # 2b. fault transitions: notify the scheduler, then physically
             # stop transmission across down links below
@@ -345,16 +386,18 @@ class Engine:
                 else:
                     with tel.spans.span("rates"):
                         sched.assign_rates(now)
+                sending = [fs for fs in active if fs.rate > 0]
                 # physics: a down link carries nothing, whatever was asked
                 if down_links:
-                    for fs in active:
-                        if fs.rate > 0 and fs.path is not None and any(
+                    for fs in sending:
+                        if fs.path is not None and any(
                             l in down_links for l in fs.path
                         ):
                             fs.rate = 0.0
+                    sending = [fs for fs in sending if fs.rate > 0]
                 dirty = False
                 if trace is not None:
-                    self._sync_slices(active, now)
+                    self._sync_slices(sending, now)
             if tel is not None:
                 active_gauge.set(len(active))
 
@@ -366,11 +409,16 @@ class Engine:
                     t_next = fb
             if next_arrival_idx < len(self._arrivals):
                 t_next = min(t_next, self._arrivals[next_arrival_idx].task.arrival)
-            for fs in active:
-                if fs.rate > 0:
-                    t_next = min(t_next, now + fs.remaining / fs.rate)
-                if fs.flow.deadline > now + EPS:
-                    t_next = min(t_next, fs.flow.deadline)
+            for fs in sending:
+                t_next = min(t_next, now + fs.remaining / fs.rate)
+            # the earliest deadline after now + EPS of any flow in `active`,
+            # killed ones included (they leave `active` in step 6)
+            while deadlines and (
+                deadlines[0][0] <= now + EPS or deadlines[0][2] not in active_set
+            ):
+                heappop(deadlines)
+            if deadlines:
+                t_next = min(t_next, deadlines[0][0])
             t_sched = sched.next_change(now)
             if t_sched is not None and t_sched > now + EPS:
                 t_next = min(t_next, t_sched)
@@ -393,7 +441,7 @@ class Engine:
             # 5. integrate progress over [now, t_next)
             dt = t_next - now
             if dt > 0:
-                for fs in active:
+                for fs in sending:
                     fs.advance(dt)
                 for hook in self.hooks:
                     on_advance = getattr(hook, "on_advance", None)
@@ -407,11 +455,11 @@ class Engine:
                 dirty = True
 
             # 6. settle completions
-            still_active: list[FlowState] = []
-            for fs in active:
-                if fs.status is not FlowStatus.PENDING:
-                    dirty = True  # killed by a callback during this step
-                elif _done(fs.remaining, fs.flow.size):
+            still_sending: list[FlowState] = []
+            for fs in active if born_done else sending:
+                if fs.status is not pending:
+                    continue  # killed during this event: dropped below
+                if _done(fs.remaining, fs.flow.size):
                     fs.finish(now)
                     self.counters.completions += 1
                     if trace is not None:
@@ -427,18 +475,23 @@ class Engine:
                         if cb is not None:
                             cb(fs, now)
                     dirty = True
-                else:
-                    still_active.append(fs)
-            active = still_active
+                elif fs.rate > 0:
+                    still_sending.append(fs)
+            sending = still_sending
+            # completed flows, and flows killed during this event, leave
+            kept = self._drop_inactive(active, active_set, touched)
+            if kept is not active:
+                active = kept
+                dirty = True
             if trace is not None:
                 # completed/killed flows stop transmitting at this instant
-                self._sync_slices(active, now)
+                self._sync_slices(sending, now)
 
             # mark a scheduler change point as needing a rate refresh
             if t_sched is not None and abs(now - t_sched) <= EPS:
                 dirty = True
 
-            self._settle_tasks(unsettled_tasks, now)
+            self._settle_tasks(unsettled_tasks, now, touched)
 
         if trace is not None:
             self._flush_slices(now)
@@ -484,18 +537,35 @@ class Engine:
         for l, frac in sorted(collector.peak_utilization().items()):
             tel.gauge("net/link_peak_utilization", labels(l)).set(frac)
 
-    def _sync_slices(self, active: list[FlowState], now: float) -> None:
+    @staticmethod
+    def _drop_inactive(
+        active: list[FlowState], active_set: set[FlowState], touched: set[int]
+    ) -> list[FlowState]:
+        """The flows of ``active`` still pending, in order: ``active``
+        itself when none left, else a new list.  Flows that left are
+        removed from ``active_set`` and their tasks added to ``touched``."""
+        pending = FlowStatus.PENDING
+        left = [fs for fs in active if fs.status is not pending]
+        if not left:
+            return active
+        active_set.difference_update(left)
+        touched.update(fs.flow.task_id for fs in left)
+        return [fs for fs in active if fs.status is pending]
+
+    def _sync_slices(self, sending: list[FlowState], now: float) -> None:
         """Diff the physically-transmitting set against the last picture and
         emit slice events (ends before starts; a path change is both).
 
         Called after every rate recompute (post down-link zeroing — the
         trace records what the network actually carried) and after
         completions, so a flow's slice closes at the instant it stopped.
+        ``sending`` must hold every flow with ``rate > 0``.
         """
-        current: dict[int, tuple[tuple[int, ...], int]] = {}
-        for fs in active:
-            if fs.rate > 0 and fs.path is not None:
-                current[fs.flow.flow_id] = (tuple(fs.path), fs.flow.task_id)
+        current = {
+            fs.flow.flow_id: (tuple(fs.path), fs.flow.task_id)
+            for fs in sending
+            if fs.rate > 0 and fs.path is not None
+        }
         prev = self._transmitting
         if current == prev:
             return
@@ -516,10 +586,16 @@ class Engine:
             self.trace.emit(SliceEnd(now, flow_id=fid, task_id=prev[fid][1]))
         self._transmitting = {}
 
-    def _settle_tasks(self, unsettled: set[int], now: float) -> None:
-        """Finalize tasks whose flows have all reached a terminal status."""
+    def _settle_tasks(
+        self, unsettled: set[int], now: float, touched: set[int] | None = None
+    ) -> None:
+        """Finalize tasks whose flows have all reached a terminal status,
+        checking only the ``touched`` ones when given (in ``unsettled``
+        order, so hooks see settlements in the same order either way)."""
         done: list[int] = []
         for tid in unsettled:
+            if touched is not None and tid not in touched:
+                continue
             ts = self._task_by_id[tid]
             if all(not fs.active for fs in ts.flow_states):
                 ts.settle()

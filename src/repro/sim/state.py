@@ -51,8 +51,9 @@ class FlowState:
     remaining:
         Bytes left to deliver.
     rate:
-        Current sending rate (bytes/s); owned by the scheduler, integrated
-        by the engine.
+        Current sending rate (bytes/s); written only by the scheduler's
+        ``assign_rates`` (``kill``/``finish`` zero it), integrated by the
+        engine.
     path:
         Link-index path the flow is (or would be) routed on; set by the
         scheduler at admission.

@@ -132,17 +132,19 @@ class IntervalSet:
 
     def contains(self, t: float) -> bool:
         """Whether time ``t`` lies inside the set (half-open semantics)."""
+        # an odd count of boundaries <= t means t is inside an interval
+        return bisect_right(self._b, t) % 2 == 1
+
+    def locate(self, t: float) -> tuple[bool, float | None]:
+        """Where ``t`` falls: ``(self.contains(t), first boundary > t)``.
+
+        The boundary is ``None`` past the last one.  Membership can only
+        change at that boundary, which is what the TAPS sender model keys
+        its slice-boundary heaps on.
+        """
         b = self._b
-        # binary search over the flat boundary list
-        lo, hi = 0, len(b)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if b[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        # lo = count of boundaries <= t; odd count means inside an interval
-        return lo % 2 == 1
+        k = bisect_right(b, t)
+        return k % 2 == 1, (b[k] if k < len(b) else None)
 
     def overlaps(self, start: float, end: float) -> bool:
         """Whether ``[start, end)`` intersects the set by more than EPS."""
@@ -463,20 +465,12 @@ class IntervalSet:
         )
 
     def next_boundary(self, t: float) -> float | None:
-        """Earliest boundary strictly after ``t`` (slice starts and ends).
+        """Earliest boundary later than ``t + EPS`` (slice starts and ends).
 
         Used by the TAPS sender model to know when its rate next changes
         (a slice begins or ends).  Returns ``None`` past the last boundary.
         """
-        b = self._b
-        lo, hi = 0, len(b)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if b[mid] <= t + EPS:
-                lo = mid + 1
-            else:
-                hi = mid
-        return b[lo] if lo < len(b) else None
+        return self.locate(t + EPS)[1]
 
     # -- validation -----------------------------------------------------------
 

@@ -170,13 +170,15 @@ def test_cache_misses_on_changed_seed_or_scheduler(tmp_path, job):
 
 
 def test_cache_misses_on_schema_version_bump(tmp_path, job, monkeypatch):
-    """Bumping either schema version must retire every existing entry."""
+    """Bumping either schema version or the decision version must retire
+    every existing entry."""
     cache = ResultCache(tmp_path)
     execute_jobs([job], ExecutorConfig(cache=cache))
 
     import repro.exp.executor as executor_mod
 
-    for attr in ("WORKLOAD_SCHEMA_VERSION", "RESULT_SCHEMA_VERSION"):
+    for attr in ("WORKLOAD_SCHEMA_VERSION", "RESULT_SCHEMA_VERSION",
+                 "DECISION_VERSION"):
         old_digest = job.digest()
         monkeypatch.setattr(executor_mod, attr,
                             getattr(executor_mod, attr) + 1)

@@ -140,6 +140,22 @@ def test_next_boundary_is_a_boundary(s, t):
         assert any(abs(b - x) < 1e-12 for x in flat)
 
 
+@given(interval_sets(), st.floats(min_value=-5, max_value=120),
+       st.sampled_from([0.0, -EPS, EPS, 2 * EPS]))
+def test_locate_matches_linear_scan(s, t, nudge):
+    """``locate``/``contains``/``next_boundary`` agree with a scan over
+    the intervals, also right at a boundary (``t`` nudged onto one)."""
+    flat = [x for iv in s for x in iv]
+    if flat:
+        t = min(flat, key=lambda x: abs(x - t)) + nudge
+    inside = any(a <= t < b for a, b in s)
+    after = [x for x in flat if x > t]
+    assert s.locate(t) == (inside, after[0] if after else None)
+    assert s.contains(t) is inside
+    later = [x for x in flat if x > t + EPS]
+    assert s.next_boundary(t) == (later[0] if later else None)
+
+
 @given(interval_sets(), intervals())
 def test_contains_consistent_with_overlaps(s, iv):
     mid = (iv[0] + iv[1]) / 2
