@@ -1,10 +1,11 @@
 """Controller fast-path benchmark: speedup AND bit-identical decisions.
 
 Runs one frozen arrival-heavy workload (64 hosts of a k=8 fat-tree, Poisson
-arrivals, ~3.6k flows) through the TAPS controller twice — ``fast_path=True``
-(union caching + fused pair-scan candidate evaluation + trial journal) and
-``fast_path=False`` (the pre-fast-path reference: per-candidate union fold +
-complement + fit, deep-copied trial ledgers) — and asserts:
+arrivals, ~3.6k flows) twice — through the TAPS controller (segment-cached
+union folds + fused pair-scan candidate evaluation + trial journal) and
+through the reference oracle :class:`~repro.core.reference.ReferenceTaps`
+(literal Alg. 2/3: per-candidate union fold + complement + fit,
+deep-copied trial ledgers, full-scan sender model) — and asserts:
 
 1. **Equivalence**: the two runs make the *same decisions* — the decision
    traces (:mod:`repro.trace`) serialize to byte-identical JSONL (same
@@ -13,7 +14,7 @@ complement + fit, deep-copied trial ledgers) — and asserts:
 2. **Speedup**: at full scale, controller time (admission + reallocation,
    measured around the scheduler callbacks) improves by >= 2x.
 
-A third fast-path run with a :class:`~repro.obs.registry.MetricsRegistry`
+A third controller run with a :class:`~repro.obs.registry.MetricsRegistry`
 attached must also trace byte-identically — telemetry is observational
 only — and its controller-time overhead versus the untelemetered run is
 recorded in the JSON (not gated; timing ratios are too noisy on shared
@@ -35,6 +36,7 @@ import os
 import time
 
 from repro.core.controller import TapsScheduler
+from repro.core.reference import ReferenceTaps
 from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.obs.export import TELEMETRY_SCHEMA_VERSION
@@ -58,8 +60,8 @@ HOSTS_USED = 64
 MAX_PATHS = 8
 
 
-class _TimedScheduler(TapsScheduler):
-    """TAPS with a controller-time stopwatch.
+class _Stopwatch:
+    """A controller-time stopwatch for a TAPS scheduler class.
 
     ``controller_seconds`` sums wall time spent inside admission, the
     honest "controller cost" (path calculation + trial ledger management
@@ -81,6 +83,14 @@ class _TimedScheduler(TapsScheduler):
             self.controller_seconds += time.perf_counter() - t0
 
 
+class _TimedScheduler(_Stopwatch, TapsScheduler):
+    pass
+
+
+class _TimedReference(_Stopwatch, ReferenceTaps):
+    pass
+
+
 def _workload(scale: dict):
     topo = FatTree(k=8)
     hosts = list(topo.hosts)[:HOSTS_USED]
@@ -88,8 +98,8 @@ def _workload(scale: dict):
     return topo, generate_workload(cfg, hosts)
 
 
-def _run(topo, tasks, fast: bool, telemetry: MetricsRegistry | None = None):
-    sched = _TimedScheduler(fast_path=fast)
+def _run(topo, tasks, cls, telemetry: MetricsRegistry | None = None):
+    sched = cls()
     paths = PathService(topo, max_paths=MAX_PATHS)
     recorder = TraceRecorder()
     t0 = time.perf_counter()
@@ -127,10 +137,10 @@ def test_perf_controller(results_dir):
     scale = SCALES[scale_name]
     topo, tasks = _workload(scale)
 
-    fast = _run(topo, tasks, fast=True)
-    slow = _run(topo, tasks, fast=False)
+    fast = _run(topo, tasks, _TimedScheduler)
+    slow = _run(topo, tasks, _TimedReference)
     registry = MetricsRegistry()
-    telemetered = _run(topo, tasks, fast=True, telemetry=registry)
+    telemetered = _run(topo, tasks, _TimedScheduler, telemetry=registry)
 
     # 1. bit-identical scheduling: the serialized decision traces match
     # byte for byte (same decision sequence, same victims, float-identical
@@ -177,7 +187,7 @@ def test_perf_controller(results_dir):
             "path_calculation": round(speedup_pc, 3),
         },
         "telemetry": {
-            # enabled-vs-disabled on the identical fast-path workload;
+            # enabled-vs-disabled on the identical controller workload;
             # recorded, not gated — shared runners are too noisy
             "controller_seconds": telemetered["controller_seconds"],
             "overhead_vs_disabled": round(telemetry_overhead, 4),

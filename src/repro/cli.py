@@ -249,7 +249,7 @@ def _cmd_run(args) -> int:
     telemetry = MetricsRegistry() if args.out_dir is not None else None
     result, recorder = run_traced(
         scale=SCALES[args.scale], num_tasks=args.tasks, seed=args.seed,
-        fast_path=not args.no_fast_path, faults=faults, telemetry=telemetry,
+        faults=faults, telemetry=telemetry,
     )
     m = summarize(result)
     print(f"{result.scheduler_name} on {result.topology_name}: "
@@ -495,8 +495,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--fault", nargs=3, type=float, default=None,
                        metavar=("LINK", "START", "END"),
                        help="inject one link outage [START, END)")
-    p_run.add_argument("--no-fast-path", action="store_true",
-                       help="use the reference (uncached) controller")
     p_run.add_argument("--out-dir", default=None, metavar="DIR",
                        help="write run artifacts (trace.jsonl, "
                             "telemetry.jsonl, telemetry.prom) into DIR")

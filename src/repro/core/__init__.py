@@ -12,6 +12,10 @@ Pieces map one-to-one onto the paper's §IV:
   Alg. 1 line 11.
 * :class:`~repro.core.controller.TapsScheduler` — Alg. 1 wired into the
   simulator's :class:`~repro.sched.base.Scheduler` contract.
+
+:mod:`repro.core.reference` holds the literal Alg. 2/3 oracle the
+controller is tested against (not imported here: only tests and
+benchmarks use it).
 """
 
 from repro.core.occupancy import OccupancyLedger

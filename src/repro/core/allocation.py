@@ -83,26 +83,6 @@ def time_allocation(
     return slices, slices.end()
 
 
-def completion_on_path(
-    ledger: OccupancyLedger,
-    path: Path,
-    duration: float,
-    release: float,
-    horizon: float,
-) -> float:
-    """Completion time a flow would get on ``path`` — Alg. 3 without
-    materialising the slices (used to compare candidate paths cheaply)."""
-    occupied = ledger.union_for(path)
-    idle = occupied.complement(release, horizon)
-    try:
-        return idle.idle_fit_end(duration, release)
-    except ValueError as exc:
-        raise AllocationError(
-            f"horizon {horizon:g} too small for duration {duration:g} "
-            f"after t={release:g}"
-        ) from exc
-
-
 def path_calculation(
     flows: list[FlowState],
     ledger: OccupancyLedger,
@@ -112,7 +92,6 @@ def path_calculation(
     horizon: float,
     on_unplannable: str = "raise",
     profile=None,
-    prune: bool = True,
     spans=None,
 ) -> dict[int, FlowPlan]:
     """Alg. 2: allocate every flow, in the order given, onto its best path.
@@ -131,18 +110,18 @@ def path_calculation(
     counts work done and wall time; ``spans`` (optional
     :class:`~repro.obs.spans.SpanTimers`) additionally records each call's
     duration as a ``path_calculation`` span nested under whatever span the
-    caller has open.  ``prune`` enables the fast candidate
-    evaluation: candidates whose contention-free completion (``release +
-    duration``, a hard lower bound on any path) cannot beat the current
-    best are skipped outright, and the survivors are scored with a fused
-    pair scan over the path's partial union folds that aborts the moment
-    it is provably beaten — instead of materialising each candidate's
-    union and idle complement.  Both cut-offs are exact (they only ever
-    drop candidates that compare as losers), and the fused scan computes
-    the identical completion, so pruning never changes the chosen path.
-    ``prune=False`` reproduces the pre-fast-path evaluation (full union +
-    complement + fit per candidate) for the reference mode of the
-    equivalence tests and benchmarks.
+    caller has open.
+
+    Candidates are scored without materialising their unions or idle
+    sets.  Those whose contention-free completion (``release + duration``,
+    a hard lower bound on any path) cannot beat the current best are
+    skipped outright, and the survivors are scored with a fused pair scan
+    over the path's partial union folds that aborts the moment it is
+    provably beaten.  Both cut-offs are exact — they only ever drop
+    candidates that compare as losers — and the scan computes the literal
+    ``union → complement → fit`` completion float-for-float, so the chosen
+    path is the one the literal algorithm picks
+    (:func:`repro.core.reference.reference_path_calculation`).
 
     Returns plans keyed by flow id.
     """
@@ -152,28 +131,27 @@ def path_calculation(
         with spans.span("path_calculation"):
             return _profiled_path_calculation(
                 flows, ledger, paths, capacity, now, horizon, on_unplannable,
-                profile, prune,
+                profile,
             )
     return _profiled_path_calculation(
-        flows, ledger, paths, capacity, now, horizon, on_unplannable,
-        profile, prune,
+        flows, ledger, paths, capacity, now, horizon, on_unplannable, profile,
     )
 
 
 def _profiled_path_calculation(
-    flows, ledger, paths, capacity, now, horizon, on_unplannable, profile, prune
+    flows, ledger, paths, capacity, now, horizon, on_unplannable, profile
 ) -> dict[int, FlowPlan]:
     if profile is None:
         return _path_calculation(
             flows, ledger, paths, capacity, now, horizon, on_unplannable,
-            profile, prune,
+            profile,
         )
     profile.path_calculation_calls += 1
     t0 = perf_counter()
     try:
         return _path_calculation(
             flows, ledger, paths, capacity, now, horizon, on_unplannable,
-            profile, prune,
+            profile,
         )
     finally:
         profile.path_calculation_seconds += perf_counter() - t0
@@ -188,7 +166,6 @@ def _path_calculation(
     horizon: float,
     on_unplannable: str,
     profile,
-    prune: bool,
 ) -> dict[int, FlowPlan]:
     plans: dict[int, FlowPlan] = {}
     for fs in flows:
@@ -203,12 +180,12 @@ def _path_calculation(
         if len(candidates) == 1:
             best_path = candidates[0]
         else:
-            # line 7–14: keep the path with the earliest completion.
-            # Fast path: each candidate's union is available as two
-            # partial folds (shared endpoint fold + cached interior
-            # segment), and its completion is scored straight off the
-            # pair with one fused scan — no union is materialised for
-            # losing candidates.  Two exact cut-offs skip work:
+            # line 7–14: keep the path with the earliest completion.  Each
+            # candidate's union is available as two partial folds (shared
+            # endpoint fold + cached interior segment), and its completion
+            # is scored straight off the pair with one fused scan — no
+            # union is materialised for losing candidates.  Two exact
+            # cut-offs skip work:
             #   1. release + duration >= best_end: free; kills every
             #      later candidate once one found a contention-free fit;
             #   2. the scan aborts the moment its earliest possible
@@ -216,39 +193,25 @@ def _path_calculation(
             # Only the winner's union is merged, for slice building.
             best_path, best_end = None, float("inf")
             best_parts: tuple[list[float], list[float]] | None = None
-            union_memo: dict[Path, list[float]] | None = {} if prune else None
+            union_memo: dict[Path, list[float]] = {}
             for p in candidates:
                 if profile is not None:
                     profile.candidates_evaluated += 1
-                if prune:
-                    if (
-                        best_path is not None
-                        and release + duration >= best_end - EPS
-                    ):
-                        if profile is not None:
-                            profile.candidates_pruned += 1
-                        continue
-                    shared, inter = ledger.union_parts(p, union_memo)
-                    try:
-                        end = occupied_fit_end_pair(
-                            shared, inter, duration, release, horizon,
-                            stop_at=best_end - EPS,
-                        )
-                    except ValueError:
-                        continue  # this candidate cannot fit (blocked link)
-                    if end < best_end - EPS:
-                        best_end, best_path = end, p
-                        best_parts = (shared, inter)
-                else:
-                    # reference mode: the pre-fast-path evaluation
-                    occupied = ledger.union_for(p)
-                    idle = occupied.complement(release, horizon)
-                    try:
-                        end = idle.idle_fit_end(duration, release)
-                    except ValueError:
-                        continue  # this candidate cannot fit (blocked link)
-                    if end < best_end - EPS:
-                        best_end, best_path = end, p
+                if best_path is not None and release + duration >= best_end - EPS:
+                    if profile is not None:
+                        profile.candidates_pruned += 1
+                    continue
+                shared, inter = ledger.union_parts(p, union_memo)
+                try:
+                    end = occupied_fit_end_pair(
+                        shared, inter, duration, release, horizon,
+                        stop_at=best_end - EPS,
+                    )
+                except ValueError:
+                    continue  # this candidate cannot fit (blocked link)
+                if end < best_end - EPS:
+                    best_end, best_path = end, p
+                    best_parts = (shared, inter)
             if best_parts is not None:
                 best_occ = IntervalSet._from_boundaries(
                     merge_boundaries(best_parts[0], best_parts[1])

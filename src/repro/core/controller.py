@@ -13,6 +13,9 @@ On every task arrival the controller:
    — in-flight flows keep their previous slices untouched, and the rejected
    task never sends a byte.
 
+Incremental admission and fault reroute run the same trial step
+(:meth:`TapsScheduler._trial`) with a different ledger and retry rule.
+
 Senders then transmit at full link rate exactly inside their allocated
 slices (paper §IV-D); accepted flows meet their deadlines by construction,
 so the only wasted bytes TAPS can produce come from preempted victims.
@@ -33,7 +36,7 @@ from repro.core.allocation import (
 )
 from repro.core.reject import Decision, PreemptionPolicy, RejectRule
 from repro.core.occupancy import OccupancyLedger
-from repro.obs.hotpath import HotPathCounters as ProfileCounters
+from repro.obs.hotpath import HotPathCounters
 from repro.obs.registry import MetricsRegistry
 from repro.sched.base import PRIORITY_KEYS, Scheduler
 from repro.sim.state import FlowState, FlowStatus, TaskState
@@ -56,30 +59,6 @@ from repro.util.intervals import EPS, IntervalSet
 _BLOCK_HORIZON = 1e15
 
 
-@dataclass(frozen=True, slots=True)
-class RejectionDiagnostics:
-    """Why a task was rejected — the controller's explain-mode record.
-
-    Attributes
-    ----------
-    task_id, time:
-        The rejected task and when the decision was made.
-    reason:
-        ``"deadline-expired"`` (dead on arrival, incl. control latency),
-        ``"unreachable"`` (no usable path — outage), ``"would-miss"``
-        (the trial allocation missed deadlines; see ``lateness``),
-        ``"table-limit"`` (per-switch install budget exceeded).
-    lateness:
-        For ``would-miss``: ``(flow_id, seconds past its deadline)`` of
-        the trial's missing flows — how far from admissible the task was.
-    """
-
-    task_id: int
-    time: float
-    reason: str
-    lateness: tuple[tuple[int, float], ...] = ()
-
-
 @dataclass(slots=True)
 class TapsStats:
     """Controller decision counters (reported by experiments).
@@ -97,7 +76,7 @@ class TapsStats:
     flows_planned: int = 0
     fault_reroutes: int = 0
     tasks_dropped_on_fault: int = 0
-    profile: ProfileCounters = field(default_factory=ProfileCounters)
+    profile: HotPathCounters = field(default_factory=HotPathCounters)
 
 
 class TapsScheduler(Scheduler):
@@ -138,29 +117,19 @@ class TapsScheduler(Scheduler):
         The ``Ftmp`` sort order of Alg. 1 line 9.  The paper prescribes
         ``"edf_sjf"``; ``"edf"``, ``"sjf"`` and ``"fifo"`` are ablation
         variants (see :data:`repro.sched.base.PRIORITY_KEYS`).
-    explain:
-        Record a :class:`RejectionDiagnostics` (reason + per-flow
-        lateness) for every rejected task in ``self.diagnostics`` —
-        the operator's "why was my task refused?" trail.
-    fast_path:
-        Enable the allocation fast path (default): per-path union caching
-        with link-level dirty tracking in the occupancy ledger, candidate
-        pruning in Alg. 2, and journal-based trial rollback instead of
-        ledger deep copies.  All three are exact — scheduling decisions
-        and flow plans are identical either way (asserted by
-        ``benchmarks/test_perf_controller.py``); ``False`` is the
-        pre-fast-path reference mode those comparisons run against.
     trace:
         Optional :class:`~repro.trace.recorder.TraceRecorder`: the
         controller emits its decision pipeline into it as typed events
         (trial begin/rollback, accept with the full committed plan
-        table, reject with the rule clause that fired, preemptions,
-        fault reallocations) for offline auditing
-        (:func:`~repro.trace.audit.audit_trace`).  Events record
-        decisions only — never fast-path internals — so decision-equal
-        runs emit identical streams.  When the engine is constructed
-        with a recorder it hands it to an un-traced TAPS scheduler
-        automatically.
+        table, reject with its reason, lateness and the rule clause that
+        fired, preemptions, fault reallocations) for offline auditing
+        (:func:`~repro.trace.audit.audit_trace`) and per-task
+        explanation (``repro-taps explain``).  Events are stamped at the
+        decision time and record decisions only — never fast-path
+        internals — so decision-equal runs (e.g. this controller and
+        :class:`~repro.core.reference.ReferenceTaps`) emit identical
+        streams.  When the engine is constructed with a recorder it hands
+        it to an un-traced TAPS scheduler automatically.
     telemetry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  The
         controller records each admission's wall latency into the
@@ -186,8 +155,6 @@ class TapsScheduler(Scheduler):
         flow_table_limit: int | None = None,
         reallocate_inflight: bool = True,
         priority: str = "edf_sjf",
-        explain: bool = False,
-        fast_path: bool = True,
         trace: TraceRecorder | None = None,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
@@ -207,11 +174,8 @@ class TapsScheduler(Scheduler):
             )
         self.priority = priority
         self._priority_key = PRIORITY_KEYS[priority]
-        self.explain = explain
-        self.fast_path = fast_path
         self.trace = trace
         self.telemetry = telemetry
-        self.diagnostics: list[RejectionDiagnostics] = []
         self._switch_of_link: dict[int, str] = {}
         self.stats = TapsStats()
         self.ledger = self._new_ledger()
@@ -224,8 +188,8 @@ class TapsScheduler(Scheduler):
         self._accepted_flows: dict[int, FlowState] = {}
 
     def _new_ledger(self) -> OccupancyLedger:
-        """A fresh ledger in this controller's mode, wired to the profile."""
-        return OccupancyLedger(profile=self.stats.profile, cache=self.fast_path)
+        """A fresh, empty ledger wired to the profile."""
+        return OccupancyLedger(profile=self.stats.profile)
 
     @property
     def plans(self) -> dict[int, FlowPlan]:
@@ -252,7 +216,6 @@ class TapsScheduler(Scheduler):
         self._flush_at = None
         self._down_links = frozenset()
         self._accepted_flows = {}
-        self.diagnostics = []
         self._capacity = topology.uniform_capacity()
         switch_set = set(topology.switches)
         self._switch_of_link = {
@@ -260,8 +223,8 @@ class TapsScheduler(Scheduler):
         }
         if self.trace is not None:
             # trace identity: what the auditor needs to pick invariants.
-            # Deliberately excludes fast_path — decision-equal modes must
-            # serialize identically (asserted by the equivalence tests).
+            # Deliberately excludes the implementation — decision-equal
+            # controllers must serialize identically.
             self.trace.set_meta(
                 scheduler=self.name,
                 priority=self.priority,
@@ -270,13 +233,10 @@ class TapsScheduler(Scheduler):
                 exclusive_links=True,
             )
         if self.telemetry is not None:
-            # telemetry identity may include fast_path — unlike trace meta
-            # it is not under the byte-identity contract
             self.telemetry.set_meta(
                 scheduler=self.name,
                 priority=self.priority,
                 preemption=self.rule.policy.value,
-                fast_path=self.fast_path,
             )
 
     # -- telemetry ----------------------------------------------------------
@@ -371,86 +331,72 @@ class TapsScheduler(Scheduler):
                 ).observe(perf_counter() - t0)
 
     def _admit(self, task_state: TaskState, now: float) -> None:
-        assert self.paths is not None
-        self._task_states[task_state.task.task_id] = task_state
+        """Alg. 1 for one task: trial, reject rule, preempt and retry,
+        commit.
+
+        Full Alg. 1 re-plans every in-flight flow on a fresh outage
+        ledger; incremental admission (``reallocate_inflight=False``)
+        plans only the newcomer's flows on the live ledger, around the
+        frozen committed plans.  Trace events are stamped at the decision
+        time ``now``; slices are planned from ``now + control_latency``.
+        """
+        task_id = task_state.task.task_id
+        self._task_states[task_id] = task_state
         # one controller round-trip before any new slice can start
         start = now + self.control_latency
-
         new_flows = [fs for fs in task_state.flow_states if fs.active]
         if task_state.task.deadline <= start + EPS or not new_flows:
-            self._reject(task_state, reason="deadline-expired", now=now)
+            self._reject(task_state, now, "deadline-expired")
             return
-        now = start
 
-        old_flows = [fs for fs in self._accepted_flows.values() if fs.active]
+        inflight = [fs for fs in self._accepted_flows.values() if fs.active]
+        if self.reallocate_inflight:
+            ledger, frozen, replan, frozen_flows = (
+                self._outage_ledger(), {}, inflight, []
+            )
+        else:
+            ledger, frozen, replan, frozen_flows = (
+                self.ledger, self.plans, [], inflight
+            )
         victims: list[int] = []
-
-        if not self.reallocate_inflight:
-            self._admit_incremental(task_state, new_flows, now)
-            return
-
-        # fast path: one outage-only base ledger, reset between retries by
-        # the rollback journal instead of being rebuilt from scratch
-        trial_base = self._outage_ledger() if self.fast_path else None
-        spans = None if self.telemetry is None else self.telemetry.spans
         attempt = 0
         while True:
             attempt += 1
             with self._span("trial"):
-                ftmp = sorted(old_flows + new_flows, key=self._priority_key)
-                if self.trace is not None:
-                    self.trace.emit(TrialBegin(
-                        now, task_id=task_state.task.task_id, attempt=attempt,
-                        flows=self._trial_flows(ftmp),
-                    ))
-                if trial_base is not None:
-                    trial_ledger = trial_base
-                    trial_ledger.begin_trial()
-                else:
-                    trial_ledger = self._outage_ledger()
-                horizon = allocation_horizon(ftmp, self._capacity, now)
-                trial_plans = path_calculation(
-                    ftmp, trial_ledger, self.paths, self._capacity, now,
-                    horizon, on_unplannable="skip",
-                    profile=self.stats.profile, prune=self.fast_path,
-                    spans=spans,
+                trial_plans = self._trial(
+                    replan + new_flows, ledger, start, frozen_flows,
+                    announce=(now, task_id, attempt),
                 )
-                self.stats.reallocations += 1
                 self.stats.flows_planned += len(trial_plans)
-
-                # a new-task flow with no usable path at all (outage) → reject
-                if any(fs.flow.flow_id not in trial_plans for fs in new_flows):
-                    missing = tuple(
-                        (fs.flow.flow_id, fs.flow.task_id)
-                        for fs in new_flows
-                        if fs.flow.flow_id not in trial_plans
-                    )
-                    self._reject(task_state, reason="unreachable", now=now,
+                # a new-task flow with no usable path at all (outage)
+                missing = tuple(
+                    (fs.flow.flow_id, task_id)
+                    for fs in new_flows
+                    if fs.flow.flow_id not in trial_plans
+                )
+                if missing:
+                    self._reject(task_state, now, "unreachable", ledger,
                                  missing=missing)
                     return
-
                 decision = self.rule.evaluate(
                     trial_plans, task_state, self._task_states
                 )
 
             if decision.decision is Decision.ACCEPT:
-                if not self._tables_fit(trial_plans):
+                if not self._tables_fit(trial_plans, frozen):
                     # §IV-C: some switch would exceed its install budget
-                    self._reject(task_state, reason="table-limit", now=now)
+                    self._reject(task_state, now, "table-limit", ledger)
                     return
                 with self._span("commit"):
-                    if trial_base is not None:
-                        trial_ledger.commit_trial()
-                    self._commit(
-                        task_state, trial_plans, trial_ledger, victims, now
-                    )
+                    ledger.commit_trial()
+                    self._commit(task_state, {**frozen, **trial_plans},
+                                 ledger, victims, now)
                 return
 
             if decision.decision is Decision.REJECT_NEW:
-                # drop the trial; previous plans (untouched) stay in force.
-                # A missing flow that got no plan at all (skipped as
-                # unplannable) is reported with infinite lateness rather
-                # than silently omitted.
+                # previous plans (untouched) stay in force.  A missing flow
+                # that got no plan at all (skipped as unplannable) is
+                # reported with infinite lateness rather than omitted.
                 lateness = tuple(
                     (fid, trial_plans[fid].completion
                      - trial_plans[fid].flow_state.flow.deadline)
@@ -461,41 +407,88 @@ class TapsScheduler(Scheduler):
                 missing = tuple(
                     (fid,
                      trial_plans[fid].flow_state.flow.task_id
-                     if fid in trial_plans else task_state.task.task_id)
+                     if fid in trial_plans else task_id)
                     for fid in decision.missing_flow_ids
                 )
-                self._reject(task_state, reason="would-miss",
-                             lateness=lateness, now=now,
+                self._reject(task_state, now, "would-miss", ledger,
                              clause=decision.clause, missing=missing,
+                             lateness=lateness,
                              victim_ratio=decision.victim_ratio,
                              new_ratio=decision.new_ratio)
                 return
 
-            # DISCARD_VICTIM: retry the trial without the victim's flows.
-            # The kill is DEFERRED to commit time — if the newcomer ends
-            # up rejected anyway (e.g. by the table limit), the victim's
-            # committed plans were never touched and it survives intact.
+            # DISCARD_VICTIM (full Alg. 1 only: an incremental trial plans
+            # the newcomer alone, so every miss is its own): retry without
+            # the victim's flows.  The kill is DEFERRED to commit time — if
+            # the newcomer ends up rejected anyway (e.g. by the table
+            # limit), the victim's committed plans were never touched and
+            # it survives intact.
             assert decision.victim_task_id is not None
             self._emit(TrialRollback(
-                now, task_id=task_state.task.task_id, attempt=attempt,
+                now, task_id=task_id, attempt=attempt,
                 victim_task_id=decision.victim_task_id,
                 victim_ratio=decision.victim_ratio,
                 new_ratio=decision.new_ratio,
             ))
             with self._span("rollback"):
                 victims.append(decision.victim_task_id)
-                old_flows = [
-                    fs for fs in old_flows
+                replan = [
+                    fs for fs in replan
                     if fs.flow.task_id != decision.victim_task_id
                 ]
-                if trial_base is not None:
-                    trial_base.rollback_trial()
+                ledger.rollback_trial()
+
+    def _trial(
+        self,
+        flows: list[FlowState],
+        ledger,
+        start: float,
+        frozen_flows: list[FlowState] | None = None,
+        announce: tuple[float, int, int] | None = None,
+    ) -> dict[int, FlowPlan]:
+        """The trial step of Alg. 1, shared by admission and fault reroute.
+
+        Sorts ``flows`` into ``Ftmp`` order (Alg. 1 line 9), opens a
+        journal trial on ``ledger`` and plans ``Ftmp`` from ``start``
+        around whatever the ledger already holds (Alg. 2/3).  The caller
+        keeps the trial (``ledger.commit_trial()``), undoes it to retry
+        (``rollback_trial()``), or drops a fresh ledger outright.
+        ``frozen_flows`` are in-flight flows whose committed plans stay as
+        they are; they only widen the horizon.  ``announce`` —
+        ``(decision time, task id, attempt)`` — emits the admission's
+        :class:`~repro.trace.events.TrialBegin`.
+        """
+        ftmp = sorted(flows, key=self._priority_key)
+        if announce is not None and self.trace is not None:
+            now, task_id, attempt = announce
+            self.trace.emit(TrialBegin(
+                now, task_id=task_id, attempt=attempt,
+                flows=self._trial_flows(ftmp),
+            ))
+        ledger.begin_trial()
+        horizon = allocation_horizon(
+            ftmp + frozen_flows if frozen_flows else ftmp, self._capacity, start
+        )
+        plans = self._path_calculation(ftmp, ledger, start, horizon)
+        self.stats.reallocations += 1
+        return plans
+
+    def _path_calculation(
+        self, ftmp: list[FlowState], ledger, start: float, horizon: float
+    ) -> dict[int, FlowPlan]:
+        """Alg. 2/3 over ``Ftmp`` — the one call site of
+        :func:`~repro.core.allocation.path_calculation`."""
+        return path_calculation(
+            ftmp, ledger, self.paths, self._capacity, start, horizon,
+            on_unplannable="skip", profile=self.stats.profile,
+            spans=None if self.telemetry is None else self.telemetry.spans,
+        )
 
     def _commit(
         self,
         task_state: TaskState,
-        trial_plans: dict[int, FlowPlan],
-        trial_ledger: OccupancyLedger,
+        plans: dict[int, FlowPlan],
+        ledger,
         victims: list[int],
         now: float,
     ) -> None:
@@ -518,9 +511,9 @@ class TapsScheduler(Scheduler):
                 killed_flows=tuple(killed),
             ))
 
-        self.plans = dict(trial_plans)
-        self.ledger = trial_ledger
-        for plan in trial_plans.values():
+        self.plans = plans
+        self.ledger = ledger
+        for plan in plans.values():
             plan.flow_state.path = plan.path
         task_state.accepted = True
         for fs in task_state.flow_states:
@@ -531,9 +524,6 @@ class TapsScheduler(Scheduler):
         profile = self.stats.profile
         if len(victims) > profile.max_reallocation_depth:
             profile.max_reallocation_depth = len(victims)
-        self.active_flows = [
-            fs for fs in self._accepted_flows.values() if fs.active
-        ]
         if self.trace is not None:
             self.trace.emit(TaskAccept(
                 now, task_id=task_state.task.task_id,
@@ -541,133 +531,41 @@ class TapsScheduler(Scheduler):
                 plans=self._plan_records(),
             ))
 
-    def _admit_incremental(
-        self, task_state: TaskState, new_flows: list[FlowState], now: float
-    ) -> None:
-        """Incremental admission: pack only the new flows around the
-        frozen existing plans; accept iff they all meet their deadlines.
-
-        No reordering, no preemption — deliberately rigid, for the
-        reallocation ablation.
-        """
-        assert self.paths is not None
-        ftmp = sorted(new_flows, key=self._priority_key)
-        if self.trace is not None:
-            self.trace.emit(TrialBegin(
-                now, task_id=task_state.task.task_id, attempt=1,
-                flows=self._trial_flows(ftmp),
-            ))
-        if self.fast_path:
-            # trial directly on the live ledger; the journal undoes a
-            # rejected trial instead of deep-copying every link upfront
-            trial_ledger = self.ledger
-            trial_ledger.begin_trial()
-        else:
-            trial_ledger = self.ledger.copy()
-        if self._down_links:
-            block = IntervalSet.single(0.0, _BLOCK_HORIZON)
-            for l in self._down_links:
-                trial_ledger.commit((l,), block)
-        horizon = allocation_horizon(
-            ftmp + [fs for fs in self._accepted_flows.values() if fs.active],
-            self._capacity,
-            now,
-        )
-        trial_plans = path_calculation(
-            ftmp, trial_ledger, self.paths, self._capacity, now, horizon,
-            on_unplannable="skip",
-            profile=self.stats.profile, prune=self.fast_path,
-            spans=None if self.telemetry is None else self.telemetry.spans,
-        )
-        self.stats.reallocations += 1
-        self.stats.flows_planned += len(trial_plans)
-
-        reject_reason: str | None = None
-        lateness: tuple = ()
-        missing: tuple = ()
-        clause: int | None = None
-        task_id = task_state.task.task_id
-        if len(trial_plans) < len(new_flows):
-            reject_reason = "unreachable"
-            missing = tuple(
-                (fs.flow.flow_id, task_id)
-                for fs in new_flows
-                if fs.flow.flow_id not in trial_plans
-            )
-        elif any(not p.meets_deadline for p in trial_plans.values()):
-            # only the newcomer's flows were (re)planned, so a miss here
-            # is always the new task's own — the rule's clause 2
-            reject_reason = "would-miss"
-            clause = 2
-            lateness = tuple(
-                (fid, p.completion - p.flow_state.flow.deadline)
-                for fid, p in trial_plans.items()
-                if not p.meets_deadline
-            )
-            missing = tuple((fid, task_id) for fid, _ in lateness)
-        elif not self._tables_fit({**self.plans, **trial_plans}):
-            reject_reason = "table-limit"
-        if reject_reason is not None:
-            if self.fast_path:
-                trial_ledger.rollback_trial()
-            self._reject(task_state, reason=reject_reason,
-                         lateness=lateness, now=now,
-                         clause=clause, missing=missing)
-            return
-
-        if self.fast_path:
-            trial_ledger.commit_trial()
-        else:
-            self.ledger = trial_ledger
-        self.plans = {**self.plans, **trial_plans}
-        for plan in trial_plans.values():
-            plan.flow_state.path = plan.path
-        task_state.accepted = True
-        for fs in task_state.flow_states:
-            if fs.active:
-                self._accepted_flows[fs.flow.flow_id] = fs
-        self.stats.tasks_accepted += 1
-        if self.trace is not None:
-            self.trace.emit(TaskAccept(
-                now, task_id=task_state.task.task_id, victims=(),
-                plans=self._plan_records(),
-            ))
-
     def _reject(
         self,
         task_state: TaskState,
-        reason: str = "would-miss",
-        lateness: tuple = (),
-        now: float = 0.0,
+        now: float,
+        reason: str,
+        trial_ledger=None,
         clause: int | None = None,
         missing: tuple = (),
+        lateness: tuple = (),
         victim_ratio: float | None = None,
         new_ratio: float | None = None,
     ) -> None:
+        """Refuse the task.  A refused trial on the live ledger
+        (incremental admission) is undone; a fresh trial ledger is simply
+        dropped."""
+        if trial_ledger is self.ledger:
+            trial_ledger.rollback_trial()
         self._reject_task(task_state)
         self.stats.tasks_rejected += 1
         self._emit(TaskReject(
             now, task_id=task_state.task.task_id, reason=reason,
-            clause=clause, missing=tuple(missing), lateness=tuple(lateness),
+            clause=clause, missing=missing, lateness=lateness,
             victim_ratio=victim_ratio, new_ratio=new_ratio,
         ))
-        if self.explain:
-            self.diagnostics.append(
-                RejectionDiagnostics(
-                    task_id=task_state.task.task_id,
-                    time=now,
-                    reason=reason,
-                    lateness=tuple(lateness),
-                )
-            )
 
-    def _tables_fit(self, trial_plans: dict[int, FlowPlan]) -> bool:
+    def _tables_fit(
+        self, trial_plans: dict[int, FlowPlan], frozen: dict[int, FlowPlan]
+    ) -> bool:
         """Whether every switch's concurrent planned-flow count fits its
-        install budget (``flow_table_limit``)."""
+        install budget (``flow_table_limit``), counting the trial's plans
+        together with the ``frozen`` committed ones."""
         if self.flow_table_limit is None:
             return True
         per_switch: dict[str, int] = {}
-        for plan in trial_plans.values():
+        for plan in {**frozen, **trial_plans}.values():
             if not plan.flow_state.active:
                 continue
             for sw in {self._switch_of_link[l] for l in plan.path
@@ -761,7 +659,7 @@ class TapsScheduler(Scheduler):
 
     # -- faults -------------------------------------------------------------
 
-    def _outage_ledger(self) -> OccupancyLedger:
+    def _outage_ledger(self):
         """A fresh ledger with every down link blocked "forever"."""
         ledger = self._new_ledger()
         if self._down_links:
@@ -779,53 +677,37 @@ class TapsScheduler(Scheduler):
 
     def _reallocate_inflight(self, now: float) -> None:
         flows = [fs for fs in self._accepted_flows.values() if fs.active]
-        trial_base = self._outage_ledger() if self.fast_path else None
-        spans = None if self.telemetry is None else self.telemetry.spans
+        ledger = self._outage_ledger()
         dropped: list[int] = []
         while True:
-            ftmp = sorted(flows, key=self._priority_key)
-            if trial_base is not None:
-                ledger = trial_base
-                ledger.begin_trial()
-            else:
-                ledger = self._outage_ledger()
-            horizon = allocation_horizon(ftmp, self._capacity, now)
-            plans = path_calculation(
-                ftmp, ledger, self.paths, self._capacity, now, horizon,
-                on_unplannable="skip",
-                profile=self.stats.profile, prune=self.fast_path,
-                spans=spans,
-            )
-            self.stats.reallocations += 1
+            plans = self._trial(flows, ledger, now)
             missing_tasks = {
                 p.flow_state.flow.task_id
                 for p in plans.values()
                 if not p.meets_deadline
             }
             if not missing_tasks:
-                if trial_base is not None:
-                    ledger.commit_trial()
-                self.plans = plans
-                self.ledger = ledger
-                for p in plans.values():
-                    p.flow_state.path = p.path
-                self.stats.fault_reroutes += 1
-                if self.trace is not None:
-                    self.trace.emit(FaultReallocation(
-                        now,
-                        down_links=tuple(sorted(self._down_links)),
-                        dropped_tasks=tuple(sorted(dropped)),
-                        plans=self._plan_records(),
-                    ))
-                return
+                break
             # a task the outage made unmeetable: stop it now rather than
             # waste bandwidth on a doomed transfer (task-level philosophy)
             for tid in missing_tasks:
                 if self._drop_task_on_fault(tid, now):
                     dropped.append(tid)
             flows = [fs for fs in flows if fs.flow.task_id not in missing_tasks]
-            if trial_base is not None:
-                trial_base.rollback_trial()
+            ledger.rollback_trial()
+        ledger.commit_trial()
+        self.plans = plans
+        self.ledger = ledger
+        for p in plans.values():
+            p.flow_state.path = p.path
+        self.stats.fault_reroutes += 1
+        if self.trace is not None:
+            self.trace.emit(FaultReallocation(
+                now,
+                down_links=tuple(sorted(self._down_links)),
+                dropped_tasks=tuple(sorted(dropped)),
+                plans=self._plan_records(),
+            ))
 
     def _drop_task_on_fault(
         self, task_id: int, now: float = 0.0, cause: str = "fault"
@@ -854,7 +736,6 @@ class TapsScheduler(Scheduler):
     def on_flow_completed(self, fs: FlowState, now: float) -> None:
         self.plans.pop(fs.flow.flow_id, None)
         self._accepted_flows.pop(fs.flow.flow_id, None)
-        super().on_flow_completed(fs, now)
 
     def on_deadline_expired(self, fs: FlowState, now: float) -> None:
         # Accepted flows meet deadlines by construction; reaching this
@@ -870,7 +751,6 @@ class TapsScheduler(Scheduler):
             self.stats.tasks_dropped_on_fault -= 1
         if fs.active:
             fs.kill(FlowStatus.TERMINATED)
-        self._drop(fs)
 
     def plan_of(self, flow_id: int) -> FlowPlan | None:
         """The committed plan for a flow (None once completed/never planned)."""

@@ -124,7 +124,6 @@ def run_traced(
     scale: Scale = SMALL,
     num_tasks: int | None = None,
     seed: int = 7,
-    fast_path: bool = True,
     faults=None,
     telemetry=None,
 ):
@@ -154,7 +153,7 @@ def run_traced(
         telemetry.set_meta(scale=scale.name, seed=seed,
                            num_tasks=len(tasks))
     engine = Engine(
-        topo, tasks, TapsScheduler(fast_path=fast_path),
+        topo, tasks, TapsScheduler(),
         path_service=PathService(topo, max_paths=scale.max_paths),
         faults=faults, trace=recorder, telemetry=telemetry,
     )

@@ -26,9 +26,6 @@ Snapshots are mergeable (:meth:`merge` / :meth:`from_dict`): the
 parallel sweep executor ships each worker's counters back with its
 result, so hot-path work done in child processes aggregates instead of
 silently vanishing (it used to).
-
-``repro.metrics.profiling.ProfileCounters`` remains as a compatibility
-alias of this class.
 """
 
 from __future__ import annotations

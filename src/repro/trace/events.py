@@ -17,9 +17,10 @@ into a :class:`~repro.trace.recorder.TraceRecorder`:
 
 Events are plain slotted dataclasses with JSON round-trip
 (:meth:`TraceEvent.to_json` / :func:`event_from_json`), so a trace can be
-exported as JSONL, diffed byte-for-byte between runs (the fast-path
-equivalence tests rely on this — nothing mode-dependent may appear in an
-event), and replayed offline by the auditor
+exported as JSONL, diffed byte-for-byte between runs (the tests that
+check the controller against the reference oracle rely on this — nothing
+implementation-dependent may appear in an event), and replayed offline by
+the auditor
 (:mod:`repro.trace.audit`).
 
 Design rule: events record *decisions and physical facts*, never
@@ -174,15 +175,20 @@ class TaskAccept(TraceEvent):
 
 @dataclass(slots=True)
 class TaskReject(TraceEvent):
-    """An admission refused the new task.
+    """An admission refused the new task — the record of why.
 
-    ``reason`` mirrors :class:`~repro.core.controller.RejectionDiagnostics`
-    (``deadline-expired`` / ``unreachable`` / ``would-miss`` /
-    ``table-limit``); ``clause`` is the reject-rule clause that fired for
-    ``would-miss`` (1 = several tasks missing, 2 = the new task's own
-    flows missing, 3 = single-victim ratio comparison lost), ``None`` for
-    rejections outside the rule.  ``missing`` pairs each missing flow with
-    its task; ``victim_ratio`` / ``new_ratio`` are set for clause 3.
+    ``reason`` is ``deadline-expired`` (dead on arrival, control latency
+    included), ``unreachable`` (some new flow has no usable path — an
+    outage), ``would-miss`` (the trial allocation missed deadlines) or
+    ``table-limit`` (a switch's install budget would be exceeded).
+    ``clause`` is the reject-rule clause that fired for ``would-miss``
+    (1 = several tasks missing, 2 = the new task's own flows missing,
+    3 = single-victim ratio comparison lost), ``None`` for rejections
+    outside the rule.  ``missing`` pairs each missing flow with its task;
+    ``lateness`` pairs it with how far past its deadline the trial
+    finished it (``inf`` when the trial could not plan it at all);
+    ``victim_ratio`` / ``new_ratio`` are set for clause 3.  The event time
+    is the decision time.  ``repro-taps explain`` renders it per task.
     """
 
     kind: ClassVar[str] = "task-reject"

@@ -15,8 +15,8 @@ auditing a truncated trace is flagged as unsound).
 Export is JSON Lines: one header object (schema version, metadata,
 emitted/dropped counters) followed by one object per event.  Serialization
 is deterministic — two runs that emitted identical events produce
-byte-identical files, which is exactly what the fast-path equivalence
-tests assert.
+byte-identical files, which is exactly what the controller-vs-oracle
+equivalence tests assert.
 """
 
 from __future__ import annotations

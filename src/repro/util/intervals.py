@@ -286,7 +286,10 @@ class IntervalSet:
         remaining = duration
         out: list[float] = []
         for s, e in self:
-            if e <= after + EPS:
+            # subtraction form, as in complement(): a gap complement() kept
+            # because it ends more than EPS past its start is never dropped
+            # here by one ulp of rounding in ``after + EPS``
+            if e - after <= EPS:
                 continue
             s = max(s, after)
             width = e - s
@@ -317,7 +320,7 @@ class IntervalSet:
         b = self._b
         for i in range(0, len(b), 2):
             s, e = b[i], b[i + 1]
-            if e <= after + EPS:
+            if e - after <= EPS:
                 continue
             s = max(s, after)
             width = e - s
@@ -329,91 +332,6 @@ class IntervalSet:
         raise ValueError(
             f"insufficient idle time: needed {duration:g}, "
             f"short by {remaining:g} after t={after:g}"
-        )
-
-    def first_idle_after(self, lo: float, hi: float) -> float | None:
-        """Start of the first gap of ``complement(lo, hi)``, without building it.
-
-        Treats ``self`` as an **occupied** set.  Equivalent to
-        ``self.complement(lo, hi).start()`` (``None`` when the complement
-        is empty), but stops at the first gap instead of materialising the
-        whole idle set.  Used by the candidate-pruning step of Alg. 2: a
-        flow's completion on a path can never precede the path's first
-        idle instant plus the flow's duration, so paths whose bound cannot
-        beat the current best are skipped without a full fit scan.
-        """
-        b = self._b
-        cursor = lo
-        # bisect past every interval ending at/before lo (cheap history skip)
-        k = bisect_right(b, lo + EPS)
-        for i in range(k - (k & 1), len(b), 2):
-            s, e = b[i], b[i + 1]
-            if e <= lo + EPS:
-                continue
-            if s >= hi - EPS:
-                break
-            if max(s, lo) - cursor > EPS:
-                return cursor
-            e_clip = min(e, hi)
-            if e_clip > cursor:
-                cursor = e_clip
-        if hi - cursor > EPS:
-            return cursor
-        return None
-
-    def occupied_fit_end(
-        self,
-        duration: float,
-        lo: float,
-        hi: float,
-        stop_at: float = float("inf"),
-    ) -> float:
-        """First-fit completion treating *this* set as **occupied**.
-
-        Exactly ``self.complement(lo, hi).idle_fit_end(duration, lo)`` —
-        one fused scan instead of materialising the idle set and scanning
-        it again.  This is the per-candidate evaluation of Alg. 2/3 when
-        only the completion time is needed; the winner still builds its
-        slices via :meth:`complement` + :meth:`first_fit`.
-
-        ``stop_at`` aborts the scan once the completion provably cannot
-        fall below it: at any point the fit cannot end before
-        ``cursor + remaining``, so when that reaches ``stop_at`` the exact
-        value no longer matters and ``inf`` is returned.  Alg. 2 passes
-        the current best completion — losing candidates stop scanning as
-        soon as they are beaten instead of walking the whole backlog.
-
-        Raises ``ValueError`` when ``[lo, hi)`` holds less than
-        ``duration`` of idle time (never raised after an abort).
-        """
-        if duration <= EPS:
-            return lo
-        remaining = duration
-        b = self._b
-        cursor = lo
-        k = bisect_right(b, lo + EPS)
-        for i in range(k - (k & 1), len(b), 2):
-            s, e = b[i], b[i + 1]
-            if e <= lo + EPS:
-                continue
-            if s >= hi - EPS:
-                break
-            gap = (s if s > lo else lo) - cursor
-            if gap > EPS:
-                if gap >= remaining - EPS:
-                    return cursor + (gap if gap < remaining else remaining)
-                remaining -= gap
-            e_clip = min(e, hi)
-            if e_clip > cursor:
-                cursor = e_clip
-                if cursor + remaining >= stop_at:
-                    return float("inf")
-        gap = hi - cursor
-        if gap > EPS and gap >= remaining - EPS:
-            return cursor + (gap if gap < remaining else remaining)
-        raise ValueError(
-            f"insufficient idle time: needed {duration:g}, "
-            f"short by {remaining:g} after t={lo:g}"
         )
 
     def occupied_first_fit(self, duration: float, lo: float, hi: float) -> "IntervalSet":
@@ -583,10 +501,14 @@ def occupied_fit_end_pair(
     available as two partial folds (shared prefix + interior segment);
     only the winning candidate ever materialises its union.
 
-    ``stop_at`` aborts with ``inf`` once ``cursor + remaining`` reaches
-    it (the fit provably cannot end earlier — see
-    :meth:`IntervalSet.occupied_fit_end`).  Raises ``ValueError`` when
-    ``[lo, hi)`` holds less than ``duration`` of idle time.
+    ``stop_at`` aborts the scan once the completion provably cannot fall
+    below it: at any point the fit cannot end before ``cursor +
+    remaining``, so when that reaches ``stop_at`` the exact value no
+    longer matters and ``inf`` is returned.  Alg. 2 passes the current
+    best completion, so losing candidates stop as soon as they are beaten.
+    Pass ``b=[]`` to score a single occupied list.  Raises ``ValueError``
+    when ``[lo, hi)`` holds less than ``duration`` of idle time (never
+    raised after an abort).
     """
     if duration <= EPS:
         return lo

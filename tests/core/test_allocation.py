@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.allocation import (
     allocation_horizon,
-    completion_on_path,
     path_calculation,
     time_allocation,
 )
@@ -56,10 +55,12 @@ class TestTimeAllocation:
             time_allocation(ledger, (0,), 10.0, release=0.0, horizon=5.0)
 
     def test_completion_on_path_matches(self):
+        """Alg. 3's completion equals the literal complement → fit score."""
         ledger = OccupancyLedger()
         ledger.commit((0,), IntervalSet.single(0.5, 2.5))
         _, end = time_allocation(ledger, (0,), 3.0, release=0.0, horizon=100.0)
-        assert completion_on_path(ledger, (0,), 3.0, 0.0, 100.0) == pytest.approx(end)
+        idle = ledger.union_for((0,)).complement(0.0, 100.0)
+        assert idle.idle_fit_end(3.0, 0.0) == pytest.approx(end)
 
 
 class TestPathCalculation:

@@ -1,11 +1,13 @@
-"""Controller fast path: mode equivalence, invariants, stats regressions.
+"""Controller fast path: oracle equivalence, invariants, stats regressions.
 
-``fast_path=True`` (union caching + pruning + trial journal) must be
-indistinguishable from the reference controller in every scheduling
-decision — these tests check that at controller scale on a real multipath
-topology, plus the invariants and counter regressions the fast-path PR
-fixed (stats underflow on unregistered-task expiry, infinite-lateness
-reporting for planless flows).
+The production controller (segment-cached union folds, pruned fused-scan
+candidate scoring, trial journal, slice-boundary heaps) must be
+indistinguishable in every scheduling decision from the reference oracle
+:class:`~repro.core.reference.ReferenceTaps`, which runs Alg. 2/3 and the
+sender model literally — these tests check that at controller scale on a
+real multipath topology, plus the invariants and counter regressions the
+fast-path work fixed (stats underflow on unregistered-task expiry,
+infinite-lateness reporting for planless flows).
 """
 
 import json
@@ -13,6 +15,11 @@ import json
 from repro.core.allocation import path_calculation
 from repro.core.controller import TapsScheduler
 from repro.core.occupancy import OccupancyLedger
+from repro.core.reference import (
+    ReferenceLedger,
+    ReferenceTaps,
+    reference_path_calculation,
+)
 from repro.core.reject import Decision, PreemptionPolicy, RejectDecision
 from repro.net.fattree import FatTree
 from repro.net.paths import PathService
@@ -36,15 +43,16 @@ def _contended_workload():
 
 class TestModeEquivalence:
     def test_fast_and_reference_schedule_identically(self):
-        """Both modes must produce byte-identical decision traces (events
-        record float-exact plan snapshots, so this is the strongest form of
-        equivalence), identical end states, and a clean audit."""
+        """The controller and the oracle must produce byte-identical
+        decision traces (events record float-exact plan snapshots, so this
+        is the strongest form of equivalence), identical end states, and a
+        clean audit."""
         topo, tasks = _contended_workload()
         runs = {}
         dumps = {}
-        for fast in (True, False):
+        for fast, cls in ((True, TapsScheduler), (False, ReferenceTaps)):
             recorder = TraceRecorder()
-            sched = TapsScheduler(fast_path=fast)
+            sched = cls()
             result = Engine(topo, tasks, sched,
                             path_service=PathService(topo, max_paths=4),
                             trace=recorder).run()
@@ -66,8 +74,9 @@ class TestModeEquivalence:
         assert {"task-accept", "task-reject"} <= kinds
 
     def test_pruned_path_calculation_matches_reference(self):
-        """prune=True picks the same path, slices, and completion as the
-        exhaustive per-candidate evaluation, flow for flow."""
+        """path_calculation picks the same path, slices, and completion as
+        the literal per-candidate evaluation of the oracle, flow for
+        flow."""
         topo = FatTree(k=4)
         paths = PathService(topo, max_paths=4)
         hosts = list(topo.hosts)[:4]
@@ -86,10 +95,10 @@ class TestModeEquivalence:
             return out
 
         capacity = topo.uniform_capacity()
-        fast = path_calculation(flows(), OccupancyLedger(cache=True), paths,
-                                capacity, 0.0, 1e4, prune=True)
-        ref = path_calculation(flows(), OccupancyLedger(cache=False), paths,
-                               capacity, 0.0, 1e4, prune=False)
+        fast = path_calculation(flows(), OccupancyLedger(), paths,
+                                capacity, 0.0, 1e4)
+        ref = reference_path_calculation(flows(), ReferenceLedger(), paths,
+                                         capacity, 0.0, 1e4)
         assert fast.keys() == ref.keys()
         for fid in fast:
             assert fast[fid].path == ref[fid].path
@@ -159,10 +168,11 @@ class TestStatsRegressions:
 
     def test_planless_missing_flow_reported_with_infinite_lateness(self):
         """A rejected flow that never got a trial plan (unplannable, so
-        skipped) is reported as infinitely late, not dropped from the
-        diagnostics (the old code KeyError'd / omitted it)."""
+        skipped) is reported as infinitely late in the task-reject event,
+        not dropped from it (the old code KeyError'd / omitted it)."""
         topo = dumbbell(1)
-        sched = TapsScheduler(explain=True)
+        recorder = TraceRecorder()
+        sched = TapsScheduler(trace=recorder)
         sched.attach(topo, PathService(topo))
         sched.rule.evaluate = lambda plans, new, states: RejectDecision(
             Decision.REJECT_NEW, missing_flow_ids=(999,)
@@ -171,6 +181,7 @@ class TestStatsRegressions:
         ts = TaskState(task=task)
         ts.flow_states = [FlowState(flow=f) for f in task.flows]
         sched.on_task_arrival(ts, 0.0)
-        (d,) = sched.diagnostics
-        assert d.reason == "would-miss"
-        assert d.lateness == ((999, float("inf")),)
+        (reject,) = [ev for ev in recorder if ev.kind == "task-reject"]
+        assert reject.reason == "would-miss"
+        assert reject.lateness == ((999, float("inf")),)
+        assert reject.missing == ((999, 0),)

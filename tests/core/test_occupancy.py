@@ -54,22 +54,6 @@ def test_union_for_empty_path_links(ledger):
     assert not ledger.union_for((7, 8))
 
 
-def test_clear(ledger):
-    ledger.commit((0, 1), IntervalSet.single(0, 1))
-    ledger.clear()
-    assert not ledger.occupied(0)
-    assert ledger.touched_links() == []
-
-
-def test_rebuild(ledger):
-    ledger.commit((0,), IntervalSet.single(0, 1))
-    plans = [((1, 2), IntervalSet.single(5, 6)), ((2,), IntervalSet.single(7, 8))]
-    ledger.rebuild(plans)
-    assert not ledger.occupied(0)  # old state gone
-    assert ledger.occupied(1).intervals() == [(5, 6)]
-    assert ledger.occupied(2).intervals() == [(5, 6), (7, 8)]
-
-
 def test_touched_links_sorted(ledger):
     ledger.commit((5, 1), IntervalSet.single(0, 1))
     assert ledger.touched_links() == [1, 5]

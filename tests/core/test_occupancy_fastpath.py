@@ -1,12 +1,12 @@
-"""OccupancyLedger fast path: union cache, partial folds, trial journal.
+"""OccupancyLedger fast path: segment cache, partial folds, trial journal.
 
-The cache and the journal are pure performance machinery — every observable
-value must be identical to an uncached, copy-based ledger.  The property
-test drives a cached ledger through arbitrary commit/query/trial/rebuild/
-clear sequences against a hand-rolled model (dict of link → IntervalSet with
-deep-copy trial snapshots) and checks ``union_for`` float-for-float after
-every step; the unit tests pin the journal's edge semantics and the cache's
-admission/eviction behaviour.
+The segment cache and the journal are pure performance machinery — every
+observable value must be identical to an uncached, copy-based ledger.  The
+property test drives a ledger through arbitrary commit/query/trial
+sequences against a hand-rolled model (dict of link → IntervalSet with
+deep-copy trial snapshots) and checks ``union_for`` and the recombined
+``union_parts`` float-for-float after every query; the unit tests pin the
+journal's edge semantics and the cache's admission/eviction behaviour.
 """
 
 import pytest
@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.occupancy import OccupancyLedger
-from repro.metrics.profiling import ProfileCounters
+from repro.obs.hotpath import HotPathCounters
 from repro.util.intervals import IntervalSet, merge_boundaries, union_all
 
 LINKS = list(range(6))
 
-paths = st.lists(st.sampled_from(LINKS), min_size=1, max_size=4,
+paths = st.lists(st.sampled_from(LINKS), min_size=1, max_size=6,
                  unique=True).map(tuple)
 
 ops = st.lists(
@@ -31,8 +31,6 @@ ops = st.lists(
         st.just(("begin",)),
         st.just(("rollback",)),
         st.just(("commit_trial",)),
-        st.just(("clear",)),
-        st.just(("rebuild",)),
     ),
     max_size=30,
 )
@@ -42,15 +40,21 @@ def _model_union(model, path):
     return union_all([model[l] for l in path if l in model])
 
 
+def _assert_matches(ledger, model, path):
+    expected = _model_union(model, path)._b
+    assert ledger.union_for(path)._b == expected
+    assert merge_boundaries(*ledger.union_parts(path, {})) == expected
+
+
 @given(ops, st.lists(paths, min_size=1, max_size=4))
 @settings(max_examples=150)
 def test_cached_ledger_matches_model(sequence, probes):
-    """Arbitrary commit/query/trial/rebuild/clear sequences: the cached
-    ledger's unions equal a snapshot-copy reference model at every step."""
-    ledger = OccupancyLedger(cache=True)
+    """Arbitrary commit/query/trial sequences: the ledger's unions — fresh
+    and from cached segment folds — equal a snapshot-copy reference model
+    at every step."""
+    ledger = OccupancyLedger()
     model: dict[int, IntervalSet] = {}
     snapshot: dict[int, IntervalSet] | None = None
-    committed: list[tuple[tuple[int, ...], IntervalSet]] = []
 
     for op in sequence:
         kind = op[0]
@@ -58,7 +62,6 @@ def test_cached_ledger_matches_model(sequence, probes):
             _, path, start, width = op
             slices = IntervalSet.single(start, start + width)
             ledger.commit(path, slices)
-            committed.append((path, slices))
             # the model journals by eager deep copy at begin_trial; the
             # ledger by lazy reference snapshots — results must agree
             for l in path:
@@ -67,43 +70,25 @@ def test_cached_ledger_matches_model(sequence, probes):
                 else:
                     model[l] = slices.copy()
         elif kind == "query":
-            _, path = op
-            assert ledger.union_for(path)._b == _model_union(model, path)._b
+            _assert_matches(ledger, model, op[1])
         elif kind == "begin":
             if not ledger.in_trial:
                 ledger.begin_trial()
                 snapshot = {l: s.copy() for l, s in model.items()}
-                committed_mark = len(committed)
         elif kind == "rollback":
             if ledger.in_trial:
                 ledger.rollback_trial()
                 assert snapshot is not None
                 model, snapshot = snapshot, None
-                del committed[committed_mark:]
         elif kind == "commit_trial":
             if ledger.in_trial:
                 ledger.commit_trial()
                 snapshot = None
-        elif kind == "clear":
-            ledger.clear()
-            model, snapshot = {}, None
-            committed = []
-        elif kind == "rebuild":
-            # rebuild = clear + re-commit every plan made so far; aborts
-            # any active trial and must fully repopulate the link index
-            ledger.rebuild(committed)
-            model, snapshot = {}, None
-            for path, slices in committed:
-                for l in path:
-                    if l in model:
-                        model[l] = model[l].union(slices)
-                    else:
-                        model[l] = slices.copy()
 
     for path in probes:
-        # repeat the probe so the second-chance cache serves one from store
-        assert ledger.union_for(path)._b == _model_union(model, path)._b
-        assert ledger.union_for(path)._b == _model_union(model, path)._b
+        # repeat the probe so the segment cache serves one from store
+        _assert_matches(ledger, model, path)
+        _assert_matches(ledger, model, path)
 
 
 @given(ops, paths)
@@ -111,7 +96,7 @@ def test_cached_ledger_matches_model(sequence, probes):
 def test_union_parts_recombines_to_union_for(sequence, path):
     """merge(shared, interior) from union_parts equals union_for, for any
     ledger state and any path length."""
-    ledger = OccupancyLedger(cache=True)
+    ledger = OccupancyLedger()
     for op in sequence:
         if op[0] == "commit":
             _, p, start, width = op
@@ -161,30 +146,21 @@ def test_commit_trial_keeps_changes():
 
 
 def test_rollback_evicts_stale_cached_unions():
-    ledger = OccupancyLedger(cache=True)
-    ledger.commit((0, 1), IntervalSet.single(0, 2))
-    # two queries: the second-chance filter stores on the second miss
-    ledger.union_for((0, 1))
-    ledger.union_for((0, 1))
+    ledger = OccupancyLedger()
+    path = (0, 1, 2, 3)  # interior segment (1, 2)
+    ledger.commit((1, 2), IntervalSet.single(0, 2))
+    ledger.union_parts(path, {})
     assert ledger.cache_info()["entries"] == 1
     ledger.begin_trial()
-    ledger.commit((1,), IntervalSet.single(5, 6))
-    assert ledger.union_for((0, 1)).intervals() == [(0, 2), (5, 6)]
+    ledger.commit((2,), IntervalSet.single(5, 6))
+    assert ledger.union_parts(path, {})[1] == [0.0, 2.0, 5.0, 6.0]
     ledger.rollback_trial()
-    # the union cached during the trial must not survive the rollback
-    assert ledger.union_for((0, 1)).intervals() == [(0, 2)]
-
-
-def test_clear_aborts_active_trial():
-    ledger = OccupancyLedger()
-    ledger.begin_trial()
-    ledger.clear()
-    assert not ledger.in_trial
-    ledger.begin_trial()  # does not raise: clear dropped the journal
+    # the fold cached during the trial must not survive the rollback
+    assert ledger.union_parts(path, {})[1] == [0.0, 2.0]
 
 
 def test_rollback_counts_in_profile():
-    profile = ProfileCounters()
+    profile = HotPathCounters()
     ledger = OccupancyLedger(profile=profile)
     ledger.begin_trial()
     ledger.commit((0,), IntervalSet.single(0, 1))
@@ -195,48 +171,51 @@ def test_rollback_counts_in_profile():
 # -- cache admission and eviction -----------------------------------------
 
 
-def test_second_chance_stores_full_path_on_second_miss():
-    ledger = OccupancyLedger(cache=True)
+def test_union_for_never_stores_full_paths():
+    """Alg. 2 asks for a full-path union only right before committing on
+    that path, so storing it would never pay: every call is a counted
+    miss and the store stays empty."""
+    profile = HotPathCounters()
+    ledger = OccupancyLedger(profile=profile)
     ledger.commit((0,), IntervalSet.single(0, 1))
-    ledger.union_for((0, 1))
-    assert ledger.cache_info()["entries"] == 0  # first miss: seen only
-    ledger.union_for((0, 1))
-    assert ledger.cache_info()["entries"] == 1  # second miss: stored
+    for _ in range(3):
+        assert ledger.union_for((0, 1)).intervals() == [(0, 1)]
+    assert ledger.cache_info()["entries"] == 0
+    assert (profile.union_cache_misses, profile.union_cache_hits) == (3, 0)
 
 
 def test_cache_hit_counted_and_value_correct():
-    profile = ProfileCounters()
-    ledger = OccupancyLedger(profile=profile, cache=True)
-    ledger.commit((0,), IntervalSet.single(0, 1))
-    ledger.union_for((0,))
-    ledger.union_for((0,))
+    profile = HotPathCounters()
+    ledger = OccupancyLedger(profile=profile)
+    ledger.commit((1,), IntervalSet.single(0, 1))
+    path = (0, 1, 2, 3)
+    ledger.union_parts(path, {})
     hits_before = profile.union_cache_hits
-    got = ledger.union_for((0,))
+    _, inter = ledger.union_parts(path, {})
     assert profile.union_cache_hits == hits_before + 1
-    assert got.intervals() == [(0, 1)]
+    assert inter == [0.0, 1.0]
 
 
 def test_commit_evicts_only_touched_paths():
-    ledger = OccupancyLedger(cache=True)
-    ledger.commit((0,), IntervalSet.single(0, 1))
+    ledger = OccupancyLedger()
+    ledger.commit((1,), IntervalSet.single(0, 1))
     ledger.commit((5,), IntervalSet.single(0, 1))
-    for _ in range(2):
-        ledger.union_for((0, 1))
-        ledger.union_for((5,))
+    ledger.union_parts((0, 1, 2, 3), {})
+    ledger.union_parts((4, 5, 6, 7), {})
     assert ledger.cache_info()["entries"] == 2
-    ledger.commit((0,), IntervalSet.single(3, 4))  # dirties only path (0, 1)
+    ledger.commit((1,), IntervalSet.single(3, 4))  # dirties only (1, 2)
     assert ledger.cache_info()["entries"] == 1
-    assert ledger.union_for((0, 1)).intervals() == [(0, 1), (3, 4)]
-    assert ledger.union_for((5,)).intervals() == [(0, 1)]
+    assert ledger.union_parts((0, 1, 2, 3), {})[1] == [0.0, 1.0, 3.0, 4.0]
+    assert ledger.union_parts((4, 5, 6, 7), {})[1] == [0.0, 1.0]
 
 
 def test_interior_segment_cached_on_first_query():
     """union_parts on a 6-link path caches the (agg↔core) interior segment
-    immediately — no second-chance gate for segments."""
-    ledger = OccupancyLedger(cache=True)
+    on its first query."""
+    ledger = OccupancyLedger()
     path = (0, 1, 2, 3, 4, 5)
     ledger.commit((2,), IntervalSet.single(0, 1))
-    profile = ProfileCounters()
+    profile = HotPathCounters()
     ledger._profile = profile
     shared, inter = ledger.union_parts(path, {})
     assert inter == [0.0, 1.0]
@@ -244,19 +223,3 @@ def test_interior_segment_cached_on_first_query():
     _, again = ledger.union_parts(path, {})
     assert again == [0.0, 1.0]
     assert profile.union_cache_hits >= 1
-
-
-def test_cache_disabled_ledger_stores_nothing():
-    """Reference mode must never populate the store — commit() only evicts
-    when caching is on, so anything stored would go stale."""
-    ledger = OccupancyLedger(cache=False)
-    ledger.commit((0, 1, 2, 3, 4, 5), IntervalSet.single(0, 2))
-    ledger.union_for((0, 1, 2, 3, 4, 5))
-    ledger.union_for((0, 1, 2, 3, 4, 5))
-    ledger.union_parts((0, 1, 2, 3, 4, 5), {})
-    assert ledger.cache_info() == {"entries": 0, "indexed_links": 0}
-    # and staying uncached keeps it correct across further commits
-    ledger.commit((2,), IntervalSet.single(5, 6))
-    assert ledger.union_for((0, 1, 2, 3, 4, 5)).intervals() == [(0, 2), (5, 6)]
-    shared, inter = ledger.union_parts((0, 1, 2, 3, 4, 5), {})
-    assert merge_boundaries(shared, inter) == [0.0, 2.0, 5.0, 6.0]

@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.controller import TapsScheduler
+from repro.core.reference import ReferenceTaps
 from repro.core.reject import PreemptionPolicy
 from repro.exp.configs import SMALL
 from repro.exp.executor import DECISION_VERSION
@@ -212,6 +213,15 @@ def test_golden_digest(name):
         f"bump repro.exp.executor.DECISION_VERSION and regenerate with:\n"
         f"  {REGENERATE}"
     )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in CASES if name.startswith("taps-"))
+)
+def test_reference_oracle_reproduces_digest(name, monkeypatch):
+    """The literal oracle makes every golden TAPS run's decisions too."""
+    monkeypatch.setattr(sys.modules[__name__], "TapsScheduler", ReferenceTaps)
+    assert digests(name) == _load()["runs"][name]
 
 
 def main(argv: list[str]) -> int:

@@ -2,7 +2,8 @@
 
 Two guarantees are load-bearing.  First, telemetry is observational
 only: the decision trace must stay byte-identical whether telemetry is
-attached or not, and across fast_path modes with it attached.  Second,
+attached or not, and between the controller and the reference oracle with
+it attached.  Second,
 published counters are the *same numbers* the engine/controller already
 track, and process-pool workers' snapshots merge into exactly what a
 serial run records — so ``repro-taps stats`` never disagrees with the
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+from repro.core.reference import ReferenceTaps
+from repro.exp.configs import SMALL
 from repro.exp.executor import ExecutorConfig, SimJob, execute_jobs, topology_spec
 from repro.exp.runner import run_traced
 from repro.obs.registry import Histogram, MetricsRegistry
@@ -31,16 +34,31 @@ def _workload(**overrides) -> WorkloadConfig:
     return WorkloadConfig(**base)
 
 
+def _run_reference_traced(num_tasks: int, seed: int, telemetry):
+    """``run_traced``'s workload, run by the reference oracle."""
+    from repro.net.paths import PathService
+    from repro.sim.engine import Engine
+    from repro.trace import TraceRecorder
+    from repro.workload.generator import generate_workload
+
+    topo = SMALL.fat_tree()
+    cfg = SMALL.workload_config(seed=seed, num_tasks=num_tasks)
+    recorder = TraceRecorder()
+    Engine(topo, generate_workload(cfg, list(topo.hosts)), ReferenceTaps(),
+           path_service=PathService(topo, max_paths=SMALL.max_paths),
+           trace=recorder, telemetry=telemetry).run()
+    return recorder
+
+
 def test_trace_bytes_unchanged_by_telemetry_and_fast_path():
     """The acceptance criterion: telemetry never feeds a decision.
 
-    Traces from (fast_path + telemetry), (slow path + telemetry), and
-    (fast_path, no telemetry) are all byte-identical.
+    Traces from (controller + telemetry), (reference oracle + telemetry),
+    and (controller, no telemetry) are all byte-identical.
     """
     _, plain = run_traced(num_tasks=20, seed=11)
     _, fast = run_traced(num_tasks=20, seed=11, telemetry=MetricsRegistry())
-    _, slow = run_traced(num_tasks=20, seed=11, fast_path=False,
-                         telemetry=MetricsRegistry())
+    slow = _run_reference_traced(20, 11, telemetry=MetricsRegistry())
     assert fast.dumps() == plain.dumps()
     assert slow.dumps() == plain.dumps()
 

@@ -86,6 +86,24 @@ class TestCleanTraces:
         assert report.counts["task-arrival"] == 10
         assert report.counts["run-end"] == 1
 
+    @pytest.mark.parametrize("batch_window", [0.0, 0.004])
+    def test_control_latency_run_passes(self, batch_window):
+        """Controller events carry the decision time, not the planning
+        time ``now + control_latency``, so the stream never runs backwards
+        against the engine's own events."""
+        topo = FatTree(k=4)
+        cfg = WorkloadConfig(seed=3, num_tasks=12, arrival_rate=300.0,
+                             mean_deadline=0.05, mean_flow_size=300_000.0,
+                             mean_flows_per_task=4.0)
+        tasks = generate_workload(cfg, list(topo.hosts))
+        recorder = TraceRecorder()
+        sched = TapsScheduler(control_latency=0.0004, batch_window=batch_window)
+        Engine(topo, tasks, sched, path_service=PathService(topo, max_paths=4),
+               trace=recorder).run()
+        report = audit_trace(recorder)
+        assert report.ok, report.summary()
+        assert report.counts["task-accept"] and report.counts["task-reject"]
+
     def test_truncated_recorder_is_flagged_unsound(self):
         rec = TraceRecorder(capacity=2)
         for ev in _clean_stream():

@@ -1,12 +1,12 @@
 """Exactness properties of the allocation fast-path scans.
 
 The fast path of Alg. 2/3 replaces ``union → complement → fit`` with fused
-single-pass scans (:meth:`IntervalSet.occupied_fit_end`,
-:meth:`IntervalSet.occupied_first_fit`, :func:`occupied_fit_end_pair`) and
-the adaptive splice merge (:func:`merge_boundaries`).  Every one of them
-must agree with the reference pipeline *float-for-float* — the perf
-benchmark asserts bit-identical scheduling decisions across modes, and any
-divergence here would surface there as a different plan.
+single-pass scans (:func:`occupied_fit_end_pair`,
+:meth:`IntervalSet.occupied_first_fit`) and the adaptive splice merge
+(:func:`merge_boundaries`).  Every one of them must agree with the literal
+pipeline *float-for-float* — the reference oracle
+(:mod:`repro.core.reference`) plans with the literal pipeline, and any
+divergence here would surface as a different plan.
 
 The strategies deliberately include EPS-hairline geometry (boundaries a
 fraction of EPS apart across the two operand lists) because that is where
@@ -82,11 +82,17 @@ def test_merge_boundaries_splice_branch(a, many):
 # -- fused occupied-set scans ---------------------------------------------
 
 
+def _literal_fit_end(occ: IntervalSet, duration, lo, hi):
+    """Alg. 3's completion read literally: complement, then fit."""
+    return occ.complement(lo, hi).idle_fit_end(duration, lo)
+
+
 @given(interval_sets(), durations, releases)
 @settings(max_examples=200)
 def test_occupied_fit_end_matches_reference(occ, duration, lo):
-    ref = occ.complement(lo, HORIZON).idle_fit_end(duration, lo)
-    assert occ.occupied_fit_end(duration, lo, HORIZON) == ref
+    """The pair scan over one list (``b=[]``) is the literal fit."""
+    ref = _literal_fit_end(occ, duration, lo, HORIZON)
+    assert occupied_fit_end_pair(occ._b, [], duration, lo, HORIZON) == ref
 
 
 @given(interval_sets(), durations, releases)
@@ -97,18 +103,32 @@ def test_occupied_first_fit_matches_reference(occ, duration, lo):
     assert got._b == ref._b
 
 
+def test_first_fit_keeps_one_ulp_hairline_gap():
+    """A busy interval starting one EPS-and-an-ulp after ``lo``: the
+    complement keeps the hairline idle gap in front of it
+    (``s - lo > EPS``), and the literal first fit must use it exactly as
+    the fused scan does, although ``s <= lo + EPS`` after rounding."""
+    occ = IntervalSet([(1.000000001, 2.0)])
+    idle = occ.complement(1.0, HORIZON)
+    assert idle._b[:2] == [1.0, 1.000000001]
+    expected = [1.0, 1.000000001, 2.0, 2.999999999]
+    assert occ.occupied_first_fit(1.0, 1.0, HORIZON)._b == expected
+    assert idle.first_fit(1.0, 1.0)._b == expected
+    assert idle.idle_fit_end(1.0, 1.0) == expected[-1]
+    assert occupied_fit_end_pair(occ._b, [], 1.0, 1.0, HORIZON) == expected[-1]
+
+
 @given(interval_sets(), durations, releases,
        st.floats(min_value=0.0, max_value=80.0))
 def test_occupied_fit_end_raises_with_reference(occ, duration, lo, hi):
     """Tight horizons: the fused scan fails exactly when the reference does."""
-    idle = occ.complement(lo, hi)
     try:
-        ref = idle.idle_fit_end(duration, lo)
+        ref = _literal_fit_end(occ, duration, lo, hi)
     except ValueError:
         with pytest.raises(ValueError):
-            occ.occupied_fit_end(duration, lo, hi)
+            occupied_fit_end_pair(occ._b, [], duration, lo, hi)
     else:
-        assert occ.occupied_fit_end(duration, lo, hi) == ref
+        assert occupied_fit_end_pair(occ._b, [], duration, lo, hi) == ref
 
 
 @given(interval_sets(), interval_sets(), durations, releases)
@@ -116,7 +136,7 @@ def test_occupied_fit_end_raises_with_reference(occ, duration, lo, hi):
 def test_pair_scan_matches_union_fit(a, b, duration, lo):
     """occupied_fit_end_pair == merge the lists, then fit — exactly."""
     union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
-    ref = union.occupied_fit_end(duration, lo, HORIZON)
+    ref = _literal_fit_end(union, duration, lo, HORIZON)
     assert occupied_fit_end_pair(a._b, b._b, duration, lo, HORIZON) == ref
 
 
@@ -125,7 +145,7 @@ def test_pair_scan_matches_union_fit(a, b, duration, lo):
 def test_pair_scan_raises_with_union(a, b, duration, lo, hi):
     union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
     try:
-        ref = union.occupied_fit_end(duration, lo, hi)
+        ref = _literal_fit_end(union, duration, lo, hi)
     except ValueError:
         with pytest.raises(ValueError):
             occupied_fit_end_pair(a._b, b._b, duration, lo, hi)
@@ -146,8 +166,9 @@ def test_occupied_fit_end_stop_at_contract(occ, duration, lo, stop_at):
     fires only when the scan proves the bound mid-walk) — both compare
     identically against a best-so-far of ``stop_at``.
     """
-    exact = occ.occupied_fit_end(duration, lo, HORIZON)
-    got = occ.occupied_fit_end(duration, lo, HORIZON, stop_at=stop_at)
+    exact = occupied_fit_end_pair(occ._b, [], duration, lo, HORIZON)
+    got = occupied_fit_end_pair(occ._b, [], duration, lo, HORIZON,
+                                stop_at=stop_at)
     if exact < stop_at:
         assert got == exact
     else:
@@ -168,16 +189,6 @@ def test_pair_scan_stop_at_contract(a, b, duration, lo, stop_at):
         assert got >= stop_at
 
 
-# -- first_idle_after ------------------------------------------------------
-
-
-@given(interval_sets(), releases, st.floats(min_value=0.0, max_value=120.0))
-def test_first_idle_after_matches_complement(occ, lo, hi):
-    idle = occ.complement(lo, hi)
-    ref = idle.start() if idle else None
-    assert occ.first_idle_after(lo, hi) == ref
-
-
 # -- deterministic hairline regressions -----------------------------------
 
 
@@ -192,7 +203,7 @@ def test_pair_scan_head_glue_suppresses_phantom_gap():
     # ... but merge glues them (1.2 EPS start <= 0.5 EPS end + EPS):
     union = IntervalSet._from_boundaries(merge_boundaries(a, b))
     assert len(union) == 1
-    ref = union.occupied_fit_end(1.0, lo, HORIZON)
+    ref = _literal_fit_end(union, 1.0, lo, HORIZON)
     assert occupied_fit_end_pair(a, b, 1.0, lo, HORIZON) == ref
     assert ref == pytest.approx(12.0, abs=1e-6)
 
@@ -202,7 +213,7 @@ def test_pair_scan_genuine_hairline_gap_is_kept():
     a = [0.0, 10.0]
     b = [10.0 + 3.0 * EPS, 11.0]
     union = IntervalSet._from_boundaries(merge_boundaries(a, b))
-    ref = union.occupied_fit_end(5.0, 0.0, HORIZON)
+    ref = _literal_fit_end(union, 5.0, 0.0, HORIZON)
     assert occupied_fit_end_pair(a, b, 5.0, 0.0, HORIZON) == ref
 
 
@@ -216,5 +227,5 @@ def test_pair_scan_interleaved_exactness():
     union = IntervalSet._from_boundaries(merge_boundaries(a, b))
     for dur in (0.3, 1.0, 2.7):
         for lo in (0.0, 0.25, 1.0):
-            ref = union.occupied_fit_end(dur, lo, HORIZON)
+            ref = _literal_fit_end(union, dur, lo, HORIZON)
             assert occupied_fit_end_pair(a, b, dur, lo, HORIZON) == ref
