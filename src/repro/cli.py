@@ -497,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="inject one link outage [START, END)")
     p_run.add_argument("--out-dir", default=None, metavar="DIR",
                        help="write run artifacts (trace.jsonl, "
-                            "telemetry.jsonl, telemetry.prom) into DIR")
+                            "telemetry.jsonl) into DIR")
     p_run.set_defaults(func=_cmd_run)
 
     p_stats = sub.add_parser(

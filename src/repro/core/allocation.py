@@ -19,10 +19,10 @@ from repro.net.topology import Path
 from repro.sim.state import FlowState
 from repro.util.errors import AllocationError
 from repro.util.intervals import (
-    EPS,
     IntervalSet,
     merge_boundaries,
     occupied_fit_end_pair,
+    up,
 )
 
 
@@ -38,10 +38,14 @@ class FlowPlan:
         Chosen route (link indices) — ``L_ij``.
     slices:
         Pre-allocated transmission intervals — ``A_ij``; their total
-        measure equals the flow's remaining transmission time at planning.
+        measure equals the flow's remaining transmission time at planning
+        (:func:`transmission_time`).
     completion:
         End of the last slice; compared against the deadline by the
         reject rule.
+
+    Slice boundaries and the completion are on the plan grid
+    (:data:`~repro.util.intervals.GRID`), so every comparison is exact.
     """
 
     flow_state: FlowState
@@ -51,7 +55,13 @@ class FlowPlan:
 
     @property
     def meets_deadline(self) -> bool:
-        return self.completion <= self.flow_state.flow.deadline + EPS
+        return self.completion <= self.flow_state.flow.deadline
+
+
+def transmission_time(fs: FlowState, capacity: float) -> float:
+    """``E_i`` of Alg. 3: the time ``fs`` needs at full link rate for its
+    remaining bytes, rounded up onto the plan grid."""
+    return up(fs.remaining / capacity)
 
 
 def time_allocation(
@@ -98,7 +108,9 @@ def path_calculation(
 
     ``flows`` must already be sorted by the caller (Alg. 1 line 9 sorts by
     EDF then SJF).  The ledger is mutated: each flow's winning slices are
-    committed before the next flow is considered.
+    committed before the next flow is considered.  ``now`` and ``horizon``
+    must be on the plan grid (:func:`~repro.util.intervals.up`); releases
+    and transmission times are rounded up onto it here.
 
     ``on_unplannable`` controls what happens when *no* candidate path can
     fit a flow within the horizon (only possible when the caller blocked
@@ -170,8 +182,8 @@ def _path_calculation(
     plans: dict[int, FlowPlan] = {}
     for fs in flows:
         f = fs.flow
-        duration = fs.remaining / capacity
-        release = max(now, f.release)
+        duration = transmission_time(fs, capacity)
+        release = max(now, up(f.release))
         candidates = paths.candidates(f.src, f.dst)
         if not candidates:
             raise AllocationError(f"no path for flow {f.flow_id}: {f.src}->{f.dst}")
@@ -197,7 +209,7 @@ def _path_calculation(
             for p in candidates:
                 if profile is not None:
                     profile.candidates_evaluated += 1
-                if best_path is not None and release + duration >= best_end - EPS:
+                if best_path is not None and release + duration >= best_end:
                     if profile is not None:
                         profile.candidates_pruned += 1
                     continue
@@ -205,11 +217,11 @@ def _path_calculation(
                 try:
                     end = occupied_fit_end_pair(
                         shared, inter, duration, release, horizon,
-                        stop_at=best_end - EPS,
+                        stop_at=best_end,
                     )
                 except ValueError:
                     continue  # this candidate cannot fit (blocked link)
-                if end < best_end - EPS:
+                if end < best_end:
                     best_end, best_path = end, p
                     best_parts = (shared, inter)
             if best_parts is not None:
@@ -241,13 +253,19 @@ def _path_calculation(
 
 
 def allocation_horizon(flows: list[FlowState], capacity: float, now: float) -> float:
-    """A horizon that guarantees every fit succeeds.
+    """A horizon that guarantees every fit succeeds, on the plan grid.
 
     Worst case every flow is scheduled serially after the latest deadline:
-    ``max(deadline, now) + Σ durations`` plus one second of slack.
+    ``max(deadline, now) + Σ durations`` plus one second of slack.  Raises
+    ``ValueError`` when it reaches 2**17 s, where plan time stops being
+    exact (see :data:`~repro.util.intervals.GRID`).
     """
-    if not flows:
-        return now + 1.0
-    latest = max(fs.flow.deadline for fs in flows)
+    latest = max((fs.flow.deadline for fs in flows), default=now)
     backlog = sum(fs.remaining for fs in flows) / capacity
-    return max(latest, now) + backlog + 1.0
+    horizon = max(latest, now) + backlog + 1.0
+    if not horizon < 2.0 ** 17:
+        raise ValueError(
+            f"plan horizon {horizon:g} s is beyond the exact plan-time "
+            f"range of 2**17 s"
+        )
+    return up(horizon)

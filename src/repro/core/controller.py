@@ -39,7 +39,7 @@ from repro.core.occupancy import OccupancyLedger
 from repro.obs.hotpath import HotPathCounters
 from repro.obs.registry import MetricsRegistry
 from repro.sched.base import PRIORITY_KEYS, Scheduler
-from repro.sim.state import FlowState, FlowStatus, TaskState
+from repro.sim.state import EPS, FlowState, FlowStatus, TaskState
 from repro.trace.events import (
     FaultReallocation,
     PlanRecord,
@@ -51,11 +51,12 @@ from repro.trace.events import (
     TrialRollback,
 )
 from repro.trace.recorder import TraceRecorder
-from repro.util.intervals import EPS, IntervalSet
+from repro.util.intervals import IntervalSet, up
 
 #: how far into the future a down link is considered unusable; the
 #: controller does not know outage durations, so "forever" — recovery
-#: triggers a fresh reallocation that lifts the block
+#: triggers a fresh reallocation that lifts the block.  Far beyond the
+#: exact plan-time range, so it must only ever be compared, never added to
 _BLOCK_HORIZON = 1e15
 
 
@@ -231,6 +232,7 @@ class TapsScheduler(Scheduler):
                 preemption=self.rule.policy.value,
                 reallocate_inflight=self.reallocate_inflight,
                 exclusive_links=True,
+                capacity=self._capacity,
             )
         if self.telemetry is not None:
             self.telemetry.set_meta(
@@ -338,14 +340,15 @@ class TapsScheduler(Scheduler):
         ledger; incremental admission (``reallocate_inflight=False``)
         plans only the newcomer's flows on the live ledger, around the
         frozen committed plans.  Trace events are stamped at the decision
-        time ``now``; slices are planned from ``now + control_latency``.
+        time ``now``; slices are planned from ``now + control_latency``,
+        rounded up onto the plan grid.
         """
         task_id = task_state.task.task_id
         self._task_states[task_id] = task_state
         # one controller round-trip before any new slice can start
-        start = now + self.control_latency
+        start = up(now + self.control_latency)
         new_flows = [fs for fs in task_state.flow_states if fs.active]
-        if task_state.task.deadline <= start + EPS or not new_flows:
+        if task_state.task.deadline <= start or not new_flows:
             self._reject(task_state, now, "deadline-expired")
             return
 
@@ -644,7 +647,7 @@ class TapsScheduler(Scheduler):
             if plan is None or plan.flow_state.status is not pending:
                 heappop(heap)
             elif b <= horizon:
-                nxt = plan.slices.next_boundary(now)
+                nxt = plan.slices.next_boundary(horizon)
                 if nxt is None:
                     heappop(heap)
                 else:
@@ -679,8 +682,9 @@ class TapsScheduler(Scheduler):
         flows = [fs for fs in self._accepted_flows.values() if fs.active]
         ledger = self._outage_ledger()
         dropped: list[int] = []
+        start = up(now)
         while True:
-            plans = self._trial(flows, ledger, now)
+            plans = self._trial(flows, ledger, start)
             missing_tasks = {
                 p.flow_state.flow.task_id
                 for p in plans.values()

@@ -180,9 +180,9 @@ class OccupancyLedger:
             existing = occ.get(l)
             if journal is not None and l not in journal:
                 # Reference snapshot, not a copy: ledger-owned boundary
-                # lists are only ever *rebound* (union_update builds a new
-                # list), never mutated in place, so the old list survives
-                # untouched for rollback to restore.
+                # lists are only ever *rebound* (merge_boundaries builds a
+                # new list), never mutated in place, so the old list
+                # survives untouched for rollback to restore.
                 journal[l] = None if existing is None else existing._b
             if existing is None:
                 occ[l] = slices.copy()
@@ -256,7 +256,8 @@ class OccupancyLedger:
     def assert_exclusive(self, plans: list[tuple[Path, IntervalSet]]) -> None:
         """Invariant check: no two plans overlap in time on a shared link.
 
-        O(n² · slices) — test/debug use only.
+        Exact: plan slices are on the plan grid, so any overlap at all is
+        a collision.  O(n² · slices) — test/debug use only.
         """
         by_link: dict[int, list[IntervalSet]] = {}
         for path, slices in plans:
@@ -266,7 +267,7 @@ class OccupancyLedger:
             for i in range(len(sets)):
                 for j in range(i + 1, len(sets)):
                     inter = sets[i].intersection(sets[j])
-                    if inter.measure() > 1e-9:
+                    if inter:
                         raise AssertionError(
                             f"link {l}: overlapping slices {inter!r}"
                         )

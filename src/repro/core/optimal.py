@@ -30,7 +30,6 @@ from repro.net.paths import PathService
 from repro.sched.base import edf_sjf_key
 from repro.sim.state import FlowState
 from repro.util.errors import ConfigurationError
-from repro.util.intervals import EPS
 from repro.workload.flow import Task
 
 
@@ -58,9 +57,7 @@ def edf_packing_feasible(
     plans = path_calculation(
         flows, OccupancyLedger(), paths, capacity, now=0.0, horizon=horizon
     )
-    return all(
-        p.completion <= p.flow_state.flow.deadline + EPS for p in plans.values()
-    )
+    return all(p.meets_deadline for p in plans.values())
 
 
 def offline_best_subset(

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.core.allocation import FlowPlan
+from repro.core.allocation import FlowPlan, transmission_time
 from repro.core.controller import TapsScheduler
 from repro.net.paths import PathService
 from repro.net.topology import Path
-from repro.sim.state import FlowState, FlowStatus
-from repro.util.intervals import EPS, IntervalSet, union_all
+from repro.sim.state import EPS, FlowState, FlowStatus
+from repro.util.intervals import IntervalSet, union_all, up
 
 
 class ReferenceLedger:
@@ -86,8 +86,8 @@ def reference_path_calculation(
     plans: dict[int, FlowPlan] = {}
     for fs in flows:
         f = fs.flow
-        duration = fs.remaining / capacity
-        release = max(now, f.release)
+        duration = transmission_time(fs, capacity)
+        release = max(now, up(f.release))
         best: tuple[float, Path, IntervalSet] | None = None
         for path in paths.candidates(f.src, f.dst):
             idle = ledger.union_for(path).complement(release, horizon)
@@ -95,7 +95,7 @@ def reference_path_calculation(
                 end = idle.idle_fit_end(duration, release)
             except ValueError:
                 continue  # a blocked link leaves too little idle time
-            if best is None or end < best[0] - EPS:
+            if best is None or end < best[0]:
                 best = (end, path, idle)
         if best is None:
             continue
@@ -133,7 +133,7 @@ class ReferenceTaps(TapsScheduler):
 
     def next_change(self, now: float) -> float | None:
         times = [
-            plan.slices.next_boundary(now)
+            plan.slices.next_boundary(now + EPS)
             for plan in self.plans.values()
             if plan.flow_state.status is FlowStatus.PENDING
         ]

@@ -35,8 +35,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.core.allocation import FlowPlan
-from repro.sim.state import TaskState
-from repro.util.intervals import EPS
+from repro.sim.state import EPS, TaskState
 
 
 class PreemptionPolicy(enum.Enum):

@@ -50,7 +50,7 @@ from repro.workload.generator import (
 )
 
 
-DECISION_VERSION = 1
+DECISION_VERSION = 2
 """Version of the decision code: the controller, the baselines, the engine.
 
 Part of every cache key, so bumping it retires every cached result.  Bump

@@ -169,11 +169,11 @@ def write_run_artifacts(
     """Write a run's artifacts into ``out_dir`` and return their paths.
 
     The layout is the contract ``repro-taps stats`` reads:
-    ``trace.jsonl`` (decision trace), ``telemetry.jsonl`` (versioned
-    metrics snapshot), ``telemetry.prom`` (Prometheus text exposition).
-    Only the artifacts whose source object was supplied are written.
+    ``trace.jsonl`` (decision trace) and ``telemetry.jsonl`` (versioned
+    metrics snapshot).  Only the artifacts whose source object was
+    supplied are written.
     """
-    from repro.obs.export import write_jsonl, write_prometheus
+    from repro.obs.export import write_jsonl
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,9 +183,6 @@ def write_run_artifacts(
         written["trace"] = out / "trace.jsonl"
     if telemetry is not None:
         written["telemetry"] = write_jsonl(telemetry, out / "telemetry.jsonl")
-        written["prometheus"] = write_prometheus(
-            telemetry, out / "telemetry.prom"
-        )
     return written
 
 

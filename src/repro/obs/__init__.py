@@ -32,16 +32,14 @@ from repro.obs.diffing import (
     latest_history,
     load_bundle,
 )
-from repro.obs.explain import TaskVerdict, derive_clause, explain_run, explain_task
+from repro.obs.explain import TaskVerdict, explain_run, explain_task
 from repro.obs.export import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryError,
     TelemetrySnapshot,
     dumps_jsonl,
-    dumps_prometheus,
     load_jsonl,
     write_jsonl,
-    write_prometheus,
 )
 from repro.obs.hotpath import HotPathCounters
 from repro.obs.registry import (
@@ -80,12 +78,10 @@ __all__ = [
     "append_history",
     "build_timeline",
     "chrome_events",
-    "derive_clause",
     "diff_bundles",
     "diff_paths",
     "dumps_chrome",
     "dumps_jsonl",
-    "dumps_prometheus",
     "explain_run",
     "explain_task",
     "latest_history",
@@ -96,5 +92,4 @@ __all__ = [
     "timeline_from",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
 ]

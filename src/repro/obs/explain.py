@@ -6,10 +6,9 @@ rejected / preempted / dropped / expired task the explainer renders a
 :class:`TaskVerdict` naming
 
 * the Alg. 1 reject clause that fired — both as *recorded* by the
-  controller and as *re-derived* here from the missing-flow evidence,
-  using exactly the classification the trace auditor
-  (:mod:`repro.trace.audit`) checks, so an inconsistent clause is
-  surfaced rather than papered over;
+  controller and as *re-derived* from the missing-flow evidence by the
+  trace auditor's own classifier (:func:`repro.trace.audit.derive_clause`),
+  so an inconsistent clause is surfaced rather than papered over;
 * the busiest links over the task's admission window and the competing
   tasks whose committed occupancy blocked it (from the plan table in
   force at the decision);
@@ -26,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.timeline import RunTimeline, TaskTimeline
+from repro.trace.audit import derive_clause
 
 #: clause meanings, for report text (paper Alg. 1 reject rule)
 CLAUSE_TEXT = {
@@ -43,24 +43,6 @@ REASON_TEXT = {
     "would-miss": "the trial allocation missed at least one deadline",
     "table-limit": "the controller's plan table was full",
 }
-
-
-def derive_clause(task_id: int, missing: tuple[tuple[int, int], ...]) -> int | None:
-    """Re-derive the Alg. 1 reject clause from the missing-flow evidence.
-
-    Mirrors the auditor's classification: the newcomer among the missing
-    tasks → clause 2; exactly one *other* task missing → clause 3;
-    several other tasks missing → clause 1.  ``None`` when there is no
-    missing-flow evidence (rejections outside the three-clause rule).
-    """
-    tasks = {tid for _, tid in missing}
-    if not tasks:
-        return None
-    if task_id in tasks:
-        return 2
-    if len(tasks) == 1:
-        return 3
-    return 1
 
 
 @dataclass(slots=True)

@@ -1,20 +1,13 @@
-"""Telemetry export: versioned JSONL snapshots and Prometheus text format.
+"""Telemetry export: versioned JSONL snapshots.
 
-Two artifacts, written next to a run's trace output:
-
-* ``telemetry.jsonl`` — the source of truth.  One header object
-  (``telemetry-header`` with :data:`TELEMETRY_SCHEMA_VERSION` and the run
-  meta) followed by one object per instrument, stably ordered by
-  ``(name, labels)``.  :func:`load_jsonl` reads it back with **strict**
-  validation (exact field sets, types, bucket-layout consistency) and
-  raises :class:`TelemetryError` on any deviation — ``repro-taps stats``
-  turns that into a non-zero exit, so a schema drift can never render as
-  a half-plausible report.
-* ``telemetry.prom`` — the same snapshot in Prometheus text exposition
-  format (counters as ``_total``, histograms as cumulative
-  ``_bucket{le=…}`` + ``_sum``/``_count``, gauges with a ``_max``
-  companion), for scraping or pasting into promtool.  Export-only; the
-  stats CLI never reads it.
+``telemetry.jsonl``, written next to a run's trace output, holds one
+header object (``telemetry-header`` with :data:`TELEMETRY_SCHEMA_VERSION`
+and the run meta) followed by one object per instrument, stably ordered by
+``(name, labels)``.  :func:`load_jsonl` reads it back with **strict**
+validation (exact field sets, types, bucket-layout consistency) and raises
+:class:`TelemetryError` on any deviation — ``repro-taps stats`` turns that
+into a non-zero exit, so a schema drift can never render as a
+half-plausible report.
 
 Serialization is deterministic: equal registries produce byte-identical
 files (the round-trip tests assert export → load → merge-into-empty →
@@ -24,7 +17,6 @@ export equality).
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -197,124 +189,3 @@ def load_jsonl(source: str | Path | Iterable[str]) -> TelemetrySnapshot:
             raise TelemetryError(f"line {lineno}: not JSON: {exc}") from None
         instruments.append(_validate_instrument(item, lineno))
     return TelemetrySnapshot(head["schema"], head["meta"], instruments)
-
-
-# -- Prometheus text exposition ------------------------------------------------
-
-_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
-_PROM_PREFIX = "taps_"
-
-#: help text for the instrument names published in DESIGN.md §7; names
-#: not listed fall back to a pointer at the contract table
-_HELP_TEXT = {
-    "controller/admission_latency_seconds":
-        "Wall time of one admission decision (Alg. 1 pipeline).",
-    "controller/tasks_accepted": "Tasks admitted by the controller.",
-    "controller/tasks_rejected": "Tasks refused by the reject rule.",
-    "controller/tasks_preempted":
-        "Victim tasks discarded by admissions (discard-victim).",
-    "controller/reallocations": "Global re-plan rounds executed.",
-    "alloc/trials_rolled_back":
-        "Trial allocations rolled back for a discard-victim retry.",
-    "alloc/union_cache_hits": "Occupancy union cache hits.",
-    "alloc/union_cache_misses": "Occupancy union cache misses.",
-    "alloc/candidates_evaluated": "Candidate path slots evaluated.",
-    "alloc/candidates_pruned": "Candidate path slots pruned unevaluated.",
-    "net/link_utilization":
-        "Per-link utilization over the run (busy time / makespan).",
-    "net/link_peak_utilization":
-        "Per-link peak instantaneous utilization.",
-}
-
-
-def prom_name(name: str) -> str:
-    """``controller/admission_latency_seconds`` → ``taps_controller_…``."""
-    return _PROM_PREFIX + _NAME_SANITIZE.sub("_", name)
-
-
-def _help_line(series: str, name: str, suffix_note: str = "") -> str:
-    """A ``# HELP`` line per the exposition format: the text has ``\\``
-    escaped as ``\\\\`` and newlines as ``\\n`` (quotes stay verbatim)."""
-    text = _HELP_TEXT.get(
-        name,
-        f"Instrument {name} (see DESIGN.md section 7)."
-    ) + suffix_note
-    text = text.replace("\\", r"\\").replace("\n", r"\n")
-    return f"# HELP {series} {text}"
-
-
-def _prom_labels(labels: dict[str, str], extra: str = "") -> str:
-    parts = [
-        f'{k}="' + v.replace("\\", r"\\").replace('"', r"\"")
-        .replace("\n", r"\n") + '"'
-        for k, v in sorted(labels.items())
-    ]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _fmt(v: float) -> str:
-    if v == float("inf"):
-        return "+Inf"
-    if v == float("-inf"):
-        return "-Inf"
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def dumps_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (0.0.4)."""
-    by_name: dict[str, list[dict]] = {}
-    for snap in registry.snapshot():
-        by_name.setdefault(snap["name"], []).append(snap)
-    out: list[str] = []
-    for name in sorted(by_name):
-        series = by_name[name]
-        kind = series[0]["kind"]
-        base = prom_name(name)
-        if kind == "counter":
-            out.append(_help_line(f"{base}_total", name))
-            out.append(f"# TYPE {base}_total counter")
-            for s in series:
-                out.append(f"{base}_total{_prom_labels(s['labels'])} "
-                           f"{_fmt(s['value'])}")
-        elif kind == "gauge":
-            out.append(_help_line(base, name))
-            out.append(f"# TYPE {base} gauge")
-            for s in series:
-                out.append(f"{base}{_prom_labels(s['labels'])} {_fmt(s['value'])}")
-            out.append(_help_line(f"{base}_max", name,
-                                  " (peak observed value)"))
-            out.append(f"# TYPE {base}_max gauge")
-            for s in series:
-                out.append(f"{base}_max{_prom_labels(s['labels'])} "
-                           f"{_fmt(s['max'])}")
-        else:  # histogram
-            out.append(_help_line(base, name))
-            out.append(f"# TYPE {base} histogram")
-            for s in series:
-                edges = [s["lo"] * s["growth"] ** i
-                         for i in range(s["buckets"] + 1)]
-                cum = 0
-                for edge, c in zip(edges, s["counts"]):
-                    cum += c
-                    le = 'le="' + _fmt(edge) + '"'
-                    out.append(
-                        f"{base}_bucket{_prom_labels(s['labels'], le)} {cum}"
-                    )
-                le_inf = 'le="+Inf"'
-                out.append(
-                    f"{base}_bucket{_prom_labels(s['labels'], le_inf)} "
-                    f"{s['count']}"
-                )
-                out.append(f"{base}_sum{_prom_labels(s['labels'])} "
-                           f"{_fmt(s['sum'])}")
-                out.append(f"{base}_count{_prom_labels(s['labels'])} "
-                           f"{s['count']}")
-    return "\n".join(out) + "\n"
-
-
-def write_prometheus(registry: MetricsRegistry, path: str | Path) -> Path:
-    out = Path(path)
-    out.write_text(dumps_prometheus(registry))
-    return out

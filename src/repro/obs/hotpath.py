@@ -40,13 +40,12 @@ class HotPathCounters:
     Attributes
     ----------
     union_cache_hits, union_cache_misses:
-        ``OccupancyLedger.union_for`` calls served from / missing the
-        per-path union cache.  On a cache-disabled ledger every call
-        counts as a miss (the recompute path), so hit rates compare
-        cleanly across modes.
+        Interior-segment folds served from / missing the ledger's segment
+        cache (``OccupancyLedger.union_parts``).  Every
+        ``OccupancyLedger.union_for`` call also counts as a miss:
+        full-path unions are never cached.
     intervals_scanned:
-        Occupancy intervals fed into union recomputation — the merge work
-        the cache avoids repeating.
+        Occupancy intervals fed into ``union_for``'s full-path folds.
     candidates_evaluated:
         Candidate paths considered by Alg. 2's multi-path comparison
         (single-candidate flows skip the comparison and are not counted).

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sdn.messages import AcceptReply, ProbePacket, RejectReply, TermPacket
+from repro.sim.state import EPS
 from repro.util.errors import SimulationError
-from repro.util.intervals import EPS, IntervalSet
+from repro.util.intervals import IntervalSet
 from repro.workload.flow import Task
 
 

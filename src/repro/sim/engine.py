@@ -31,7 +31,7 @@ from heapq import heappop, heappush
 
 from repro.net.paths import PathService
 from repro.net.topology import Topology
-from repro.sim.state import FlowState, FlowStatus, TaskState, TaskOutcome
+from repro.sim.state import EPS, FlowState, FlowStatus, TaskState, TaskOutcome
 from repro.trace.events import (
     DeadlineExpired,
     FlowCompleted,
@@ -43,7 +43,6 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import TraceRecorder
 from repro.util.errors import SimulationError
-from repro.util.intervals import EPS
 from repro.workload.flow import Task
 
 BYTES_REL_EPS = 1e-5

@@ -12,8 +12,17 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.net.topology import Path
-from repro.util.intervals import EPS
 from repro.workload.flow import Flow, Task
+
+EPS: float = 1e-9
+"""The engine's time tolerance: two engine times closer than this are
+considered equal.
+
+Engine time is arbitrary floats (completions come from ``remaining /
+rate``), so the engine, the TAPS sender model's slice probes and deadline
+checks on completion times compare with this slack.  Plan time needs
+none: it lives on the exact grid of :mod:`repro.util.intervals`.
+"""
 
 
 class FlowStatus(enum.Enum):

@@ -6,25 +6,36 @@ end-of-run statistics.  This module does the same for TAPS, mechanically,
 over a recorded event stream (:mod:`repro.trace.events`):
 
 ``exclusive-link``
-    At most one flow's slices occupy a link at any instant.  Checked
-    twice: over every committed plan-table snapshot (``task-accept`` /
-    ``fault-reallocation``), and over the physical ``slice-start`` /
-    ``slice-end`` timeline the engine emitted.
+    At most one flow's slices occupy a link at any instant of every
+    committed plan-table snapshot (``task-accept`` /
+    ``fault-reallocation``).
+``slice-exclusive``
+    The same over the physical ``slice-start`` / ``slice-end`` timeline
+    the engine emitted: a flow starts on a link only once the link's
+    previous holder has ended.
 ``deadline-at-commit``
     Every plan in a committed table completes by its flow's deadline —
     the acceptance the reject rule is supposed to have guaranteed.
 ``plan-consistency``
     A plan's recorded completion is the end of its last slice.
+``conservation``
+    Each plan a ``task-accept`` commits for a flow of that admission's
+    last ``trial-begin`` books exactly the flow's transmission time: its
+    slices add up to the trial's ``remaining`` over the link capacity,
+    rounded up onto the plan grid.  Three cases are skipped: fault
+    reallocations, which emit no ``trial-begin``; frozen plans in
+    incremental mode, whose flows are not in the trial; and traces whose
+    meta records no ``capacity``.
 ``priority-order``
     Each trial's ``Ftmp`` is sorted by the controller's declared priority
     (EDF-then-SJF for the paper's configuration).
 ``reject-rule``
     Every ``would-miss`` rejection names the clause that fired and the
-    recorded evidence supports it: clause 1 needs several missing tasks,
-    clause 2 the newcomer's own flows, clause 3 exactly one victim whose
-    completion ratio did not lose to the newcomer's; a ``trial-rollback``
-    (discard-victim) needs the opposite comparison, and is impossible
-    under the ``never`` policy.
+    recorded evidence supports it (:func:`derive_clause`): clause 1 needs
+    several missing tasks, clause 2 the newcomer's own flows, clause 3
+    exactly one victim whose completion ratio did not lose to the
+    newcomer's; a ``trial-rollback`` (discard-victim) needs the opposite
+    comparison, and is impossible under the ``never`` policy.
 ``deadline-met``
     Absent faults, no flow of an accepted, never-preempted task misses
     its deadline (the paper's "accepted tasks meet their deadlines by
@@ -32,6 +43,11 @@ over a recorded event stream (:mod:`repro.trace.events`):
     change: outages void the guarantee by design.
 ``well-formed``
     Sequence numbers strictly increase and timestamps never go backwards.
+
+Plan times are exact grid values (:data:`repro.util.intervals.GRID`) and
+survive the JSONL round-trip bit for bit, so every plan-table check above
+compares exactly; only the engine's own timestamps (the ``well-formed``
+time order) get a tolerance.
 
 The auditor is pure trace-in, report-out: it never imports the scheduler
 or the engine, so it can audit a JSONL file from any run — including a
@@ -51,13 +67,10 @@ from repro.trace.events import (
     TraceEvent,
 )
 from repro.trace.recorder import LoadedTrace, TraceRecorder
+from repro.util.intervals import up
 
-#: overlap beyond this measure counts as a collision (matches
-#: :meth:`repro.core.occupancy.OccupancyLedger.assert_exclusive`)
-OVERLAP_TOL = 1e-9
-
-#: slack on deadline comparisons (matches ``FlowPlan.meets_deadline``)
-DEADLINE_TOL = 1e-9
+#: slack on the engine's event times (matches :data:`repro.sim.state.EPS`)
+TIME_TOL = 1e-9
 
 #: slack on completion-ratio comparisons (clause 3 uses a 1e-12 strict
 #: margin; anything beyond 1e-9 is a real inversion, not float dust)
@@ -71,6 +84,23 @@ _PRIORITY_KEYS = {
     "sjf": lambda f: (f[2], f[0]),
     "fifo": lambda f: (f[3], f[0]),
 }
+
+
+def derive_clause(task_id: int, missing: Iterable[tuple[int, int]]) -> int | None:
+    """The Alg. 1 reject clause that the missing-flow evidence supports.
+
+    ``missing`` holds the ``(flow id, task id)`` pairs that would miss
+    their deadlines.  The newcomer ``task_id`` among the missing tasks →
+    clause 2; exactly one *other* task missing → clause 3; several other
+    tasks missing → clause 1.  ``None`` when there is no missing-flow
+    evidence (rejections outside the three-clause rule).
+    """
+    tasks = {tid for _, tid in missing}
+    if not tasks:
+        return None
+    if task_id in tasks:
+        return 2
+    return 3 if len(tasks) == 1 else 1
 
 
 @dataclass(slots=True)
@@ -143,6 +173,9 @@ class _Auditor:
         self.priority = meta.get("priority", "edf_sjf")
         self.policy = meta.get("preemption", "progress")
         self.exclusive = bool(meta.get("exclusive_links", True))
+        self.capacity = meta.get("capacity")
+        # conservation: (task id, flow id -> remaining) of the last trial
+        self.trial: tuple[int, dict[int, float]] | None = None
         self.violations: list[Violation] = []
         self.counts: dict[str, int] = {}
         self.had_faults = False
@@ -172,7 +205,7 @@ class _Auditor:
                 f"sequence number not increasing (previous {self.last_seq})",
             )
         self.last_seq = max(self.last_seq, ev.seq)
-        if ev.time < self.last_time - DEADLINE_TOL:
+        if ev.time < self.last_time - TIME_TOL:
             self.flag(
                 "well-formed", ev,
                 f"time went backwards (previous {self.last_time:g})",
@@ -183,6 +216,7 @@ class _Auditor:
         if kind in ("task-accept", "fault-reallocation"):
             self._check_plan_table(ev)
         if kind == "task-accept":
+            self._check_conservation(ev)
             self.accepted.add(ev.task_id)
             for victim in ev.victims:
                 self.exempt.add(victim)
@@ -195,6 +229,7 @@ class _Auditor:
         elif kind == "link-state-change":
             self.had_faults = True
         elif kind == "trial-begin":
+            self.trial = (ev.task_id, {f[0]: f[2] for f in ev.flows})
             self._check_priority_order(ev)
         elif kind == "task-reject":
             self._check_reject(ev)
@@ -206,7 +241,7 @@ class _Auditor:
     def _check_plan_table(self, ev: TaskAccept | FaultReallocation) -> None:
         by_link: dict[int, list[PlanRecord]] = {}
         for pr in ev.plans:
-            if pr.completion > pr.deadline + DEADLINE_TOL:
+            if pr.completion > pr.deadline:
                 self.flag(
                     "deadline-at-commit", ev,
                     f"committed plan for flow {pr.flow_id} (task {pr.task_id}) "
@@ -215,7 +250,7 @@ class _Auditor:
                     flow_id=pr.flow_id, task_id=pr.task_id,
                     completion=pr.completion, deadline=pr.deadline,
                 )
-            if pr.slices and abs(pr.completion - pr.slices[-1]) > DEADLINE_TOL:
+            if pr.slices and pr.completion != pr.slices[-1]:
                 self.flag(
                     "plan-consistency", ev,
                     f"flow {pr.flow_id}: recorded completion {pr.completion:g} "
@@ -235,7 +270,7 @@ class _Auditor:
                 for i in range(0, len(pr.slices), 2)
             )
             for (s0, e0, f0), (s1, e1, f1) in zip(spans, spans[1:]):
-                if f0 != f1 and min(e0, e1) - s1 > OVERLAP_TOL:
+                if f0 != f1 and min(e0, e1) > s1:
                     self.flag(
                         "exclusive-link", ev,
                         f"link {link}: flows {f0} and {f1} overlap over "
@@ -244,6 +279,30 @@ class _Auditor:
                         overlap=(s1, min(e0, e1)),
                     )
                     return  # one collision per table is enough context
+
+    def _check_conservation(self, ev: TaskAccept) -> None:
+        if self.capacity is None or self.trial is None:
+            return
+        task_id, remaining = self.trial
+        if task_id != ev.task_id:
+            return
+        for pr in ev.plans:
+            rem = remaining.get(pr.flow_id)
+            if rem is None:
+                continue  # a frozen plan (incremental admission)
+            booked = sum(
+                pr.slices[i + 1] - pr.slices[i]
+                for i in range(0, len(pr.slices), 2)
+            )
+            need = up(rem / self.capacity)
+            if booked != need:
+                self.flag(
+                    "conservation", ev,
+                    f"flow {pr.flow_id} (task {pr.task_id}): slices book "
+                    f"{booked!r} s, but {rem:g} remaining bytes need "
+                    f"{need!r} s",
+                    flow_id=pr.flow_id, booked=booked, need=need,
+                )
 
     def _check_priority_order(self, ev) -> None:
         key = _PRIORITY_KEYS.get(self.priority)
@@ -264,7 +323,6 @@ class _Auditor:
     def _check_reject(self, ev) -> None:
         if ev.reason != "would-miss":
             return  # outside the three-clause rule (outage / latency / tables)
-        missing_tasks = {tid for _, tid in ev.missing}
         if ev.clause not in (1, 2, 3):
             self.flag(
                 "reject-rule", ev,
@@ -289,33 +347,17 @@ class _Auditor:
                     f"{late:g} is not positive",
                     task_id=ev.task_id, flow_id=fid,
                 )
-        if ev.clause == 1:
-            if len(missing_tasks) < 2 or ev.task_id in missing_tasks:
-                self.flag(
-                    "reject-rule", ev,
-                    f"clause 1 (several tasks missing) recorded but missing "
-                    f"flows span tasks {sorted(missing_tasks)} "
-                    f"(newcomer {ev.task_id})",
-                    task_id=ev.task_id, missing_tasks=sorted(missing_tasks),
-                )
-        elif ev.clause == 2:
-            if ev.task_id not in missing_tasks:
-                self.flag(
-                    "reject-rule", ev,
-                    f"clause 2 (own flows missing) recorded but none of the "
-                    f"missing flows belong to task {ev.task_id}",
-                    task_id=ev.task_id, missing_tasks=sorted(missing_tasks),
-                )
-        else:  # clause 3
-            if len(missing_tasks) != 1 or ev.task_id in missing_tasks:
-                self.flag(
-                    "reject-rule", ev,
-                    f"clause 3 (single-victim comparison) recorded but "
-                    f"missing flows span tasks {sorted(missing_tasks)} "
-                    f"(newcomer {ev.task_id})",
-                    task_id=ev.task_id, missing_tasks=sorted(missing_tasks),
-                )
-                return
+        derived = derive_clause(ev.task_id, ev.missing)
+        if ev.clause != derived:
+            missing_tasks = sorted({tid for _, tid in ev.missing})
+            self.flag(
+                "reject-rule", ev,
+                f"clause {ev.clause} recorded but the missing flows span "
+                f"tasks {missing_tasks} (newcomer {ev.task_id}), which is "
+                f"clause {derived}",
+                task_id=ev.task_id, missing_tasks=missing_tasks,
+            )
+        elif ev.clause == 3:
             if self.policy == "never":
                 return  # clause 3 always rejects; nothing to compare
             if ev.victim_ratio is None or ev.new_ratio is None:

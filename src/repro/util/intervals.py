@@ -15,38 +15,49 @@ half-open intervals ``[s0, e0) ∪ [s1, e1) ∪ …``.  A flat list keeps the ho
 merge loops allocation-free and cache-friendly (per the HPC guide: avoid
 per-element object churn in inner loops).
 
-All operations treat intervals closer than :data:`EPS` as touching and merge
-them, which keeps floating-point dust from fragmenting allocations.
+Plan time is exact.  The planner rounds its inputs up onto the grid of
+multiples of :data:`GRID` once (:func:`up`), and every boundary it then
+derives is a sum or difference of grid values, so the arithmetic here
+never rounds and needs no tolerance: intervals that touch merge, and a
+gap of one grid unit is a gap.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 
-EPS: float = 1e-9
-"""Two boundaries closer than this are considered equal.
+GRID: float = 2.0 ** -36
+"""The plan-time quantum in seconds (about 14.6 ps).
 
-The simulator's natural time quantum is ~1e-6 s (microseconds) and horizons
-are ~1e2 s, so 1e-9 is far below any meaningful gap while far above float64
-noise accumulated by the arithmetic here.
+Multiples of ``GRID`` below ``2**53 * GRID = 2**17`` s (about 36 h) are
+exact floats, and so are their sums, differences and comparisons while
+they stay in that range.  A coarser grid would add engine events: a flow
+finishes up to one grid unit before its rounded-up slice end, and on a
+nanosecond grid that gap often lands between the sender model's change
+and rate thresholds (see DESIGN.md §5.1).
 """
 
 Interval = tuple[float, float]
 
 
+def up(t: float) -> float:
+    """Round ``t`` up onto the plan grid (exact: scaling by a power of two
+    is)."""
+    return math.ceil(t / GRID) * GRID
+
+
 class IntervalSet:
     """A set of disjoint half-open intervals ``[start, end)`` on the reals.
 
-    Instances are mutable; the in-place operations (:meth:`add`,
-    :meth:`subtract`, :meth:`union_update`) are used by the occupancy
-    ledger, while the pure operations (:meth:`union`, :meth:`complement`,
-    :meth:`intersection`) are used by the allocation algorithms.
+    The pure operations (:meth:`union`, :meth:`complement`,
+    :meth:`intersection`) and the first-fit scans serve the allocation
+    algorithms; the occupancy ledger works on the boundary lists directly.
 
-    Invariants (checked by :meth:`check_invariants` and the property
-    tests): boundaries strictly increase, every interval is wider than
-    :data:`EPS`, and consecutive intervals are separated by more than
-    :data:`EPS`.
+    Invariant (checked by :meth:`check_invariants` and the property
+    tests): boundaries strictly increase, so every interval is non-empty
+    and consecutive intervals neither touch nor overlap.
     """
 
     __slots__ = ("_b",)
@@ -59,16 +70,9 @@ class IntervalSet:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        """Return a new empty set."""
-        return cls()
-
-    @classmethod
     def single(cls, start: float, end: float) -> "IntervalSet":
         """Return a set holding the single interval ``[start, end)``."""
-        out = cls()
-        out.add(start, end)
-        return out
+        return cls._from_boundaries([start, end] if end > start else [])
 
     @classmethod
     def _from_boundaries(cls, boundaries: list[float]) -> "IntervalSet":
@@ -98,9 +102,7 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        if len(self._b) != len(other._b):
-            return False
-        return all(abs(x - y) <= EPS for x, y in zip(self._b, other._b))
+        return self._b == other._b
 
     def __hash__(self) -> int:  # pragma: no cover - sets are mutable
         raise TypeError("IntervalSet is mutable and unhashable")
@@ -146,80 +148,16 @@ class IntervalSet:
         k = bisect_right(b, t)
         return k % 2 == 1, (b[k] if k < len(b) else None)
 
-    def overlaps(self, start: float, end: float) -> bool:
-        """Whether ``[start, end)`` intersects the set by more than EPS."""
-        if end - start <= EPS:
-            return False
-        b = self._b
-        for i in range(0, len(b), 2):
-            if b[i] >= end - EPS:
-                break
-            if b[i + 1] > start + EPS:
-                return True
-        return False
-
     # -- mutation ------------------------------------------------------------
 
     def add(self, start: float, end: float) -> None:
         """Insert ``[start, end)``, merging with touching/overlapping spans.
 
-        Intervals narrower than :data:`EPS` are ignored.
+        Empty intervals are ignored.  The boundary list is rebound, never
+        mutated in place.
         """
-        if end - start <= EPS:
-            return
-        b = self._b
-        if not b:
-            b.extend((start, end))
-            return
-        if start > b[-1] + EPS:  # fast path: append at the right edge
-            b.extend((start, end))
-            return
-        if start <= b[-1] + EPS and start >= b[-2] - EPS and end >= b[-1] - EPS:
-            # fast path: extend the last interval
-            b[-2] = min(b[-2], start)
-            b[-1] = max(b[-1], end)
-            return
-        merged: list[float] = []
-        i = 0
-        n = len(b)
-        # copy intervals entirely left of the new one
-        while i < n and b[i + 1] < start - EPS:
-            merged.extend((b[i], b[i + 1]))
-            i += 2
-        # absorb all intervals that touch [start, end)
-        new_s, new_e = start, end
-        while i < n and b[i] <= end + EPS:
-            new_s = min(new_s, b[i])
-            new_e = max(new_e, b[i + 1])
-            i += 2
-        merged.extend((new_s, new_e))
-        merged.extend(b[i:])
-        self._b = merged
-
-    def subtract(self, start: float, end: float) -> None:
-        """Remove ``[start, end)`` from the set."""
-        if end - start <= EPS:
-            return
-        b = self._b
-        out: list[float] = []
-        for i in range(0, len(b), 2):
-            s, e = b[i], b[i + 1]
-            if e <= start + EPS or s >= end - EPS:
-                out.extend((s, e))
-                continue
-            if s < start - EPS:
-                out.extend((s, start))
-            if e > end + EPS:
-                out.extend((end, e))
-        self._b = out
-
-    def union_update(self, other: "IntervalSet") -> None:
-        """In-place union with ``other``."""
-        self._b = _merge_union(self._b, other._b)
-
-    def clear(self) -> None:
-        """Remove all intervals."""
-        self._b.clear()
+        if end > start:
+            self._b = merge_boundaries(self._b, [start, end])
 
     # -- pure set algebra ------------------------------------------------------
 
@@ -235,7 +173,7 @@ class IntervalSet:
         while i < len(a) and j < len(b):
             s = max(a[i], b[j])
             e = min(a[i + 1], b[j + 1])
-            if e - s > EPS:
+            if e > s:
                 out.extend((s, e))
             if a[i + 1] < b[j + 1]:
                 i += 2
@@ -251,16 +189,14 @@ class IntervalSet:
         out: list[float] = []
         cursor = lo
         for s, e in self:
-            if e <= lo + EPS:
+            if e <= lo:
                 continue
-            if s >= hi - EPS:
+            if s >= hi:
                 break
-            s_clip = max(s, lo)
-            e_clip = min(e, hi)
-            if s_clip - cursor > EPS:
-                out.extend((cursor, s_clip))
-            cursor = max(cursor, e_clip)
-        if hi - cursor > EPS:
+            if s > cursor:
+                out.extend((cursor, s))
+            cursor = max(cursor, min(e, hi))
+        if hi > cursor:
             out.extend((cursor, hi))
         return IntervalSet._from_boundaries(out)
 
@@ -281,24 +217,17 @@ class IntervalSet:
         ``duration``; callers complement over a horizon past any deadline.
         Raises ``ValueError`` if the idle time available is insufficient.
         """
-        if duration <= EPS:
+        if duration <= 0:
             return IntervalSet()
         remaining = duration
         out: list[float] = []
         for s, e in self:
-            # subtraction form, as in complement(): a gap complement() kept
-            # because it ends more than EPS past its start is never dropped
-            # here by one ulp of rounding in ``after + EPS``
-            if e - after <= EPS:
+            if e <= after:
                 continue
             s = max(s, after)
             width = e - s
-            if width <= EPS:
-                continue
-            if width >= remaining - EPS:
-                # final gap: a shortfall within EPS counts as a full fit,
-                # mirroring idle_fit_end exactly
-                out.extend((s, s + min(width, remaining)))
+            if width >= remaining:
+                out.extend((s, s + remaining))
                 return IntervalSet._from_boundaries(out)
             out.extend((s, e))
             remaining -= width
@@ -314,20 +243,18 @@ class IntervalSet:
         needed (path comparison in Alg. 2 evaluates many candidate paths and
         keeps slices only for the winner).
         """
-        if duration <= EPS:
+        if duration <= 0:
             return after
         remaining = duration
         b = self._b
         for i in range(0, len(b), 2):
             s, e = b[i], b[i + 1]
-            if e - after <= EPS:
+            if e <= after:
                 continue
             s = max(s, after)
             width = e - s
-            if width <= EPS:
-                continue
-            if width >= remaining - EPS:
-                return s + min(width, remaining)
+            if width >= remaining:
+                return s + remaining
             remaining -= width
         raise ValueError(
             f"insufficient idle time: needed {duration:g}, "
@@ -344,38 +271,29 @@ class IntervalSet:
         Raises ``ValueError`` when ``[lo, hi)`` holds less than
         ``duration`` of idle time.
         """
-        if duration <= EPS:
+        if duration <= 0:
             return IntervalSet()
         remaining = duration
         b = self._b
         cursor = lo
         out: list[float] = []
-        k = bisect_right(b, lo + EPS)
+        # every interval from here on ends after lo
+        k = bisect_right(b, lo)
         for i in range(k - (k & 1), len(b), 2):
-            s, e = b[i], b[i + 1]
-            if e <= lo + EPS:
-                continue
-            if s >= hi - EPS:
+            s = b[i]
+            if s >= hi:
                 break
-            gs = s if s > lo else lo
-            width = gs - cursor
-            if width > EPS:
-                if width >= remaining - EPS:
-                    out.extend(
-                        (cursor,
-                         cursor + (width if width < remaining else remaining))
-                    )
+            if s > cursor:
+                width = s - cursor
+                if width >= remaining:
+                    out.extend((cursor, cursor + remaining))
                     return IntervalSet._from_boundaries(out)
-                out.extend((cursor, gs))
+                out.extend((cursor, s))
                 remaining -= width
-            e_clip = min(e, hi)
-            if e_clip > cursor:
-                cursor = e_clip
-        width = hi - cursor
-        if width > EPS and width >= remaining - EPS:
-            out.extend(
-                (cursor, cursor + (width if width < remaining else remaining))
-            )
+            e = b[i + 1]
+            cursor = e if e < hi else hi
+        if hi - cursor >= remaining:
+            out.extend((cursor, cursor + remaining))
             return IntervalSet._from_boundaries(out)
         raise ValueError(
             f"insufficient idle time: needed {duration:g}, "
@@ -383,12 +301,12 @@ class IntervalSet:
         )
 
     def next_boundary(self, t: float) -> float | None:
-        """Earliest boundary later than ``t + EPS`` (slice starts and ends).
+        """Earliest boundary later than ``t`` (slice starts and ends).
 
         Used by the TAPS sender model to know when its rate next changes
         (a slice begins or ends).  Returns ``None`` past the last boundary.
         """
-        return self.locate(t + EPS)[1]
+        return self.locate(t)[1]
 
     # -- validation -----------------------------------------------------------
 
@@ -397,12 +315,10 @@ class IntervalSet:
         b = self._b
         if len(b) % 2 != 0:
             raise AssertionError("odd boundary count")
-        for i in range(0, len(b), 2):
-            if not b[i + 1] - b[i] > EPS:
-                raise AssertionError(f"degenerate interval at {i}: {b[i]}..{b[i+1]}")
-        for i in range(1, len(b) - 1, 2):
-            if not b[i + 1] - b[i] > EPS:
-                raise AssertionError(f"touching intervals at boundary {i}")
+        for i in range(len(b) - 1):
+            if not b[i] < b[i + 1]:
+                kind = "degenerate interval" if i % 2 == 0 else "touching intervals"
+                raise AssertionError(f"{kind} at boundary {i}: {b[i]}..{b[i + 1]}")
 
 
 def _merge_union(a: list[float], b: list[float]) -> list[float]:
@@ -422,7 +338,7 @@ def _merge_union(a: list[float], b: list[float]) -> list[float]:
         else:
             s, e = b[j], b[j + 1]
             j += 2
-        if out and s <= out[-1] + EPS:
+        if out and s <= out[-1]:
             if e > out[-1]:
                 out[-1] = e
         else:
@@ -433,8 +349,8 @@ def _merge_union(a: list[float], b: list[float]) -> list[float]:
 def merge_boundaries(a: list[float], b: list[float]) -> list[float]:
     """Union two flat boundary lists, returning a new list.
 
-    Same result as :func:`_merge_union` (the union is association-free,
-    so any strategy must agree float-for-float), but when one side is much
+    Same result as :func:`_merge_union` (the union is unique, so any
+    strategy must agree float-for-float), but when one side is much
     shorter it splices each of its intervals into a copy of the longer
     side by bisection — O(small · log(large)) Python steps plus C-level
     ``memmove``, instead of walking the whole long list element-wise.
@@ -450,19 +366,12 @@ def merge_boundaries(a: list[float], b: list[float]) -> list[float]:
     out = list(a)
     for j in range(0, len(b), 2):
         s, e = b[j], b[j + 1]
-        # intervals of `out` gluing with [s, e): those with end >= s - EPS
-        # and start <= e + EPS (the flat list is globally sorted, so plain
-        # bisect positions translate directly to interval indices).  The
-        # bisect lands within one interval of the exact spot; refine with
-        # the two-pointer sweep's literal glue predicate so hairline
-        # cases resolve identically.
-        n = len(out) >> 1
-        k0 = bisect_left(out, s - EPS) >> 1
-        while k0 > 0 and s <= out[2 * k0 - 1] + EPS:
-            k0 -= 1
-        while k0 < n and out[2 * k0 + 1] + EPS < s:
-            k0 += 1
-        k1 = (bisect_right(out, e + EPS) - 1) >> 1
+        # intervals of `out` that touch or overlap [s, e) run from the
+        # first one ending at/after s to the last one starting at/before
+        # e; the flat list is globally sorted, so the bisect positions
+        # translate directly to interval indices
+        k0 = bisect_left(out, s) >> 1
+        k1 = (bisect_right(out, e) - 1) >> 1
         if k1 < k0:
             out[2 * k0 : 2 * k0] = (s, e)
         else:
@@ -487,18 +396,11 @@ def occupied_fit_end_pair(
     lists, without materialising the union.
 
     Exactly ``merge(a, b) → complement(lo, hi) → idle_fit_end(duration,
-    lo)``, as one two-pointer scan.  Intervals are visited in start order
-    and grouped into the union's canonical intervals with the merge's own
-    glue predicate — a new union interval starts only where ``s`` exceeds
-    the running *unclipped* union end (``uend``) by more than ``EPS``, the
-    literal ``s <= out[-1] + EPS`` test of :func:`_merge_union` — and the
-    fit's gap logic runs once per group start, against the fit's clipped
-    ``cursor``.  Keeping the two predicates separate matters: on
-    EPS-chained boundaries the addition form (``s > uend + EPS``) and the
-    subtraction form (``s - cursor > EPS``) can disagree by one ulp, and
-    only this composition reproduces ``merge → fit`` float-for-float.
-    This is Alg. 2's per-candidate score when the candidate's union is
-    available as two partial folds (shared prefix + interior segment);
+    lo)``, as one two-pointer scan.  Intervals are visited in start order;
+    ``cursor``, the union's end so far clipped to ``[lo, hi]``, is where
+    the next idle gap would begin, and an interval starting past it opens
+    one.  This is Alg. 2's per-candidate score when the candidate's union
+    is available as two partial folds (shared prefix + interior segment);
     only the winning candidate ever materialises its union.
 
     ``stop_at`` aborts the scan once the completion provably cannot fall
@@ -510,23 +412,16 @@ def occupied_fit_end_pair(
     when ``[lo, hi)`` holds less than ``duration`` of idle time (never
     raised after an abort).
     """
-    if duration <= EPS:
+    if duration <= 0:
         return lo
     remaining = duration
     cursor = lo
-    i = bisect_right(a, lo + EPS)
+    # skip the intervals that end at/before lo in each list
+    i = bisect_right(a, lo)
     i -= i & 1
-    j = bisect_right(b, lo + EPS)
+    j = bisect_right(b, lo)
     j -= j & 1
     la, lb = len(a), len(b)
-    # The bisects skip intervals ending at/before lo+EPS, but a skipped
-    # interval of one list may still EPS-glue to the first visited
-    # interval of the other (lists are canonical individually, not
-    # jointly): seed ``uend`` with the latest skipped end so head glue
-    # suppresses a phantom sub-2·EPS gap exactly as the real merge would.
-    uend = a[i - 1] if i else lo - 1.0
-    if j and b[j - 1] > uend:
-        uend = b[j - 1]
     while i < la or j < lb:
         if j >= lb or (i < la and a[i] <= b[j]):
             s, e = a[i], a[i + 1]
@@ -534,28 +429,19 @@ def occupied_fit_end_pair(
         else:
             s, e = b[j], b[j + 1]
             j += 2
-        if s > uend + EPS:
-            # the merge would start a new union interval here: close the
-            # previous group and run the union fit's per-interval step
-            if s >= hi - EPS:
+        if s > cursor:
+            if s >= hi:
                 break
-            gap = (s if s > lo else lo) - cursor
-            if gap > EPS:
-                if gap >= remaining - EPS:
-                    return cursor + (gap if gap < remaining else remaining)
-                remaining -= gap
-        if e > uend:
-            uend = e
-        if e <= lo + EPS:
-            continue
-        e_clip = e if e < hi else hi
-        if e_clip > cursor:
-            cursor = e_clip
+            gap = s - cursor
+            if gap >= remaining:
+                return cursor + remaining
+            remaining -= gap
+        if e > cursor:
+            cursor = e if e < hi else hi
             if cursor + remaining >= stop_at:
                 return float("inf")
-    gap = hi - cursor
-    if gap > EPS and gap >= remaining - EPS:
-        return cursor + (gap if gap < remaining else remaining)
+    if hi - cursor >= remaining:
+        return cursor + remaining
     raise ValueError(
         f"insufficient idle time: needed {duration:g}, "
         f"short by {remaining:g} after t={lo:g}"
@@ -568,10 +454,9 @@ def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
     Pairwise-merges in sequence; occupancy sets per link are short in
     practice (one interval per allocated slice), so a sweep is adequate.
     The union is association-free — any fold order yields the identical
-    boundary list, because the EPS-glue groups are determined by the
-    multiset of input intervals alone — which is what lets the occupancy
-    ledger's fast path share partial folds across candidate paths without
-    changing a single float.
+    boundary list, because it is the unique canonical form of the input
+    intervals' union — which is what lets the occupancy ledger share
+    partial folds across candidate paths without changing a single float.
     """
     acc: list[float] = []
     for s in sets:

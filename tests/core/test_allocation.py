@@ -11,7 +11,7 @@ from repro.core.occupancy import OccupancyLedger
 from repro.net.paths import PathService
 from repro.sim.state import FlowState
 from repro.util.errors import AllocationError
-from repro.util.intervals import IntervalSet
+from repro.util.intervals import IntervalSet, up
 from repro.workload.flow import Flow
 from repro.workload.traces import dumbbell, fig3_topology
 
@@ -90,9 +90,10 @@ class TestPathCalculation:
         ]
         plans = path_calculation(flows, ledger, paths, topo.uniform_capacity(),
                                  0.0, 100.0)
-        # with the detour both complete immediately instead of serializing
+        # with the detour both complete immediately instead of serializing,
+        # after one flow's transmission time rounded up onto the plan grid
         for p in plans.values():
-            assert p.completion == pytest.approx(1.0 / topo.uniform_capacity())
+            assert p.completion == up(1.0 / topo.uniform_capacity())
         # and they never share a link
         assert not set(plans[0].path) & set(plans[1].path)
 
@@ -161,6 +162,16 @@ class TestHorizon:
 
     def test_horizon_empty(self):
         assert allocation_horizon([], 1.0, now=3.0) == 4.0
+
+    def test_horizon_on_plan_grid(self):
+        flows = [_fs(0, "L0", "R0", 1.0, 5.0)]
+        h = allocation_horizon(flows, capacity=3.0, now=0.0)
+        assert h == up(h) and 6.0 + 1 / 3 <= h < 6.0 + 1 / 3 + 1e-9
+
+    def test_horizon_beyond_exact_plan_range_raises(self):
+        flows = [_fs(0, "L0", "R0", 1.0, 2.0 ** 17)]
+        with pytest.raises(ValueError, match="exact plan-time range"):
+            allocation_horizon(flows, 1.0, now=0.0)
 
     def test_horizon_guarantees_fit(self):
         topo = dumbbell(1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.occupancy import OccupancyLedger
-from repro.util.intervals import IntervalSet
+from repro.util.intervals import GRID, IntervalSet
 
 
 @pytest.fixture
@@ -71,6 +71,15 @@ def test_assert_exclusive_catches_overlap(ledger):
     plans = [
         ((0,), IntervalSet.single(0, 2)),
         ((0,), IntervalSet.single(1, 3)),
+    ]
+    with pytest.raises(AssertionError):
+        ledger.assert_exclusive(plans)
+
+
+def test_assert_exclusive_catches_one_grid_unit_overlap(ledger):
+    plans = [
+        ((0,), IntervalSet.single(0, 1)),
+        ((0,), IntervalSet.single(1 - GRID, 2)),
     ]
     with pytest.raises(AssertionError):
         ledger.assert_exclusive(plans)

@@ -9,8 +9,8 @@ formulas kept here as the reference:
 * every pending planned flow's rate is
   ``capacity if slices.contains(now + 2 * EPS) else 0.0``;
 * ``next_change(now)`` is the minimum of each pending plan's
-  ``slices.next_boundary(now)`` and the batch-flush time, if later than
-  ``now + EPS``.
+  ``slices.next_boundary(now + EPS)`` and the batch-flush time, if later
+  than ``now + EPS``.
 
 Boundaries sit on a grid ``10 * EPS`` apart and call times land within a
 few EPS of grid points, so boundaries in ``(now + EPS, now + 2 * EPS]`` —
@@ -22,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.allocation import FlowPlan
 from repro.core.controller import TapsScheduler
 from repro.net.paths import PathService
-from repro.sim.state import FlowState, FlowStatus, TaskState
-from repro.util.intervals import EPS, IntervalSet
+from repro.sim.state import EPS, FlowState, FlowStatus, TaskState
+from repro.util.intervals import IntervalSet
 from repro.workload.flow import Flow, make_task
 from repro.workload.traces import dumbbell
 
@@ -88,7 +88,7 @@ def _expected_rates(sched, now):
 
 def _expected_change(sched, now, flush_at):
     times = [
-        p.slices.next_boundary(now)
+        p.slices.next_boundary(now + EPS)
         for p in sched.plans.values()
         if p.flow_state.status is FlowStatus.PENDING
     ]

@@ -94,7 +94,7 @@ def test_run_out_dir_then_stats_roundtrip(tmp_path, capsys):
     run_dir = tmp_path / "run1"
     assert main(["run", "--tasks", "8", "--out-dir", str(run_dir)]) == 0
     capsys.readouterr()
-    for name in ("trace.jsonl", "telemetry.jsonl", "telemetry.prom"):
+    for name in ("trace.jsonl", "telemetry.jsonl"):
         assert (run_dir / name).exists(), name
     # the trace in the bundle is a valid audit target too
     assert main(["audit", str(run_dir / "trace.jsonl")]) == 0

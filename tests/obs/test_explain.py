@@ -4,16 +4,16 @@ import pytest
 
 from repro.core.controller import TapsScheduler
 from repro.core.reject import PreemptionPolicy
-from repro.obs.explain import derive_clause, explain_run, explain_task
+from repro.obs.explain import explain_run, explain_task
 from repro.obs.timeline import build_timeline, timeline_from
 from repro.sim.engine import Engine
-from repro.trace.audit import audit_trace
+from repro.trace.audit import audit_trace, derive_clause
 from repro.trace.recorder import TraceRecorder
 from repro.workload.flow import make_task
 from repro.workload.traces import dumbbell
 
 
-# -- clause derivation mirrors the auditor's classification --------------------
+# -- clause derivation: the auditor's classifier, which explain calls ---------
 
 
 def test_derive_clause_newcomer_in_missing():

@@ -1,4 +1,4 @@
-"""JSONL/Prometheus export: round-trip fidelity and strict validation.
+"""JSONL telemetry export: round-trip fidelity and strict validation.
 
 The telemetry file is a versioned artifact other tooling (CI, ``stats``)
 consumes, so the loader must reject anything mis-shaped rather than
@@ -13,7 +13,6 @@ from repro.obs.export import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryError,
     dumps_jsonl,
-    dumps_prometheus,
     load_jsonl,
     write_jsonl,
 )
@@ -182,82 +181,3 @@ def test_load_rejects_non_string_labels():
     lines[i] = json.dumps(item)
     with pytest.raises(TelemetryError, match="labels"):
         load_jsonl(lines)
-
-
-# -- Prometheus ----------------------------------------------------------------
-
-
-def test_prometheus_exposition_shape():
-    text = dumps_prometheus(_sample_registry())
-    lines = text.splitlines()
-    assert "# TYPE taps_controller_tasks_accepted_total counter" in lines
-    assert "taps_controller_tasks_accepted_total 12" in lines
-    assert ('taps_net_link_peak_utilization'
-            '{dst="b",link="4",src="a"} 0.75') in lines
-    assert "# TYPE taps_controller_admission_latency_seconds histogram" in lines
-    # cumulative buckets end with +Inf == _count
-    bucket_lines = [l for l in lines if "_bucket{" in l
-                    and "admission_latency" in l]
-    assert bucket_lines, "no bucket series"
-    assert bucket_lines[-1].startswith(
-        'taps_controller_admission_latency_seconds_bucket{le="+Inf"} ')
-    assert bucket_lines[-1].endswith(" 4")
-    cums = [int(l.rsplit(" ", 1)[1]) for l in bucket_lines]
-    assert cums == sorted(cums), "bucket counts must be cumulative"
-    assert "taps_controller_admission_latency_seconds_count 4" in lines
-
-
-def test_prometheus_label_escaping():
-    reg = MetricsRegistry()
-    reg.counter("c", {"q": 'say "hi"\n'}).inc(1)
-    text = dumps_prometheus(reg)
-    assert r'taps_c_total{q="say \"hi\"\n"} 1' in text
-
-
-def test_prometheus_label_backslash_escaping():
-    # exposition format: backslash must be escaped before quote/newline
-    reg = MetricsRegistry()
-    reg.counter("c", {"path": 'a\\b"c\nd'}).inc(1)
-    text = dumps_prometheus(reg)
-    assert r'taps_c_total{path="a\\b\"c\nd"} 1' in text
-
-
-def test_prometheus_help_lines():
-    text = dumps_prometheus(_sample_registry())
-    lines = text.splitlines()
-    # every # TYPE is immediately preceded by a # HELP for the same series
-    for i, line in enumerate(lines):
-        if line.startswith("# TYPE "):
-            series = line.split()[2]
-            assert i > 0 and lines[i - 1].startswith(f"# HELP {series} "), (
-                f"missing HELP before {line!r}"
-            )
-    # known instruments get their documented help text
-    assert any(
-        l.startswith("# HELP taps_controller_admission_latency_seconds "
-                     "Wall time")
-        for l in lines
-    )
-    # unknown instruments fall back to the contract pointer
-    reg = MetricsRegistry()
-    reg.counter("x/unknown_thing").inc(1)
-    fallback = dumps_prometheus(reg)
-    assert ("# HELP taps_x_unknown_thing_total Instrument x/unknown_thing "
-            "(see DESIGN.md section 7).") in fallback.splitlines()
-
-
-def test_prometheus_help_text_escaping():
-    from repro.obs import export
-
-    # help text with a backslash and newline must be escaped per spec
-    orig = dict(export._HELP_TEXT)
-    export._HELP_TEXT["weird/metric"] = "line one\nwith \\ slash"
-    try:
-        reg = MetricsRegistry()
-        reg.counter("weird/metric").inc(1)
-        text = dumps_prometheus(reg)
-        assert (r"# HELP taps_weird_metric_total line one\nwith \\ slash"
-                in text.splitlines())
-    finally:
-        export._HELP_TEXT.clear()
-        export._HELP_TEXT.update(orig)

@@ -6,7 +6,9 @@ import dataclasses
 
 import pytest
 
+from repro.core import allocation, reference
 from repro.core.controller import TapsScheduler
+from repro.core.reference import ReferenceTaps
 from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.sim.engine import Engine
@@ -25,6 +27,7 @@ from repro.trace import (
     audit_events,
     audit_trace,
 )
+from repro.util.intervals import GRID, up
 from repro.workload.generator import WorkloadConfig, generate_workload
 
 
@@ -141,6 +144,20 @@ class TestCorruptedPlans:
         report = audit_events(events)
         assert "deadline-at-commit" in _first_invariants(report)
 
+    def test_one_grid_unit_overlap_is_caught(self):
+        """Plan times are exact, so two flows sharing link 6 for a single
+        grid unit collide — no float tolerance may hide it."""
+        events = _clean_stream()
+        accept = events[2]
+        events[2] = dataclasses.replace(
+            accept,
+            plans=accept.plans + (_plan(11, 1, (6, 7), (0.5 - GRID, 0.75), 1.0),),
+        )
+        events[2].seq = accept.seq
+        v = audit_events(events).first_violation
+        assert v.invariant == "exclusive-link"
+        assert v.context["overlap"] == (0.5 - GRID, 0.5)
+
     def test_inconsistent_completion_is_caught(self):
         events = _clean_stream()
         accept = events[2]
@@ -149,6 +166,67 @@ class TestCorruptedPlans:
         events[2].seq = accept.seq
         report = audit_events(events)
         assert "plan-consistency" in _first_invariants(report)
+
+
+class TestConservation:
+    """Each committed plan of an admission's trial books exactly the
+    flow's transmission time."""
+
+    def test_checks_trial_flows_against_the_capacity(self):
+        # the trial's flow 10 has 100 bytes left and is booked [0, 0.5)
+        events = _clean_stream()
+        accept = events[2]
+        events[2] = dataclasses.replace(  # flow 11 is frozen: not checked
+            accept,
+            plans=accept.plans + (_plan(11, 1, (7,), (0.0, 0.1), 1.0),),
+        )
+        events[2].seq = accept.seq
+        assert audit_events(events).ok  # no capacity in the meta: skipped
+        assert audit_events(events, meta={"capacity": 200.0}).ok
+        report = audit_events(events, meta={"capacity": 100.0})
+        assert _first_invariants(report) == {"conservation"}
+        assert report.first_violation.context["flow_id"] == 10
+
+    @staticmethod
+    def _trace(make_scheduler) -> TraceRecorder:
+        topo = FatTree(k=4)
+        cfg = WorkloadConfig(seed=3, num_tasks=25, arrival_rate=300.0,
+                             mean_deadline=0.05, mean_flow_size=300_000.0,
+                             mean_flows_per_task=4.0)
+        tasks = generate_workload(cfg, list(topo.hosts))
+        recorder = TraceRecorder()
+        Engine(topo, tasks, make_scheduler(),
+               path_service=PathService(topo, max_paths=4),
+               trace=recorder).run()
+        return recorder
+
+    def test_committed_plans_are_on_the_plan_grid(self):
+        recorder = self._trace(
+            lambda: TapsScheduler(control_latency=0.0004, batch_window=0.002)
+        )
+        assert audit_trace(recorder).ok
+        bounds = [
+            t
+            for ev in recorder.events if ev.kind == "task-accept"
+            for pr in ev.plans for t in pr.slices
+        ]
+        assert bounds and all(up(t) == t for t in bounds)
+
+    def test_short_booking_caught_although_the_oracle_agrees(self, monkeypatch):
+        """Book every flow one grid unit short, in the controller and the
+        oracle alike: the two still agree byte for byte, so only the
+        auditor can see it."""
+        exact = allocation.transmission_time
+
+        def short(fs, capacity):
+            return exact(fs, capacity) - GRID
+
+        monkeypatch.setattr(allocation, "transmission_time", short)
+        monkeypatch.setattr(reference, "transmission_time", short)
+        recorder = self._trace(TapsScheduler)
+        assert recorder.dumps() == self._trace(ReferenceTaps).dumps()
+        report = audit_trace(recorder)
+        assert _first_invariants(report) == {"conservation"}
 
 
 class TestCorruptedRejects:

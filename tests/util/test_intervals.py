@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.intervals import EPS, IntervalSet, union_all
+from repro.util.intervals import GRID, IntervalSet, union_all, up
 
 
 class TestConstruction:
@@ -89,10 +89,10 @@ class TestAdd:
         s.add(3, 4)
         assert s.intervals() == [(0, 10)]
 
-    def test_within_eps_merges(self):
+    def test_one_grid_unit_gap_is_kept(self):
         s = IntervalSet.single(0, 1)
-        s.add(1 + EPS / 2, 2)
-        assert len(s) == 1
+        s.add(1 + GRID, 2)
+        assert s.intervals() == [(0, 1), (1 + GRID, 2)]
 
     def test_invariants_after_many_adds(self):
         s = IntervalSet()
@@ -102,34 +102,30 @@ class TestAdd:
 
 
 class TestSubtract:
+    """Removing intervals from a window ``[lo, hi)``: ``complement``, the
+    subtraction Alg. 3 performs (idle = window minus occupancy)."""
+
     def test_remove_middle_splits(self):
-        s = IntervalSet.single(0, 10)
-        s.subtract(4, 6)
+        s = IntervalSet.single(4, 6).complement(0, 10)
         assert s.intervals() == [(0, 4), (6, 10)]
 
     def test_remove_prefix(self):
-        s = IntervalSet.single(0, 10)
-        s.subtract(0, 3)
+        s = IntervalSet.single(0, 3).complement(0, 10)
         assert s.intervals() == [(3, 10)]
 
     def test_remove_suffix(self):
-        s = IntervalSet.single(0, 10)
-        s.subtract(7, 12)
+        s = IntervalSet.single(7, 12).complement(0, 10)
         assert s.intervals() == [(0, 7)]
 
     def test_remove_all(self):
-        s = IntervalSet.single(0, 10)
-        s.subtract(-1, 11)
-        assert not s
+        assert not IntervalSet.single(-1, 11).complement(0, 10)
 
     def test_remove_disjoint_noop(self):
-        s = IntervalSet.single(0, 1)
-        s.subtract(2, 3)
+        s = IntervalSet.single(2, 3).complement(0, 1)
         assert s.intervals() == [(0, 1)]
 
     def test_subtract_then_add_roundtrip(self):
-        s = IntervalSet.single(0, 10)
-        s.subtract(4, 6)
+        s = IntervalSet.single(4, 6).complement(0, 10)
         s.add(4, 6)
         assert s.intervals() == [(0, 10)]
 
@@ -148,15 +144,17 @@ class TestQueries:
         assert not s.contains(3.5)
 
     def test_overlaps(self):
+        """Half-open: intervals that only touch do not overlap."""
         s = IntervalSet([(0, 1), (3, 4)])
-        assert s.overlaps(0.5, 2)
-        assert s.overlaps(2, 3.5)
-        assert not s.overlaps(1, 3)
-        assert not s.overlaps(5, 6)
+        assert s.intersection(IntervalSet.single(0.5, 2))
+        assert s.intersection(IntervalSet.single(2, 3.5))
+        assert not s.intersection(IntervalSet.single(1, 3))
+        assert not s.intersection(IntervalSet.single(5, 6))
+        assert s.intersection(IntervalSet.single(1 - GRID, 3))
 
     def test_overlaps_degenerate_false(self):
         s = IntervalSet.single(0, 10)
-        assert not s.overlaps(5, 5)
+        assert not s.intersection(IntervalSet.single(5, 5))
 
     def test_equality(self):
         assert IntervalSet([(0, 1)]) == IntervalSet([(0, 1)])
@@ -190,11 +188,6 @@ class TestAlgebra:
         a = IntervalSet([(0, 2)])
         assert a.union(IntervalSet()) == a
         assert IntervalSet().union(a) == a
-
-    def test_union_update_in_place(self):
-        a = IntervalSet([(0, 1)])
-        a.union_update(IntervalSet([(1, 2)]))
-        assert a.intervals() == [(0, 2)]
 
     def test_union_all(self):
         sets = [IntervalSet([(i, i + 1)]) for i in range(3)]
@@ -288,9 +281,21 @@ class TestFirstFit:
         for dur in (0.5, 2, 3, 6, 10):
             for after in (0, 1, 4, 6):
                 slices = idle.first_fit(dur, after)
-                assert slices.end() == pytest.approx(idle.idle_fit_end(dur, after))
+                assert slices.end() == idle.idle_fit_end(dur, after)
+                assert slices.measure() == dur
 
     def test_idle_fit_end_insufficient_raises(self):
         idle = IntervalSet([(0, 1)])
         with pytest.raises(ValueError):
             idle.idle_fit_end(5, after=0)
+
+
+class TestGrid:
+    def test_up_keeps_grid_values(self):
+        for t in (0.0, GRID, 1.0, 2.5, 37.25 + 3 * GRID, -GRID):
+            assert up(t) == t
+
+    def test_up_rounds_to_next_multiple(self):
+        assert up(GRID / 3) == GRID
+        assert up(1.0 + GRID / 2) == 1.0 + GRID
+        assert up(8e-9) == 550 * GRID  # 8e-9 s is 549.76 grid units

@@ -8,9 +8,10 @@ pipeline *float-for-float* — the reference oracle
 (:mod:`repro.core.reference`) plans with the literal pipeline, and any
 divergence here would surface as a different plan.
 
-The strategies deliberately include EPS-hairline geometry (boundaries a
-fraction of EPS apart across the two operand lists) because that is where
-the fused scans' glue predicates can drift from the canonical merge.
+All values are on the plan grid, as every plan time is.  The strategies
+deliberately land boundaries of the two operand lists zero to a few grid
+units apart: intervals that touch must merge and a one-unit gap must stay
+usable idle time, in the fused scans exactly as in the canonical merge.
 """
 
 import pytest
@@ -18,36 +19,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.util.intervals import (
-    EPS,
+    GRID,
     IntervalSet,
     _merge_union,
     merge_boundaries,
     occupied_fit_end_pair,
 )
 
-HORIZON = 1e6  # always enough idle time: fits never raise against it
+HORIZON = 2.0 ** 16  # always enough idle time: fits never raise against it
 
-coarse = st.floats(min_value=0.0, max_value=60.0,
-                   allow_nan=False, allow_infinity=False)
 
-# EPS-hairline coordinates: a coarse grid plus jitter of 0–3 EPS, so two
-# independently-canonical sets land boundaries within fractions of EPS of
-# each other — the regime where glue decisions are made.
+def grid_values(lo: float, hi: float):
+    """Grid values in ``[lo, hi]`` seconds."""
+    return st.integers(round(lo / GRID), round(hi / GRID)).map(lambda k: k * GRID)
+
+
+# hairline coordinates: a coarse half-second grid plus 0–6 grid units, so
+# two independently-canonical sets land boundaries zero to a few grid
+# units apart — the regime where glue decisions are made
 hairline = st.builds(
-    lambda base, jitter: base * 0.5 + jitter * (EPS / 2.0),
+    lambda base, jitter: base * 0.5 + jitter * GRID,
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=0, max_value=6),
 )
 
-coords = st.one_of(coarse, hairline)
+coords = st.one_of(grid_values(0.0, 60.0), hairline)
 
 
 @st.composite
 def intervals(draw):
     a = draw(coords)
     width = draw(st.one_of(
-        st.floats(min_value=0.01, max_value=15.0),
-        st.integers(min_value=3, max_value=8).map(lambda k: k * (EPS / 2.0)),
+        grid_values(0.01, 15.0),
+        st.integers(min_value=1, max_value=8).map(lambda k: k * GRID),
     ))
     return (a, a + width)
 
@@ -57,8 +61,11 @@ def interval_sets(draw):
     return IntervalSet(draw(st.lists(intervals(), max_size=10)))
 
 
-durations = st.floats(min_value=0.05, max_value=25.0)
-releases = st.floats(min_value=0.0, max_value=40.0)
+durations = st.one_of(
+    grid_values(0.05, 25.0),
+    st.integers(min_value=1, max_value=4).map(lambda k: k * GRID),
+)
+releases = st.one_of(grid_values(0.0, 40.0), hairline)
 
 
 # -- merge_boundaries ------------------------------------------------------
@@ -101,17 +108,20 @@ def test_occupied_first_fit_matches_reference(occ, duration, lo):
     ref = occ.complement(lo, HORIZON).first_fit(duration, lo)
     got = occ.occupied_first_fit(duration, lo, HORIZON)
     assert got._b == ref._b
+    got.check_invariants()
+    # books exactly the duration, in idle time only
+    assert got.measure() == duration
+    assert not got.intersection(occ)
 
 
-def test_first_fit_keeps_one_ulp_hairline_gap():
-    """A busy interval starting one EPS-and-an-ulp after ``lo``: the
-    complement keeps the hairline idle gap in front of it
-    (``s - lo > EPS``), and the literal first fit must use it exactly as
-    the fused scan does, although ``s <= lo + EPS`` after rounding."""
-    occ = IntervalSet([(1.000000001, 2.0)])
+def test_first_fit_keeps_one_grid_unit_gap():
+    """A busy interval starting one grid unit after ``lo``: the complement
+    keeps the one-unit idle gap in front of it, and the literal first fit
+    uses it exactly as the fused scans do."""
+    occ = IntervalSet([(1.0 + GRID, 2.0)])
     idle = occ.complement(1.0, HORIZON)
-    assert idle._b[:2] == [1.0, 1.000000001]
-    expected = [1.0, 1.000000001, 2.0, 2.999999999]
+    assert idle._b[:2] == [1.0, 1.0 + GRID]
+    expected = [1.0, 1.0 + GRID, 2.0, 3.0 - GRID]
     assert occ.occupied_first_fit(1.0, 1.0, HORIZON)._b == expected
     assert idle.first_fit(1.0, 1.0)._b == expected
     assert idle.idle_fit_end(1.0, 1.0) == expected[-1]
@@ -119,7 +129,7 @@ def test_first_fit_keeps_one_ulp_hairline_gap():
 
 
 @given(interval_sets(), durations, releases,
-       st.floats(min_value=0.0, max_value=80.0))
+       grid_values(0.0, 80.0))
 def test_occupied_fit_end_raises_with_reference(occ, duration, lo, hi):
     """Tight horizons: the fused scan fails exactly when the reference does."""
     try:
@@ -138,10 +148,11 @@ def test_pair_scan_matches_union_fit(a, b, duration, lo):
     union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
     ref = _literal_fit_end(union, duration, lo, HORIZON)
     assert occupied_fit_end_pair(a._b, b._b, duration, lo, HORIZON) == ref
+    assert union.occupied_first_fit(duration, lo, HORIZON).end() == ref
 
 
 @given(interval_sets(), interval_sets(), durations, releases,
-       st.floats(min_value=0.0, max_value=80.0))
+       grid_values(0.0, 80.0))
 def test_pair_scan_raises_with_union(a, b, duration, lo, hi):
     union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
     try:
@@ -157,7 +168,7 @@ def test_pair_scan_raises_with_union(a, b, duration, lo, hi):
 
 
 @given(interval_sets(), durations, releases,
-       st.floats(min_value=0.0, max_value=120.0))
+       grid_values(0.0, 120.0))
 def test_occupied_fit_end_stop_at_contract(occ, duration, lo, stop_at):
     """stop_at never changes a winning result; losers report >= stop_at.
 
@@ -177,7 +188,7 @@ def test_occupied_fit_end_stop_at_contract(occ, duration, lo, stop_at):
 
 
 @given(interval_sets(), interval_sets(), durations, releases,
-       st.floats(min_value=0.0, max_value=120.0))
+       grid_values(0.0, 120.0))
 def test_pair_scan_stop_at_contract(a, b, duration, lo, stop_at):
     exact = occupied_fit_end_pair(a._b, b._b, duration, lo, HORIZON)
     got = occupied_fit_end_pair(a._b, b._b, duration, lo, HORIZON,
@@ -193,37 +204,41 @@ def test_pair_scan_stop_at_contract(a, b, duration, lo, stop_at):
 
 
 def test_pair_scan_head_glue_suppresses_phantom_gap():
-    """An interval the bisect skipped (ends within EPS past ``lo``) can
-    still glue to the other list's first interval; the scan must not count
-    the sub-2·EPS sliver between them as an idle gap, exactly as the
-    canonical merge would not."""
-    a = [0.0, 10.0 + 0.5 * EPS]       # skipped: ends at lo + 0.5 EPS
-    b = [10.0 + 1.2 * EPS, 11.0]      # gap from lo is 1.2 EPS > EPS ...
+    """An interval the bisect skipped (it ends exactly at ``lo``) touches
+    the other list's first interval, which starts at ``lo``: the union
+    glues them, and the scan must not see an idle gap between them."""
+    a = [0.0, 10.0]
+    b = [10.0, 11.0]
     lo = 10.0
-    # ... but merge glues them (1.2 EPS start <= 0.5 EPS end + EPS):
     union = IntervalSet._from_boundaries(merge_boundaries(a, b))
-    assert len(union) == 1
+    assert union._b == [0.0, 11.0]
     ref = _literal_fit_end(union, 1.0, lo, HORIZON)
+    assert ref == 12.0
     assert occupied_fit_end_pair(a, b, 1.0, lo, HORIZON) == ref
-    assert ref == pytest.approx(12.0, abs=1e-6)
+    assert occupied_fit_end_pair(b, a, 1.0, lo, HORIZON) == ref
 
 
 def test_pair_scan_genuine_hairline_gap_is_kept():
-    """A joint gap wider than EPS that no glue covers stays usable."""
+    """A one-grid-unit joint gap stays usable; touching lists merge."""
     a = [0.0, 10.0]
-    b = [10.0 + 3.0 * EPS, 11.0]
+    b = [10.0 + GRID, 11.0]
     union = IntervalSet._from_boundaries(merge_boundaries(a, b))
+    assert len(union) == 2
     ref = _literal_fit_end(union, 5.0, 0.0, HORIZON)
+    assert ref == 16.0 - GRID
     assert occupied_fit_end_pair(a, b, 5.0, 0.0, HORIZON) == ref
+    assert merge_boundaries(a, [10.0, 11.0]) == [0.0, 11.0]
+    assert occupied_fit_end_pair(a, [10.0, 11.0], 5.0, 0.0, HORIZON) == 16.0
 
 
 def test_pair_scan_interleaved_exactness():
-    """Alternating intervals from the two lists, fractional-EPS spacing."""
+    """Alternating intervals from the two lists, zero to three grid units
+    apart."""
     a, b = [], []
     t = 0.0
     for k in range(12):
         (a if k % 2 == 0 else b).extend((t, t + 0.5))
-        t += 0.5 + (k % 4) * (EPS / 2.0)
+        t += 0.5 + (k % 4) * GRID
     union = IntervalSet._from_boundaries(merge_boundaries(a, b))
     for dur in (0.3, 1.0, 2.7):
         for lo in (0.0, 0.25, 1.0):
