@@ -6,9 +6,14 @@ On every task arrival the controller:
    (their *remaining* sizes — progress made so far is kept);
 2. sorts by EDF then SJF and runs :func:`~repro.core.allocation.path_calculation`
    on a **fresh** trial ledger (global re-optimisation: in-flight flows may
-   be moved to new slices and even new paths — this is TAPS' preemption);
+   be moved to new slices and even new paths — this is TAPS' preemption).
+   The trial stops after the new task's last flow in ``Ftmp`` if one of
+   its flows is already late or unplanned, since the task is then refused
+   whatever the rest of ``Ftmp`` does;
 3. applies the :class:`~repro.core.reject.RejectRule`; on *discard-victim*
-   the victim's flows are killed and the trial repeats without them;
+   the trial repeats without the victim's flows.  The victim is killed
+   only when the new task commits, so if the new task is refused anyway
+   (e.g. by the flow-table limit) the victim keeps its plans;
 4. on acceptance commits the trial (plans + ledger); on rejection drops it
    — in-flight flows keep their previous slices untouched, and the rejected
    task never sends a byte.
@@ -460,19 +465,37 @@ class TapsScheduler(Scheduler):
         they are; they only widen the horizon.  ``announce`` —
         ``(decision time, task id, attempt)`` — emits the admission's
         :class:`~repro.trace.events.TrialBegin`.
+
+        An admission trial stops early: Alg. 2 plans ``Ftmp`` greedily in
+        order, so the newcomer's plans are final once its last flow is
+        planned.  If one of them is missing or late, the newcomer is
+        refused whatever the rest of ``Ftmp`` does (the ``unreachable``
+        check, or clause 2 of the reject rule), and the plans of that
+        prefix are returned as they stand.  Otherwise the rest is planned
+        on the same ledger with the same horizon, exactly as one call.
         """
         ftmp = sorted(flows, key=self._priority_key)
-        if announce is not None and self.trace is not None:
+        cut = len(ftmp)
+        if announce is not None:
             now, task_id, attempt = announce
-            self.trace.emit(TrialBegin(
-                now, task_id=task_id, attempt=attempt,
-                flows=self._trial_flows(ftmp),
-            ))
+            if self.trace is not None:
+                self.trace.emit(TrialBegin(
+                    now, task_id=task_id, attempt=attempt,
+                    flows=self._trial_flows(ftmp),
+                ))
+            while cut and ftmp[cut - 1].flow.task_id != task_id:
+                cut -= 1
         ledger.begin_trial()
         horizon = allocation_horizon(
             ftmp + frozen_flows if frozen_flows else ftmp, self._capacity, start
         )
-        plans = self._path_calculation(ftmp, ledger, start, horizon)
+        head, tail = ftmp[:cut], ftmp[cut:]
+        plans = self._path_calculation(head, ledger, start, horizon)
+        if tail and all(
+            fs.flow.flow_id in plans and plans[fs.flow.flow_id].meets_deadline
+            for fs in head if fs.flow.task_id == task_id
+        ):
+            plans.update(self._path_calculation(tail, ledger, start, horizon))
         self.stats.reallocations += 1
         return plans
 

@@ -111,7 +111,13 @@ def reference_path_calculation(
 
 class ReferenceTaps(TapsScheduler):
     """:class:`TapsScheduler` with the literal ledger, Alg. 2/3 and sender
-    model — the oracle the controller's fast paths are checked against."""
+    model — the oracle the controller's fast paths are checked against.
+
+    The trial's early stop at the newcomer's last ``Ftmp`` flow is shared
+    plumbing, inherited through ``_trial``, so this oracle cannot referee
+    it; ``test_refused_trial_stop_is_exact`` checks it against a
+    controller whose trial plans all of ``Ftmp``.
+    """
 
     def _new_ledger(self) -> ReferenceLedger:
         return ReferenceLedger()

@@ -87,8 +87,12 @@ class RejectRule:
         """Apply the rule to a trial allocation.
 
         ``plans`` is the output of
-        :func:`~repro.core.allocation.path_calculation` over ``Ftmp``;
-        ``task_states`` maps task id → state for every task with a plan.
+        :func:`~repro.core.allocation.path_calculation` over ``Ftmp``, or
+        over its prefix up to the new task's last flow when one of the new
+        task's flows already misses there (the trial's early stop): the
+        verdict is clause 2 either way, and ``missing_flow_ids`` lists the
+        misses of the plans given.  ``task_states`` maps task id → state
+        for every task with a plan.
         """
         missing = [p for p in plans.values() if not p.meets_deadline]
         if not missing:

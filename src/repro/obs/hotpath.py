@@ -56,7 +56,9 @@ class HotPathCounters:
         here (their partial scan is real work).
     path_calculation_calls, path_calculation_seconds:
         Invocations of, and total wall time inside,
-        :func:`~repro.core.allocation.path_calculation`.
+        :func:`~repro.core.allocation.path_calculation`.  An admission
+        trial makes up to two calls: ``Ftmp`` up to the newcomer's last
+        flow, then the rest unless the newcomer already misses.
     trials_rolled_back:
         Ledger trials undone via the rollback journal (discard-victim
         retries and rejected incremental admissions).

@@ -187,8 +187,12 @@ class TaskReject(TraceEvent):
     outside the rule.  ``missing`` pairs each missing flow with its task;
     ``lateness`` pairs it with how far past its deadline the trial
     finished it (``inf`` when the trial could not plan it at all);
-    ``victim_ratio`` / ``new_ratio`` are set for clause 3.  The event time
-    is the decision time.  ``repro-taps explain`` renders it per task.
+    ``victim_ratio`` / ``new_ratio`` are set for clause 3.  For clause 2
+    the evidence covers ``Ftmp`` only up to the new task's last flow: the
+    trial stops there once one of the new task's flows misses, so later
+    in-flight flows the full trial would also have finished late are not
+    listed.  The event time is the decision time.  ``repro-taps explain``
+    renders it per task.
     """
 
     kind: ClassVar[str] = "task-reject"

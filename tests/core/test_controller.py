@@ -6,6 +6,7 @@ from repro.core.controller import TapsScheduler
 from repro.core.reject import PreemptionPolicy
 from repro.sim.engine import Engine
 from repro.sim.state import FlowStatus, TaskOutcome
+from repro.trace import TraceRecorder
 from repro.workload.flow import make_task
 from repro.workload.traces import dumbbell, fig1_trace, fig2_trace, fig3_trace
 
@@ -160,6 +161,66 @@ class TestPreemption:
         by_tid = {ts.task.task_id: ts for ts in result.task_states}
         assert by_tid[0].outcome is TaskOutcome.COMPLETED
         assert by_tid[1].accepted is False
+
+
+class TestRefusedTrialStopsEarly:
+    """A trial that clause 2 refuses stops at the newcomer's last flow."""
+
+    def _scenario(self):
+        """Three tasks on the shared cable, all arriving at t=0: t0 (2
+        units by 10) and t1 (2 units by 5) fit; t2's 3-unit flow cannot
+        finish by 3 behind its own 1-unit flow."""
+        topo = dumbbell(3)
+        tasks = [
+            make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0),
+            make_task(1, 0.0, 5.0, [("L1", "R1", 2.0)], 1),
+            make_task(2, 0.0, 3.0, [("L2", "R2", 1.0), ("L2", "R2", 3.0)], 2),
+        ]
+        rec = TraceRecorder()
+        sched = TapsScheduler(trace=rec)
+        engine = Engine(topo, tasks, sched)
+        sched.attach(topo, engine.path_service)
+        return sched, rec, engine.task_states
+
+    @staticmethod
+    def _ftmp(rec):
+        return [f[0] for f in rec.events_of_kind("trial-begin")[-1].flows]
+
+    def test_accepted_admission_plans_every_flow(self):
+        sched, rec, states = self._scenario()
+        sched.on_task_arrival(states[0], 0.0)
+        before = sched.stats.flows_planned
+        sched.on_task_arrival(states[1], 0.0)
+        assert states[1].accepted
+        assert self._ftmp(rec) == [1, 0]  # in-flight f0 after the newcomer
+        assert sched.stats.flows_planned - before == 2
+        assert set(sched.plans) == {0, 1}
+
+    def test_clause2_refusal_lists_only_the_planned_prefix(self):
+        sched, rec, states = self._scenario()
+        sched.on_task_arrival(states[0], 0.0)
+        sched.on_task_arrival(states[1], 0.0)
+        before = sched.stats.flows_planned
+        sched.on_task_arrival(states[2], 0.0)
+        ftmp = self._ftmp(rec)
+        assert ftmp == [2, 3, 1, 0]  # EDF, then SJF within t2
+        last = max(ftmp.index(fid) for fid in (2, 3))
+        (reject,) = rec.events_of_kind("task-reject")
+        assert (reject.reason, reject.clause) == ("would-miss", 2)
+        # the whole Ftmp would also finish t1's f1 at 6, past its deadline
+        # 5; the trial stopped before planning it
+        assert all(ftmp.index(fid) <= last for fid, _ in reject.missing)
+        assert reject.missing == ((3, 2),)
+        assert reject.lateness == ((3, 1.0),)
+        assert sched.stats.flows_planned - before == last + 1
+        assert set(sched.plans) == {0, 1}
+
+    def test_fault_reroute_plans_every_flow(self):
+        sched, _, states = self._scenario()
+        sched.on_task_arrival(states[0], 0.0)
+        sched.on_task_arrival(states[1], 0.0)
+        sched.on_link_state_change(frozenset(), 0.0)
+        assert set(sched.plans) == {0, 1}
 
 
 class TestSenderModel:

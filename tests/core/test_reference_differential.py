@@ -11,6 +11,12 @@ plumbing, and must produce byte-identical decision traces, identical
 outcomes and decision counters, a clean offline audit, and an
 ``explain`` verdict whose recorded reject clause agrees with the one
 re-derived from the evidence.
+
+A second fuzz checks the one part of that plumbing the oracle cannot
+referee, because it shares it: a trial that stops at the newcomer's last
+``Ftmp`` flow once clause 2 is certain.  Against a controller whose trial
+plans the whole of ``Ftmp``, it must change nothing but the planner work
+and the clause-2 evidence.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import asdict, fields
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.allocation import allocation_horizon
 from repro.core.controller import TapsScheduler, TapsStats
 from repro.core.reference import ReferenceTaps
 from repro.core.reject import PreemptionPolicy
@@ -32,6 +39,7 @@ from repro.sched.base import PRIORITY_KEYS
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
 from repro.trace import TraceRecorder, audit_trace
+from repro.trace.events import TaskReject, TrialBegin
 from repro.util.units import KB, ms
 from repro.workload.flow import make_task
 
@@ -109,3 +117,59 @@ def test_controller_matches_reference_oracle(case):
     assert report.ok, report.summary()
     for verdict in explain_run(timeline_from(fast)):
         assert verdict.clause_consistent, verdict.lines()
+
+
+class FullTrialTaps(TapsScheduler):
+    """The controller with a trial that plans all of ``Ftmp`` in one call."""
+
+    def _trial(self, flows, ledger, start, frozen_flows=None, announce=None):
+        ftmp = sorted(flows, key=self._priority_key)
+        if announce is not None and self.trace is not None:
+            now, task_id, attempt = announce
+            self.trace.emit(TrialBegin(
+                now, task_id=task_id, attempt=attempt,
+                flows=self._trial_flows(ftmp),
+            ))
+        ledger.begin_trial()
+        horizon = allocation_horizon(
+            ftmp + frozen_flows if frozen_flows else ftmp, self._capacity, start
+        )
+        plans = self._path_calculation(ftmp, ledger, start, horizon)
+        self.stats.reallocations += 1
+        return plans
+
+
+def _split_flows_planned(outcome: str) -> tuple[dict, int]:
+    doc = json.loads(outcome)
+    return doc, doc["stats"].pop(DECISION_STATS.index("flows_planned"))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_refused_trial_stop_is_exact(case):
+    topo, tasks, faults, max_paths, knobs = case
+    cut, cut_outcome = _run(TapsScheduler, topo, tasks, faults, max_paths, knobs)
+    full, full_outcome = _run(FullTrialTaps, topo, tasks, faults, max_paths, knobs)
+    cut_doc, cut_planned = _split_flows_planned(cut_outcome)
+    full_doc, full_planned = _split_flows_planned(full_outcome)
+    assert cut_doc == full_doc
+    assert cut_planned <= full_planned
+    assert len(cut.events) == len(full.events)
+    for c, f in zip(cut.events, full.events):
+        if c == f:
+            continue
+        # only a clause-2 refusal's evidence may shrink, to a prefix of
+        # the full trial's misses that still names a newcomer flow
+        assert isinstance(c, TaskReject) and isinstance(f, TaskReject)
+        assert c.reason == f.reason == "would-miss"
+        assert c.clause == f.clause == 2
+        assert (c.time, c.seq, c.task_id, c.victim_ratio, c.new_ratio) == (
+            f.time, f.seq, f.task_id, f.victim_ratio, f.new_ratio)
+        n = len(c.missing)
+        assert n < len(f.missing)
+        assert c.missing == f.missing[:n]
+        assert c.lateness == f.lateness[:n]
+        assert any(tid == c.task_id for _, tid in c.missing)
+    report = audit_trace(cut)
+    assert report.ok, report.summary()
