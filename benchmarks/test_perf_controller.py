@@ -22,7 +22,9 @@ runners).
 
 The measured record is written to ``benchmarks/results/perf_controller*.json``
 (workload, timings, profile counters, speedups) for EXPERIMENTS.md and the
-CI artifact.
+CI artifact.  Its ``layers`` block is the telemetered run's span tree,
+``{span path: {"calls", "seconds"}}``, so ``repro-taps diff`` compares two
+records layer by layer.
 
 ``REPRO_PERF_SCALE=smoke`` (CI) shrinks the workload to seconds and skips
 the speedup floor — shared runners are too noisy to gate on a timing ratio —
@@ -41,6 +43,7 @@ from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 from repro.obs.registry import MetricsRegistry
+from repro.obs.report import SPAN_PREFIX
 from repro.sim.engine import Engine
 from repro.trace import TraceRecorder, audit_trace
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -58,6 +61,9 @@ SCALES = {
 SEED = 7
 HOSTS_USED = 64
 MAX_PATHS = 8
+#: per-run fields each side of the record keeps
+RECORDED = ("wall_seconds", "controller_seconds", "path_calculation_seconds",
+            "stats", "profile")
 
 
 class _Stopwatch:
@@ -65,7 +71,8 @@ class _Stopwatch:
 
     ``controller_seconds`` sums wall time spent inside admission, the
     honest "controller cost" (path calculation + trial ledger management
-    + reject rule).  Decisions are captured by the shared
+    + reject rule); ``path_calculation_seconds`` sums the planner calls
+    (Alg. 2/3) within it.  Decisions are captured by the shared
     :class:`~repro.trace.recorder.TraceRecorder` instead of ad-hoc
     subclass hooks — the trace events carry float-exact plan snapshots,
     so comparing serialized traces proves two runs scheduled identically.
@@ -74,6 +81,7 @@ class _Stopwatch:
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.controller_seconds = 0.0
+        self.path_calculation_seconds = 0.0
 
     def on_task_arrival(self, task_state, now):
         t0 = time.perf_counter()
@@ -81,6 +89,13 @@ class _Stopwatch:
             super().on_task_arrival(task_state, now)
         finally:
             self.controller_seconds += time.perf_counter() - t0
+
+    def _path_calculation(self, ftmp, ledger, start, horizon):
+        t0 = time.perf_counter()
+        try:
+            return super()._path_calculation(ftmp, ledger, start, horizon)
+        finally:
+            self.path_calculation_seconds += time.perf_counter() - t0
 
 
 class _TimedScheduler(_Stopwatch, TapsScheduler):
@@ -111,6 +126,7 @@ def _run(topo, tasks, cls, telemetry: MetricsRegistry | None = None):
     return {
         "wall_seconds": wall,
         "controller_seconds": sched.controller_seconds,
+        "path_calculation_seconds": sched.path_calculation_seconds,
         "trace_jsonl": recorder.dumps(),
         "trace_events": recorder.emitted,
         "audit_ok": audit.ok,
@@ -160,9 +176,17 @@ def test_perf_controller(results_dir):
     speedup_controller = slow["controller_seconds"] / fast["controller_seconds"]
     speedup_wall = slow["wall_seconds"] / fast["wall_seconds"]
     speedup_pc = (
-        slow["profile"]["path_calculation_seconds"]
-        / fast["profile"]["path_calculation_seconds"]
+        slow["path_calculation_seconds"] / fast["path_calculation_seconds"]
     )
+    # the per-layer split: the telemetered run's span tree
+    layers = {
+        h.name[len(SPAN_PREFIX):]: {"calls": h.count, "seconds": h.sum}
+        for h in registry.instruments()
+        if h.name.startswith(SPAN_PREFIX)
+    }
+    planner = layers.get("run/arrival/admission/trial/path_calculation")
+    assert planner is not None, sorted(layers)
+    assert planner["calls"] == telemetered["profile"]["path_calculation_calls"]
 
     telemetry_overhead = (
         telemetered["controller_seconds"] / fast["controller_seconds"] - 1.0
@@ -177,10 +201,8 @@ def test_perf_controller(results_dir):
         "decisions_identical": True,
         "trace_events": fast["trace_events"],
         "audit_ok": fast["audit_ok"] and slow["audit_ok"],
-        "fast": {k: fast[k] for k in
-                 ("wall_seconds", "controller_seconds", "stats", "profile")},
-        "slow": {k: slow[k] for k in
-                 ("wall_seconds", "controller_seconds", "stats", "profile")},
+        "fast": {k: fast[k] for k in RECORDED},
+        "slow": {k: slow[k] for k in RECORDED},
         "speedup": {
             "controller": round(speedup_controller, 3),
             "wall": round(speedup_wall, 3),
@@ -194,6 +216,7 @@ def test_perf_controller(results_dir):
             "admission_p50_seconds": hist.quantile(0.5),
             "admission_p99_seconds": hist.quantile(0.99),
         },
+        "layers": layers,
     }
     suffix = "" if scale_name == "full" else f"_{scale_name}"
     out = results_dir / f"perf_controller{suffix}.json"

@@ -241,16 +241,21 @@ def _cmd_run(args) -> int:
     from repro.metrics import summarize, trace_digest
     from repro.obs import MetricsRegistry
     from repro.sim.faults import LinkFault
+    from repro.util.errors import ConfigurationError
 
-    faults = None
-    if args.fault is not None:
-        link, start, end = args.fault
-        faults = [LinkFault(int(link), start, end)]
     telemetry = MetricsRegistry() if args.out_dir is not None else None
-    result, recorder = run_traced(
-        scale=SCALES[args.scale], num_tasks=args.tasks, seed=args.seed,
-        faults=faults, telemetry=telemetry,
-    )
+    try:
+        faults = None
+        if args.fault is not None:
+            link, start, end = args.fault
+            faults = [LinkFault(int(link), start, end)]
+        result, recorder = run_traced(
+            scale=SCALES[args.scale], num_tasks=args.tasks, seed=args.seed,
+            faults=faults, telemetry=telemetry,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     m = summarize(result)
     print(f"{result.scheduler_name} on {result.topology_name}: "
           f"task ratio {m.task_completion_ratio:.3f}, "

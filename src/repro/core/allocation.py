@@ -2,20 +2,26 @@
 
 Given a priority-ordered flow list, each flow greedily claims the earliest
 idle time it can find across its candidate paths; committed claims become
-occupancy that lower-priority flows must schedule around.  Flows are never
-refused here — a flow that cannot fit before its deadline is still
-allocated (past the deadline); detecting and acting on such misses is the
-reject rule's job (:mod:`repro.core.reject`).
+occupancy that lower-priority flows must schedule around.  A flow that
+cannot fit before its deadline is still allocated (past the deadline);
+detecting and acting on such misses is the reject rule's job
+(:mod:`repro.core.reject`).  Only a flow that no candidate can fit at all
+(its links blocked by an outage) gets no plan.
+
+:func:`path_calculation` is a plain planner: it counts its work into a
+:class:`~repro.obs.hotpath.HotPathCounters` and times nothing.  The
+controller counts each call and opens its ``path_calculation`` telemetry
+span (:meth:`~repro.core.controller.TapsScheduler._path_calculation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.core.occupancy import OccupancyLedger
 from repro.net.paths import PathService
 from repro.net.topology import Path
+from repro.obs.hotpath import HotPathCounters
 from repro.sim.state import FlowState
 from repro.util.errors import AllocationError
 from repro.util.intervals import (
@@ -100,9 +106,7 @@ def path_calculation(
     capacity: float,
     now: float,
     horizon: float,
-    on_unplannable: str = "raise",
-    profile=None,
-    spans=None,
+    profile: HotPathCounters | None = None,
 ) -> dict[int, FlowPlan]:
     """Alg. 2: allocate every flow, in the order given, onto its best path.
 
@@ -112,17 +116,14 @@ def path_calculation(
     must be on the plan grid (:func:`~repro.util.intervals.up`); releases
     and transmission times are rounded up onto it here.
 
-    ``on_unplannable`` controls what happens when *no* candidate path can
-    fit a flow within the horizon (only possible when the caller blocked
-    links, e.g. for outages): ``"raise"`` propagates
-    :class:`~repro.util.errors.AllocationError`; ``"skip"`` omits the flow
-    from the returned plans (it simply does not transmit for now).
+    A flow that no candidate path can fit within the horizon (only
+    possible when the caller blocked links, e.g. for outages) gets no
+    plan: it is left out of the result and does not transmit for now.  A
+    host pair with no candidate path at all raises
+    :class:`~repro.util.errors.AllocationError`.
 
-    ``profile`` (optional :class:`~repro.obs.hotpath.HotPathCounters`)
-    counts work done and wall time; ``spans`` (optional
-    :class:`~repro.obs.spans.SpanTimers`) additionally records each call's
-    duration as a ``path_calculation`` span nested under whatever span the
-    caller has open.
+    ``profile`` (a :class:`~repro.obs.hotpath.HotPathCounters`) receives
+    the candidate counts; without one they go to a private instance.
 
     Candidates are scored without materialising their unions or idle
     sets.  Those whose contention-free completion (``release + duration``,
@@ -137,48 +138,8 @@ def path_calculation(
 
     Returns plans keyed by flow id.
     """
-    if on_unplannable not in ("raise", "skip"):
-        raise ValueError(f"bad on_unplannable {on_unplannable!r}")
-    if spans is not None:
-        with spans.span("path_calculation"):
-            return _profiled_path_calculation(
-                flows, ledger, paths, capacity, now, horizon, on_unplannable,
-                profile,
-            )
-    return _profiled_path_calculation(
-        flows, ledger, paths, capacity, now, horizon, on_unplannable, profile,
-    )
-
-
-def _profiled_path_calculation(
-    flows, ledger, paths, capacity, now, horizon, on_unplannable, profile
-) -> dict[int, FlowPlan]:
     if profile is None:
-        return _path_calculation(
-            flows, ledger, paths, capacity, now, horizon, on_unplannable,
-            profile,
-        )
-    profile.path_calculation_calls += 1
-    t0 = perf_counter()
-    try:
-        return _path_calculation(
-            flows, ledger, paths, capacity, now, horizon, on_unplannable,
-            profile,
-        )
-    finally:
-        profile.path_calculation_seconds += perf_counter() - t0
-
-
-def _path_calculation(
-    flows: list[FlowState],
-    ledger: OccupancyLedger,
-    paths: PathService,
-    capacity: float,
-    now: float,
-    horizon: float,
-    on_unplannable: str,
-    profile,
-) -> dict[int, FlowPlan]:
+        profile = HotPathCounters()
     plans: dict[int, FlowPlan] = {}
     for fs in flows:
         f = fs.flow
@@ -203,15 +164,13 @@ def _path_calculation(
             #   2. the scan aborts the moment its earliest possible
             #      completion reaches best_end (stop_at).
             # Only the winner's union is merged, for slice building.
+            profile.candidates_evaluated += len(candidates)
             best_path, best_end = None, float("inf")
             best_parts: tuple[list[float], list[float]] | None = None
             union_memo: dict[Path, list[float]] = {}
             for p in candidates:
-                if profile is not None:
-                    profile.candidates_evaluated += 1
                 if best_path is not None and release + duration >= best_end:
-                    if profile is not None:
-                        profile.candidates_pruned += 1
+                    profile.candidates_pruned += 1
                     continue
                 shared, inter = ledger.union_parts(p, union_memo)
                 try:
@@ -224,16 +183,10 @@ def _path_calculation(
                 if end < best_end:
                     best_end, best_path = end, p
                     best_parts = (shared, inter)
-            if best_parts is not None:
-                best_occ = IntervalSet._from_boundaries(
-                    merge_boundaries(best_parts[0], best_parts[1])
-                )
-        if best_path is None:
-            if on_unplannable == "skip":
-                continue
-            raise AllocationError(
-                f"no candidate path can fit flow {f.flow_id} "
-                f"({f.src}->{f.dst}) within horizon {horizon:g}"
+            if best_parts is None:
+                continue  # no candidate fits: no plan
+            best_occ = IntervalSet._from_boundaries(
+                merge_boundaries(best_parts[0], best_parts[1])
             )
 
         try:
@@ -242,9 +195,7 @@ def _path_calculation(
                 occupied=best_occ,
             )
         except AllocationError:
-            if on_unplannable == "skip":
-                continue
-            raise
+            continue  # the one candidate cannot fit: no plan
         ledger.commit(best_path, slices)
         plans[f.flow_id] = FlowPlan(
             flow_state=fs, path=best_path, slices=slices, completion=completion

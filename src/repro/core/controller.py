@@ -69,9 +69,10 @@ _BLOCK_HORIZON = 1e15
 class TapsStats:
     """Controller decision counters (reported by experiments).
 
-    ``profile`` holds the hot-path work counters (union-cache hit rate,
-    intervals scanned, candidates pruned, time in path calculation) — see
-    :class:`~repro.obs.hotpath.HotPathCounters`.
+    ``profile`` holds the hot-path work counters (union-cache hits,
+    intervals scanned, candidates pruned, planner calls) — see
+    :class:`~repro.obs.hotpath.HotPathCounters`.  They count work, never
+    time, so two runs of one workload give equal counters.
     """
 
     tasks_accepted: int = 0
@@ -502,12 +503,21 @@ class TapsScheduler(Scheduler):
     def _path_calculation(
         self, ftmp: list[FlowState], ledger, start: float, horizon: float
     ) -> dict[int, FlowPlan]:
-        """Alg. 2/3 over ``Ftmp`` — the one call site of
-        :func:`~repro.core.allocation.path_calculation`."""
+        """Alg. 2/3 over ``Ftmp``: the one place a planner call is counted
+        (``path_calculation_calls``) and timed, as the ``path_calculation``
+        telemetry span."""
+        self.stats.profile.path_calculation_calls += 1
+        with self._span("path_calculation"):
+            return self._plan(ftmp, ledger, start, horizon)
+
+    def _plan(
+        self, ftmp: list[FlowState], ledger, start: float, horizon: float
+    ) -> dict[int, FlowPlan]:
+        """The planner itself: :func:`~repro.core.allocation.path_calculation`
+        (the oracle swaps in the literal one)."""
         return path_calculation(
             ftmp, ledger, self.paths, self._capacity, start, horizon,
-            on_unplannable="skip", profile=self.stats.profile,
-            spans=None if self.telemetry is None else self.telemetry.spans,
+            self.stats.profile,
         )
 
     def _commit(

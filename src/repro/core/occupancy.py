@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.net.topology import Path
+from repro.obs.hotpath import HotPathCounters
 from repro.util.intervals import IntervalSet, merge_boundaries
 
 
@@ -44,10 +45,9 @@ class OccupancyLedger:
     Parameters
     ----------
     profile:
-        Optional :class:`~repro.obs.hotpath.HotPathCounters`
-        (duck-typed — any object with the counter attributes works).
-        Counts union-cache hits/misses, intervals scanned and rolled-back
-        trials; ``None`` disables counting.
+        The :class:`~repro.obs.hotpath.HotPathCounters` that receives
+        union-cache hits/misses, intervals scanned and rolled-back trials;
+        without one they go to a private instance.
 
     Note: :meth:`occupied` returns the ledger's internal set for zero-copy
     reads — callers must not mutate it, or cached folds go stale.
@@ -55,13 +55,13 @@ class OccupancyLedger:
 
     __slots__ = ("_occ", "_unions", "_paths_by_link", "_profile", "_journal")
 
-    def __init__(self, profile=None) -> None:
+    def __init__(self, profile: HotPathCounters | None = None) -> None:
         self._occ: dict[int, IntervalSet] = {}
         #: interior segment → boundary list of its cached fold
         self._unions: dict[Path, list[float]] = {}
         #: link → cached segments that include it (eviction reverse index)
         self._paths_by_link: dict[int, set[Path]] = {}
-        self._profile = profile
+        self._profile = profile if profile is not None else HotPathCounters()
         #: link → pre-trial boundary list (None = link did not exist)
         self._journal: dict[int, list[float] | None] | None = None
 
@@ -86,9 +86,8 @@ class OccupancyLedger:
                 scanned += len(s._b)
                 out = merge_boundaries(out, s._b) if out else list(s._b)
         profile = self._profile
-        if profile is not None:
-            profile.union_cache_misses += 1
-            profile.intervals_scanned += scanned >> 1
+        profile.union_cache_misses += 1
+        profile.intervals_scanned += scanned >> 1
         return IntervalSet._from_boundaries(out)
 
     def union_parts(
@@ -148,14 +147,11 @@ class OccupancyLedger:
         times between evictions.  The returned list may be the cached entry
         itself — callers use it as merge input only and must not mutate it.
         """
-        profile = self._profile
         cached = self._unions.get(seg)
         if cached is not None:
-            if profile is not None:
-                profile.union_cache_hits += 1
+            self._profile.union_cache_hits += 1
             return cached
-        if profile is not None:
-            profile.union_cache_misses += 1
+        self._profile.union_cache_misses += 1
         occ = self._occ
         acc: list[float] = []
         for l in seg:
@@ -237,8 +233,7 @@ class OccupancyLedger:
                 occ[l] = IntervalSet._from_boundaries(prev)
         if journal:
             self._evict(journal.keys())
-        if self._profile is not None:
-            self._profile.trials_rolled_back += 1
+        self._profile.trials_rolled_back += 1
 
     # -- diagnostics ---------------------------------------------------------
 

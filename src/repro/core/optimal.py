@@ -46,9 +46,9 @@ class OfflineBound:
 def edf_packing_feasible(
     tasks: list[Task], paths: PathService, capacity: float
 ) -> bool:
-    """Whether every flow of every task meets its deadline when packed by
-    the EDF/SJF greedy allocator with offline knowledge (flows released at
-    their true arrival times, full sizes)."""
+    """Whether every flow of every task gets a plan that meets its deadline
+    when packed by the EDF/SJF greedy allocator with offline knowledge
+    (flows released at their true arrival times, full sizes)."""
     flows = [FlowState(flow=f) for t in tasks for f in t.flows]
     if not flows:
         return True
@@ -57,7 +57,9 @@ def edf_packing_feasible(
     plans = path_calculation(
         flows, OccupancyLedger(), paths, capacity, now=0.0, horizon=horizon
     )
-    return all(p.meets_deadline for p in plans.values())
+    return len(plans) == len(flows) and all(
+        p.meets_deadline for p in plans.values()
+    )
 
 
 def offline_best_subset(

@@ -2,30 +2,29 @@
 
 :class:`ReferenceTaps` is the production controller
 (:class:`~repro.core.controller.TapsScheduler`) with three pieces swapped
-for their textbook forms:
+for their textbook forms, each through its own hook:
 
-* the occupancy ledger is a plain ``dict[link, IntervalSet]`` whose
-  trials deep-copy it (:class:`ReferenceLedger`) — no segment cache, no
-  undo journal;
-* Alg. 2/3 scores every candidate path as ``union_all → complement →
-  idle_fit_end`` and slices the winner with ``first_fit``
+* the occupancy ledger (``_new_ledger``) is a plain
+  ``dict[link, IntervalSet]`` whose trials deep-copy it
+  (:class:`ReferenceLedger`) — no segment cache, no undo journal;
+* Alg. 2/3 (``_plan``) scores every candidate path as ``union_all →
+  complement → idle_fit_end`` and slices the winner with ``first_fit``
   (:func:`reference_path_calculation`) — no partial folds, pruning or
   fused scans;
-* the sender model scans the whole plan table on every call — no
-  slice-boundary heaps.
+* the sender model (``assign_rates``/``next_change``) scans the whole
+  plan table on every call — no slice-boundary heaps.
 
 Alg. 1's own plumbing (the ``Ftmp`` sort, reject rule, retries, commit and
-trace) is shared with the controller; the offline auditor
-(:mod:`repro.trace.audit`) re-derives that part independently.  Decisions
-must match the controller's byte for byte — traces, outcomes and decision
-counters — which the differential tests and
+trace) is shared with the controller, and so are the count of planner
+calls and the ``path_calculation`` telemetry span around each one; the
+offline auditor (:mod:`repro.trace.audit`) re-derives the plumbing
+independently.  Decisions must match the controller's byte for byte —
+traces, outcomes and decision counters — which the differential tests and
 ``benchmarks/test_perf_controller.py`` assert.  Only tests and benchmarks
 use this module.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 from repro.core.allocation import FlowPlan, transmission_time
 from repro.core.controller import TapsScheduler
@@ -75,14 +74,11 @@ def reference_path_calculation(
     capacity: float,
     now: float,
     horizon: float,
-    profile=None,
 ) -> dict[int, FlowPlan]:
     """Alg. 2 and 3 as written: for each flow in order, the candidate with
     the earliest completion wins (ties keep the first), its first
-    ``E_i`` idle slices are committed.  A flow no candidate can fit is
-    skipped.  ``profile`` counts calls and seconds like
-    :func:`~repro.core.allocation.path_calculation`."""
-    t0 = perf_counter()
+    ``E_i`` idle slices are committed.  A flow no candidate can fit gets
+    no plan."""
     plans: dict[int, FlowPlan] = {}
     for fs in flows:
         f = fs.flow
@@ -103,9 +99,6 @@ def reference_path_calculation(
         slices = idle.first_fit(duration, release)
         ledger.commit(path, slices)
         plans[f.flow_id] = FlowPlan(fs, path, slices, slices.end())
-    if profile is not None:
-        profile.path_calculation_calls += 1
-        profile.path_calculation_seconds += perf_counter() - t0
     return plans
 
 
@@ -122,10 +115,9 @@ class ReferenceTaps(TapsScheduler):
     def _new_ledger(self) -> ReferenceLedger:
         return ReferenceLedger()
 
-    def _path_calculation(self, ftmp, ledger, start, horizon):
+    def _plan(self, ftmp, ledger, start, horizon):
         return reference_path_calculation(
-            ftmp, ledger, self.paths, self._capacity, start, horizon,
-            profile=self.stats.profile,
+            ftmp, ledger, self.paths, self._capacity, start, horizon
         )
 
     def assign_rates(self, now: float) -> None:

@@ -26,8 +26,10 @@ gate merges on decision quality while only surfacing timing drift.
 
 :func:`append_history` / :func:`latest_history` maintain the
 append-only ``benchmarks/results/history/`` perf record store
-(``0001-<name>.json``, ``0002-<name>.json``, …) the CI diff-smoke job
-diffs each fresh perf record against.
+(``0001-<name>.json``, ``0002-<name>.json``, …) of full-scale records.
+Perf records compare only at one ``scale`` and ``workload``; a pair that
+differs in either is refused with :class:`DiffError`, since every count
+in it would read as a change.
 """
 
 from __future__ import annotations
@@ -163,6 +165,9 @@ _NEUTRAL_COUNTS = (
 
 #: perf-record subtrees / leaves that are not comparable metrics
 _PERF_SKIP = {"workload", "trace_events"}
+
+#: perf-record blocks two records must share to be compared at all
+_PERF_IDENTITY = ("scale", "workload")
 
 
 @dataclass(slots=True)
@@ -390,6 +395,12 @@ def _flatten(record: Any, prefix: str = "") -> dict[str, float]:
 def _perf_deltas(
     name: str, a: dict, b: dict, threshold: float, strict: bool,
 ) -> tuple[list[MetricDelta], int]:
+    for block in _PERF_IDENTITY:
+        if a.get(block) != b.get(block):
+            raise DiffError(
+                f"perf records {name!r} measure different {block}s: "
+                f"{a.get(block)!r} vs {b.get(block)!r}"
+            )
     fa, fb = _flatten(a), _flatten(b)
     out: list[MetricDelta] = []
     compared = 0
@@ -423,7 +434,8 @@ def diff_bundles(
     """Compare two bundles over everything they have in common.
 
     Raises :class:`DiffError` when the pair shares no comparable
-    artifact kind.
+    artifact kind, or when two perf records measure a different
+    ``scale`` or ``workload``.
     """
     report = DiffReport(
         a_label=a.label, b_label=b.label,

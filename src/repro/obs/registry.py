@@ -7,9 +7,7 @@ span timings, link-utilization gauges, cache hit counters.  Design rules
 
 * **Negligible when absent.**  Every instrumented component takes
   ``telemetry=None`` and guards with one ``is None`` test — no registry,
-  no work.  A *disabled* registry (``MetricsRegistry(enabled=False)``)
-  additionally hands out shared no-op instruments, so code holding a
-  registry reference unconditionally still costs one attribute call.
+  no work.  That is the one off-switch: a registry, once passed, records.
 * **Mergeable.**  Every instrument's state is a pure monoid:
   ``snapshot()`` emits JSON-able dicts and :meth:`MetricsRegistry.
   merge_snapshot` folds them into another registry.  Counters and
@@ -228,31 +226,6 @@ class Histogram:
             self.max = max(self.max, snap["max"])
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-    value = 0
-    max = 0.0
-    sum = 0.0
-    count = 0
-    mean = 0.0
-
-    def inc(self, n=1):
-        pass
-
-    def set(self, v):
-        pass
-
-    def observe(self, v):
-        pass
-
-    def quantile(self, q):
-        return 0.0
-
-
-_NULL = _NullInstrument()
-
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
@@ -262,15 +235,9 @@ class MetricsRegistry:
     One registry observes one scope — a run, a sweep, a service.  The
     same ``(name, labels)`` always returns the same instrument;
     requesting an existing name as a different kind raises.
-
-    ``enabled=False`` builds a registry whose factory methods return a
-    shared no-op instrument and whose :meth:`snapshot` is empty — the
-    cheap way to hand "telemetry" to code unconditionally while paying
-    only an attribute access on the hot path.
     """
 
-    def __init__(self, enabled: bool = True, meta: dict | None = None):
-        self.enabled = enabled
+    def __init__(self, meta: dict | None = None):
         self.meta: dict = dict(meta) if meta else {}
         self._instruments: dict[tuple[str, tuple], Counter | Gauge | Histogram] = {}
         self._spans = None
@@ -278,8 +245,6 @@ class MetricsRegistry:
     # -- instrument factories ------------------------------------------------
 
     def _get(self, cls, name: str, labels: dict[str, str] | None, **kwargs):
-        if not self.enabled:
-            return _NULL
         if not name:
             raise ValueError("instrument name must be non-empty")
         key = (name, _label_key(labels))
@@ -365,7 +330,4 @@ class MetricsRegistry:
             kwargs = {}
             if cls is Histogram:
                 kwargs = {k: item[k] for k in ("lo", "growth", "buckets")}
-            inst = self._get(cls, item["name"], item.get("labels"), **kwargs)
-            if inst is _NULL:  # disabled registry swallows merges too
-                continue
-            inst.merge(item)
+            self._get(cls, item["name"], item.get("labels"), **kwargs).merge(item)

@@ -48,9 +48,6 @@ class SpanTimers:
     @contextmanager
     def span(self, name: str):
         """Time a region under ``name`` (nested under any open span)."""
-        if not self._registry.enabled:
-            yield
-            return
         self._stack.append(name)
         t0 = perf_counter()
         try:

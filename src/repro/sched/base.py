@@ -13,8 +13,9 @@ A scheduler owns four decisions, invoked by the engine:
 4. **Deadline reaction** (:meth:`Scheduler.on_deadline_expired`): quit the
    flow, kill it, or let it keep transmitting (Baraat).
 
-Helper mixins here implement the common "exclusive full-rate links by
-priority" allocation used by PDQ, Baraat, and the motivation examples.
+:func:`exclusive_full_rate` implements the "exclusive full-rate links by
+priority" allocation Baraat uses; PDQ runs the same greedy inline, where
+it also enforces its switch flow-list limit.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from repro.trace.events import (
     TaskArrival,
 )
 from repro.trace.recorder import TraceRecorder
-from repro.util.errors import SimulationError
+from repro.util.errors import ConfigurationError, SimulationError
 from repro.workload.flow import Task
 
 BYTES_REL_EPS = 1e-5
@@ -177,6 +177,13 @@ class Engine:
             self.faults = faults
         else:
             self.faults = FaultSchedule(list(faults))
+        num_links = len(topology.links)
+        for fault in self.faults.faults:
+            if not 0 <= fault.link_index < num_links:
+                raise ConfigurationError(
+                    f"fault on link {fault.link_index}: {topology.name} has "
+                    f"{num_links} links (0..{num_links - 1})"
+                )
 
         self._arrivals: list[TaskState] = []
         self.flow_states: list[FlowState] = []
@@ -192,7 +199,7 @@ class Engine:
         self.trace = trace
         self.telemetry = telemetry
         self._tel_linkload = None
-        if telemetry is not None and getattr(telemetry, "enabled", True):
+        if telemetry is not None:
             # lazy import: repro.metrics.summary imports this module back
             from repro.metrics.linkload import LinkLoadCollector
 

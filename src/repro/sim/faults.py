@@ -18,6 +18,7 @@ This module adds scheduled link outages to the fluid simulator:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ class LinkFault:
     end: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.start) or math.isnan(self.end):
+            raise ConfigurationError(
+                f"fault on link {self.link_index}: start must be finite and "
+                f"end not NaN, got [{self.start}, {self.end})"
+            )
         if self.end <= self.start:
             raise ConfigurationError(
                 f"fault on link {self.link_index}: end {self.end} "

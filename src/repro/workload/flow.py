@@ -9,6 +9,7 @@ schedulers unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +43,14 @@ class Flow:
     deadline: float
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.size) and isfinite(self.release)
+                and isfinite(self.deadline)):
+            for name in ("size", "release", "deadline"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(
+                        f"flow {self.flow_id}: {name} must be finite, got {value}"
+                    )
         if self.size <= 0:
             raise ValueError(f"flow {self.flow_id}: size must be positive, got {self.size}")
         if self.deadline <= self.release:

@@ -287,3 +287,22 @@ class TestStats:
         assert sched.stats.tasks_rejected == 1
         assert sched.stats.reallocations >= 2
         assert sched.stats.flows_planned >= 2
+
+    def test_profile_counts_work_not_time(self):
+        """Two runs of one workload give equal hot-path counters."""
+        from repro.exp.configs import SMALL
+        from repro.net.paths import PathService
+        from repro.workload.generator import generate_workload
+
+        topo = SMALL.fat_tree()
+        cfg = SMALL.workload_config(seed=11, num_tasks=20)
+        tasks = generate_workload(cfg, list(topo.hosts))
+        profiles = []
+        for _ in range(2):
+            sched = TapsScheduler()
+            Engine(topo, tasks, sched,
+                   path_service=PathService(topo, max_paths=SMALL.max_paths)
+                   ).run()
+            profiles.append(sched.stats.profile.as_dict())
+        assert profiles[0] == profiles[1]
+        assert profiles[0]["path_calculation_calls"] > 0

@@ -88,6 +88,13 @@ def test_run_with_fault_audits_clean(tmp_path, capsys):
     assert "link state changes" in capsys.readouterr().out
 
 
+def test_run_with_fault_on_missing_link_fails_in_one_line(capsys):
+    assert main(["run", "--tasks", "8", "--fault", "99999", "0", "0.02"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "fault on link 99999" in err and "96 links" in err
+
+
 def test_run_out_dir_then_stats_roundtrip(tmp_path, capsys):
     """``run --out-dir`` writes the artifact bundle; ``stats`` renders a
     report from those artifacts alone (no re-simulation)."""

@@ -177,6 +177,18 @@ def test_single_records_compare_across_names(tmp_path):
     assert report.findings() == []
 
 
+def test_perf_records_of_different_workloads_are_refused(tmp_path):
+    smoke = _perf_record()
+    full = {**_perf_record(), "scale": "full"}
+    bigger = {**_perf_record(), "workload": {"num_tasks": 180}}
+    (tmp_path / "a.json").write_text(json.dumps(smoke))
+    for name, other, block in (("full", full, "scale"),
+                               ("bigger", bigger, "workload")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(other))
+        with pytest.raises(DiffError, match=f"different {block}s"):
+            diff_paths(tmp_path / "a.json", tmp_path / f"{name}.json")
+
+
 # -- history store -------------------------------------------------------------
 
 

@@ -63,6 +63,31 @@ def test_trace_bytes_unchanged_by_telemetry_and_fast_path():
     assert slow.dumps() == plain.dumps()
 
 
+def test_oracle_records_the_controllers_path_calculation_span():
+    """Planner calls are counted and spanned in the plumbing the oracle
+    shares: both record ``path_calculation`` under the admission trial,
+    one span per counted call."""
+    from repro.core.controller import TapsScheduler
+    from repro.net.paths import PathService
+    from repro.sim.engine import Engine
+    from repro.workload.generator import generate_workload
+
+    topo = SMALL.fat_tree()
+    cfg = SMALL.workload_config(seed=11, num_tasks=20)
+    tasks = generate_workload(cfg, list(topo.hosts))
+    calls = []
+    for cls in (TapsScheduler, ReferenceTaps):
+        tel, sched = MetricsRegistry(), cls()
+        Engine(topo, tasks, sched,
+               path_service=PathService(topo, max_paths=SMALL.max_paths),
+               telemetry=tel).run()
+        span = tel.get("span/run/arrival/admission/trial/path_calculation")
+        assert span is not None, cls.__name__
+        assert span.count == sched.stats.profile.path_calculation_calls
+        calls.append(span.count)
+    assert calls[0] == calls[1] > 0
+
+
 def test_results_unchanged_by_telemetry():
     from dataclasses import astuple
 

@@ -62,31 +62,6 @@ def test_empty_name_rejected():
         MetricsRegistry().counter("")
 
 
-def test_disabled_registry_is_a_noop():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("a")
-    c.inc(10)
-    h = reg.histogram("b")
-    h.observe(1.0)
-    reg.gauge("c").set(5)
-    assert len(reg) == 0
-    assert reg.snapshot() == []
-    assert c.value == 0 and h.quantile(0.5) == 0.0
-    # merges are swallowed too
-    live = MetricsRegistry()
-    live.counter("a").inc(3)
-    reg.merge_snapshot(live.snapshot())
-    assert reg.snapshot() == []
-
-
-def test_disabled_registry_spans_are_noops():
-    reg = MetricsRegistry(enabled=False)
-    with reg.spans.span("outer"):
-        with reg.spans.span("inner"):
-            pass
-    assert len(reg) == 0
-
-
 def test_span_nesting_builds_hierarchical_names():
     reg = MetricsRegistry()
     with reg.spans.span("run"):

@@ -19,6 +19,13 @@ class TestFaultSchedule:
         with pytest.raises(ConfigurationError):
             LinkFault(0, start=-1.0, end=1.0)
 
+    def test_non_finite_times_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for start, end in ((nan, 1.0), (0.0, nan), (inf, inf)):
+            with pytest.raises(ConfigurationError):
+                LinkFault(0, start, end)
+        assert LinkFault(0, 0.0, inf).end == inf  # a permanent outage
+
     def test_down_links_by_time(self):
         fs = FaultSchedule([LinkFault(3, 1.0, 2.0), LinkFault(5, 1.5, 4.0)])
         assert fs.down_links(0.5) == set()
@@ -135,6 +142,15 @@ class TestEngineEnforcement:
             faults=[LinkFault(access, 0.0, 10.0)],
         ).run()
         assert result.flow_states[0].completed_at == pytest.approx(2.0)
+
+    def test_fault_on_missing_link_rejected(self):
+        topo = dumbbell(1)
+        tasks = [make_task(0, 0.0, 20.0, [("L0", "R0", 2.0)], 0)]
+        n = len(topo.links)
+        for link in (n, -1):
+            with pytest.raises(ConfigurationError, match=f"has {n} links"):
+                Engine(topo, tasks, FairSharing(),
+                       faults=[LinkFault(link, 0.0, 1.0)])
 
     def test_no_faults_is_noop(self):
         topo = dumbbell(1)

@@ -44,6 +44,18 @@ class TestFlow:
         with pytest.raises(AttributeError):
             _flow().size = 5
 
+    def test_nan_size_rejected(self):
+        with pytest.raises(ValueError, match="size must be finite"):
+            _flow(size=float("nan"))
+
+    def test_infinite_release_rejected(self):
+        with pytest.raises(ValueError, match="release must be finite"):
+            _flow(release=float("-inf"))
+
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            _flow(deadline=float("nan"))
+
 
 class TestTask:
     def test_make_task(self):

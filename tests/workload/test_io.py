@@ -64,6 +64,13 @@ def test_bad_format_rejected():
         tasks_from_dict({"format": "something-else", "tasks": []})
 
 
+def test_non_finite_trace_value_names_the_field():
+    data = tasks_to_dict(fig1_trace()[1])
+    data["tasks"][0]["deadline"] = float("nan")
+    with pytest.raises(ValueError, match="deadline must be finite"):
+        tasks_from_dict(data)
+
+
 def test_replay_equivalence(tmp_path):
     """A reloaded trace produces byte-identical simulation results."""
     from repro.core.controller import TapsScheduler
