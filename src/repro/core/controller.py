@@ -622,10 +622,12 @@ class TapsScheduler(Scheduler):
     # ``next_change``.  The thresholds differ by one EPS — a boundary in
     # (now + EPS, now + 2·EPS] is passed for rates but still upcoming as a
     # change point — hence two heaps.  Each event then costs O(log n) per
-    # plan whose rate changes.  Replacing the plan table drops both heaps
-    # (the ``plans`` setter) and the next call re-seeds them from the whole
-    # table; plans popped on completion, preemption or fault drop, and
-    # flows killed without a pop, are skipped when their entry surfaces.
+    # plan whose rate changes, and ``assign_rates`` reports those plans'
+    # flows to the engine (``rate_changes``).  Replacing the plan table
+    # drops both heaps (the ``plans`` setter) and the next call re-seeds
+    # them from the whole table, reporting ``None``; plans popped on
+    # completion, preemption or fault drop, and flows killed without a
+    # pop, are skipped when their entry surfaces.
 
     def _seed(self) -> list[tuple[float, int]]:
         """A heap with every plan due at once."""
@@ -637,10 +639,14 @@ class TapsScheduler(Scheduler):
         """Rates follow the slices: full rate inside one, zero outside.
 
         Only plans with a slice boundary since the last call are
-        re-evaluated.  A rate the engine zeroed on a down link is not
-        restored before the flow's next boundary.  That is exact: the
-        down-link set changes only through :meth:`on_link_state_change`,
-        which replaces the plan table and so re-evaluates every plan.
+        re-evaluated, and their flows are the rate report
+        (``rate_changes``); it is ``None`` when the plan table was
+        replaced since the last call, because then every plan is
+        re-evaluated and paths may have moved.  A rate the engine zeroed
+        on a down link is not restored before the flow's next boundary.
+        That is exact: the down-link set changes only through
+        :meth:`on_link_state_change`, which replaces the plan table and so
+        re-evaluates every plan.
         """
         if self._flush_at is not None and now >= self._flush_at - EPS:
             self._flush_pending(now)
@@ -650,7 +656,9 @@ class TapsScheduler(Scheduler):
         capacity = self._capacity
         plans = self._plans
         pending = FlowStatus.PENDING
+        changed: list[FlowState] = []
         heap = self._rate_heap
+        self.rate_changes = changed if heap is not None else None
         if heap is None:
             heap = self._rate_heap = self._seed()
         while heap and heap[0][0] <= probe:
@@ -660,7 +668,9 @@ class TapsScheduler(Scheduler):
                 heappop(heap)
                 continue
             inside, nxt = plan.slices.locate(probe)
-            plan.flow_state.rate = capacity if inside else 0.0
+            fs = plan.flow_state
+            fs.rate = capacity if inside else 0.0
+            changed.append(fs)
             if nxt is None:
                 heappop(heap)
             else:

@@ -16,6 +16,7 @@ Usage::
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.net.topology import Topology
@@ -56,7 +57,9 @@ class LinkLoadCollector:
 
     # -- engine hook ----------------------------------------------------------
 
-    def on_advance(self, t0: float, t1: float, active: list[FlowState]) -> None:
+    def on_advance(
+        self, t0: float, t1: float, active: Iterable[FlowState]
+    ) -> None:
         dt = t1 - t0
         if dt <= 0:
             return

@@ -17,6 +17,7 @@ fluctuates around the fraction of engaged capacity carrying doomed flows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,9 @@ class ThroughputTimeSeries:
 
     # -- engine hook interface ------------------------------------------------
 
-    def on_advance(self, t0: float, t1: float, active: list[FlowState]) -> None:
+    def on_advance(
+        self, t0: float, t1: float, active: Iterable[FlowState]
+    ) -> None:
         if t1 <= t0:
             return
         for fs in active:

@@ -3,12 +3,15 @@
 The controller's single hottest loop is :func:`~repro.core.allocation.
 path_calculation`: on every task arrival it re-plans all in-flight flows,
 and for each flow it evaluates every candidate path against the per-link
-occupancy sets.  :class:`HotPathCounters` counts the work that loop does —
-how often the :class:`~repro.core.occupancy.OccupancyLedger` segment
-cache hits, how many occupancy intervals the union merges scan, how many
-candidate paths the lower-bound prune skips — so benchmarks report *work
-done*, not just elapsed seconds, and optimisation work has a trajectory
-to beat.  The counters hold no time: two runs of one workload give equal
+occupancy sets.  :class:`HotPathCounters` counts some of the work that
+loop does — how often the :class:`~repro.core.occupancy.OccupancyLedger`
+segment cache hits, how many candidate paths the lower-bound prune skips,
+how many occupancy intervals ``OccupancyLedger.union_for`` reads — so
+benchmarks report *work done*, not just elapsed seconds, and optimisation
+work has a trajectory to beat.  The interval count is narrow: only flows
+with a single candidate path reach ``union_for``, so the candidate folds
+and the merges inside commits, most of Alg. 2's merge work, are not in
+it.  The counters hold no time: two runs of one workload give equal
 counts.  Where time goes is the job of telemetry spans and of the
 benchmarks' own stopwatches.
 
@@ -42,7 +45,12 @@ class HotPathCounters:
         ``OccupancyLedger.union_for`` call also counts as a miss:
         full-path unions are never cached.
     intervals_scanned:
-        Occupancy intervals fed into ``union_for``'s full-path folds.
+        Occupancy intervals fed into ``OccupancyLedger.union_for``'s
+        full-path folds, which Alg. 3 runs only for a flow with a single
+        candidate path.  Multi-candidate flows are scored from
+        ``union_parts``' partial folds and sliced from the winner's merged
+        pair, and commits merge into the per-link sets: none of those
+        merges is counted.
     candidates_evaluated:
         Candidate paths considered by Alg. 2's multi-path comparison
         (single-candidate flows skip the comparison and are not counted).

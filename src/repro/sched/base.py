@@ -6,7 +6,9 @@ A scheduler owns four decisions, invoked by the engine:
    preempt; route flows (set ``FlowState.path``).
 2. **Rates** (:meth:`Scheduler.assign_rates`): write ``FlowState.rate`` for
    every flow it manages — there and nowhere else; called only when the
-   allocation is dirty.
+   allocation is dirty.  A scheduler that knows whose rate it changed can
+   say so in :attr:`Scheduler.rate_changes`, and the engine then updates
+   its sending set from those flows alone.
 3. **Change points** (:meth:`Scheduler.next_change`): the next time rates
    would change with no external event (e.g. a TAPS slice boundary, a
    Varys reservation expiry that frees capacity).
@@ -32,6 +34,10 @@ class Scheduler(ABC):
 
     #: short name used in reports and figure legends
     name: str = "scheduler"
+
+    #: the rate report of the last :meth:`assign_rates` call (see there);
+    #: ``None`` makes the engine rescan every active flow
+    rate_changes: list[FlowState] | None = None
 
     def __init__(self) -> None:
         self.topology: Topology | None = None
@@ -60,6 +66,16 @@ class Scheduler(ABC):
         flows with ``rate > 0`` after this call progress or complete until
         the next call, so those are the only flows it advances, times and
         checks for completion.
+
+        Rate report: right after this call the engine reads
+        :attr:`rate_changes`.  ``None`` (the default) makes it rescan
+        every active flow for the sending set, the down-link zeroing and
+        the slice events.  Anything else must hold every flow state whose
+        rate or path this scheduler wrote since its previous call; kills
+        and completions need not be listed, the engine tracks those
+        itself.  The engine then updates its picture from those flows
+        alone, so code that writes a rate or a path outside the report
+        must set ``rate_changes`` to ``None``.
         """
 
     def next_change(self, now: float) -> float | None:

@@ -16,11 +16,17 @@ Performance: an event costs time in proportion to the flows that send or
 change state, not to every flow in flight.  Rates are recomputed only when
 the allocation is *dirty* (arrival / completion / kill / scheduler change
 point).  Only sending flows (``rate > 0``) can progress or complete, so
-next-event timing, integration, completion and slice tracking visit just
-those; the earliest deadline comes from a lazy min-heap.  What is left per
-event is a list comprehension or two over the active flows: one that
-finds (and drops) flows which left the active set, one that picks out
-the sending flows after a rate recompute.
+next-event timing, integration and the completion check visit just those;
+the earliest deadline comes from a lazy min-heap.  After a rate recompute
+the sending set, the down-link zeroing and the slice events are updated
+from the scheduler's rate report (``Scheduler.rate_changes``: the flows
+whose rate it changed), not from a rescan of the active flows.  The
+rescan remains where the report cannot be trusted: when it is ``None``
+(every baseline; TAPS whenever its plan table was replaced) and at every
+fault transition.  Completed flows leave the insertion-ordered active set
+one by one; killed flows are looked for only when
+``repro.sim.state.last_kill`` shows a kill happened; and a task settles
+when its count of active flows reaches zero.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from heapq import heappop, heappush
 
 from repro.net.paths import PathService
 from repro.net.topology import Topology
+from repro.sim import state as sim_state
 from repro.sim.state import EPS, FlowState, FlowStatus, TaskState, TaskOutcome
 from repro.trace.events import (
     DeadlineExpired,
@@ -57,6 +64,10 @@ BYTES_ABS_EPS = 1e-9
 
 def _done(remaining: float, size: float) -> bool:
     return remaining <= max(BYTES_ABS_EPS, BYTES_REL_EPS * size)
+
+
+def _flow_id(fs: FlowState) -> int:
+    return fs.flow.flow_id
 
 
 @dataclass(slots=True)
@@ -113,9 +124,10 @@ class Engine:
         Objects with optional ``on_advance(t0, t1, flows)``,
         ``on_flow_settled(fs, now)``, ``on_task_settled(ts, now)``
         callbacks (see :mod:`repro.metrics.timeseries`).  ``flows`` is
-        the engine's list of every active flow, sending or not: read it
-        during the call, do not keep it.  Hooks observe; they must not
-        kill flows or write rates.
+        the engine's insertion-ordered set of every active flow, sending
+        or not (a dict keyed by flow state, in arrival order): iterate it
+        during the call, do not keep or change it.  Hooks observe; they
+        must not kill flows or write rates.
     max_events:
         Safety valve against runaway loops; ``SimulationError`` when hit.
     horizon:
@@ -210,9 +222,9 @@ class Engine:
             else:
                 self._tel_linkload = LinkLoadCollector(topology)
                 self.hooks = (*self.hooks, self._tel_linkload)
-        # flow_id -> (path, task_id) of flows physically transmitting now;
-        # diffed against the post-recompute picture to emit slice events
-        self._transmitting: dict[int, tuple[tuple[int, ...], int]] = {}
+        # flow -> path of the flows physically transmitting now; diffed
+        # against the flows that may have changed to emit slice events
+        self._transmitting: dict[FlowState, tuple[int, ...]] = {}
 
     # -- main loop -----------------------------------------------------------
 
@@ -253,27 +265,60 @@ class Engine:
         now = 0.0
         next_arrival_idx = 0
         pending = FlowStatus.PENDING
-        active: list[FlowState] = []
-        active_set: set[FlowState] = set()  # `active`, for membership tests
-        # the active flows with rate > 0, in `active` order.  Rates change
-        # only in step 3 or through kill()/finish() (which zero them), so
-        # only these flows progress, complete or hold a slice.
-        sending: list[FlowState] = []
+        # the flows in flight, in arrival order (a dict as an ordered set)
+        active: dict[FlowState, None] = {}
+        # the active flows with rate > 0.  Rates change only in step 3 or
+        # through kill()/finish() (which zero them), so only these flows
+        # progress, complete or hold a slice.  Not in arrival order: step
+        # 6 orders same-instant completions by `active`.
+        sending: dict[FlowState, None] = {}
+        # flows that may have started or stopped transmitting since the
+        # last slice-event diff
+        moved: list[FlowState] = []
         # lazy min-heap of (deadline, push seq, flow) over `active`: an
         # entry dies when its flow leaves `active` (not when it is killed)
         # or when its deadline is no longer after now + EPS
         deadlines: list[tuple[float, int, FlowState]] = []
         pushed = 0
         unsettled_tasks: set[int] = set()
-        # tasks with a flow that arrived or left `active` this event: the
-        # only ones that can settle at it
-        touched: set[int] = set()
+        # task id -> how many of its flows are in `active`; a task leaves
+        # it for `settling` when the count reaches zero, and settles at
+        # the end of that event
+        in_flight: dict[int, int] = {}
+        settling: list[int] = []
+        # sim_state.last_kill when `active` was last cleared of kills
+        kills = sim_state.last_kill
         dirty = True
         down_links: set[int] = set()
         # Lower bound on the earliest deadline of any active, not-yet-
         # notified flow.  Kills may leave it stale-low (costing one wasted
         # scan, never a missed expiry); each scan re-tightens it.
         next_deadline = math.inf
+
+        def leave(fs: FlowState) -> None:
+            # a completed or killed flow leaves `active` (and `sending`)
+            del active[fs]
+            if fs in sending:
+                del sending[fs]
+                moved.append(fs)
+            tid = fs.flow.task_id
+            left = in_flight[tid] - 1
+            if left:
+                in_flight[tid] = left
+            else:
+                del in_flight[tid]
+                settling.append(tid)
+
+        def drop_killed() -> bool:
+            # flows killed since the last look leave `active`; whether any
+            nonlocal kills
+            if sim_state.last_kill == kills:
+                return False
+            kills = sim_state.last_kill
+            killed = [fs for fs in active if fs.status is not pending]
+            for fs in killed:
+                leave(fs)
+            return bool(killed)
 
         while True:
             self.counters.events += 1
@@ -287,15 +332,13 @@ class Engine:
                 for fs in active:
                     fs.kill(FlowStatus.TERMINATED)
                 active.clear()
-                self._settle_tasks(unsettled_tasks, now)
+                self._settle_tasks(unsettled_tasks, list(unsettled_tasks), now)
                 break
 
             # 1. deliver arrivals due now
             # (a flow that is complete on arrival — size below the
             # completion tolerance — never sends; step 6 must still see it)
-            callbacks = False  # a scheduler callback (which may kill) ran
             born_done = False
-            touched.clear()
             while (
                 next_arrival_idx < len(self._arrivals)
                 and self._arrivals[next_arrival_idx].task.arrival <= now + EPS
@@ -316,18 +359,22 @@ class Engine:
                 else:
                     with tel.spans.span("arrival"):
                         sched.on_task_arrival(ts, now)
-                unsettled_tasks.add(ts.task.task_id)
-                touched.add(ts.task.task_id)
+                tid = ts.task.task_id
+                unsettled_tasks.add(tid)
+                arrived = 0
                 for fs in ts.flow_states:
                     if fs.status is pending:
-                        active.append(fs)
-                        active_set.add(fs)
+                        active[fs] = None
+                        arrived += 1
                         pushed += 1
                         heappush(deadlines, (fs.flow.deadline, pushed, fs))
                         if fs.flow.deadline < next_deadline:
                             next_deadline = fs.flow.deadline
                         born_done |= _done(fs.remaining, fs.flow.size)
-                callbacks = True
+                if arrived:
+                    in_flight[tid] = arrived
+                else:
+                    settling.append(tid)
                 dirty = True
 
             # 2. deadline expiries due now (notify each flow once)
@@ -350,7 +397,6 @@ class Engine:
                                     task_id=fs.flow.task_id,
                                 ))
                             sched.on_deadline_expired(fs, now)
-                            callbacks = True
                             if fs.status is not pending:
                                 dirty = True
                         # else: already (numerically) complete — it settles
@@ -363,14 +409,11 @@ class Engine:
 
             # flows killed in steps 1-2 leave `active` (only scheduler
             # callbacks kill, and step 6 dropped every earlier kill)
-            if callbacks:
-                kept = self._drop_inactive(active, active_set, touched)
-                if kept is not active:
-                    active = kept
-                    sending = [fs for fs in sending if fs.status is pending]
+            drop_killed()
 
             # 2b. fault transitions: notify the scheduler, then physically
             # stop transmission across down links below
+            rescan = False  # the rate report cannot cover a fault
             if self.faults:
                 current_down = self.faults.down_links(now)
                 if current_down != down_links:
@@ -383,6 +426,7 @@ class Engine:
                     if on_change is not None:
                         on_change(frozenset(down_links), now)
                     dirty = True
+                    rescan = True
 
             # 3. (re)compute rates
             if dirty:
@@ -392,18 +436,32 @@ class Engine:
                 else:
                     with tel.spans.span("rates"):
                         sched.assign_rates(now)
-                sending = [fs for fs in active if fs.rate > 0]
-                # physics: a down link carries nothing, whatever was asked
-                if down_links:
-                    for fs in sending:
-                        if fs.path is not None and any(
-                            l in down_links for l in fs.path
-                        ):
-                            fs.rate = 0.0
-                    sending = [fs for fs in sending if fs.rate > 0]
-                dirty = False
+                report = getattr(sched, "rate_changes", None)
+                if report is None or rescan:
+                    # every active flow, killed ones included (rate 0); a
+                    # flow no plan covers keeps a stale rate, so after a
+                    # fault only this rescan can stop it on a down link
+                    report = active
+                elif sim_state.last_kill != kills:
+                    # killed inside assign_rates, maybe unreported
+                    for fs in [fs for fs in sending if fs.status is not pending]:
+                        del sending[fs]
+                        moved.append(fs)
+                for fs in report:
+                    # physics: a down link carries nothing, whatever was asked
+                    if fs.rate > 0 and down_links and fs.path is not None and any(
+                        l in down_links for l in fs.path
+                    ):
+                        fs.rate = 0.0
+                    if fs.rate > 0:
+                        sending[fs] = None
+                    else:
+                        sending.pop(fs, None)
                 if trace is not None:
-                    self._sync_slices(sending, now)
+                    moved.extend(report)
+                    self._sync_slices(moved, sending, now)
+                moved.clear()
+                dirty = False
             if tel is not None:
                 active_gauge.set(len(active))
 
@@ -420,7 +478,7 @@ class Engine:
             # the earliest deadline after now + EPS of any flow in `active`,
             # killed ones included (they leave `active` in step 6)
             while deadlines and (
-                deadlines[0][0] <= now + EPS or deadlines[0][2] not in active_set
+                deadlines[0][0] <= now + EPS or deadlines[0][2] not in active
             ):
                 heappop(deadlines)
             if deadlines:
@@ -438,7 +496,7 @@ class Engine:
                     fs.kill(FlowStatus.TERMINATED)
                     self.counters.stalled_kills += 1
                 active.clear()
-                self._settle_tasks(unsettled_tasks, now)
+                self._settle_tasks(unsettled_tasks, list(unsettled_tasks), now)
                 break
 
             # guard against zero-length steps looping forever
@@ -460,44 +518,50 @@ class Engine:
                 # treat the allocation as dirty to force progress next turn.
                 dirty = True
 
-            # 6. settle completions
-            still_sending: list[FlowState] = []
-            for fs in active if born_done else sending:
+            # 6. settle completions, in arrival order within the instant
+            done = [
+                fs for fs in (active if born_done else sending)
+                if fs.status is pending and _done(fs.remaining, fs.flow.size)
+            ]
+            if len(done) > 1 and not born_done:
+                # `sending` is not in arrival order
+                first = set(done)
+                done = [fs for fs in active if fs in first]
+            for fs in done:
                 if fs.status is not pending:
-                    continue  # killed during this event: dropped below
-                if _done(fs.remaining, fs.flow.size):
-                    fs.finish(now)
-                    self.counters.completions += 1
-                    if trace is not None:
-                        trace.emit(FlowCompleted(
-                            now,
-                            flow_id=fs.flow.flow_id,
-                            task_id=fs.flow.task_id,
-                            met_deadline=fs.met_deadline,
-                        ))
-                    sched.on_flow_completed(fs, now)
-                    for hook in self.hooks:
-                        cb = getattr(hook, "on_flow_settled", None)
-                        if cb is not None:
-                            cb(fs, now)
-                    dirty = True
-                elif fs.rate > 0:
-                    still_sending.append(fs)
-            sending = still_sending
-            # completed flows, and flows killed during this event, leave
-            kept = self._drop_inactive(active, active_set, touched)
-            if kept is not active:
-                active = kept
+                    continue  # killed by an earlier completion's callback
+                fs.finish(now)
+                self.counters.completions += 1
+                if trace is not None:
+                    trace.emit(FlowCompleted(
+                        now,
+                        flow_id=fs.flow.flow_id,
+                        task_id=fs.flow.task_id,
+                        met_deadline=fs.met_deadline,
+                    ))
+                sched.on_flow_completed(fs, now)
+                for hook in self.hooks:
+                    cb = getattr(hook, "on_flow_settled", None)
+                    if cb is not None:
+                        cb(fs, now)
                 dirty = True
-            if trace is not None:
-                # completed/killed flows stop transmitting at this instant
-                self._sync_slices(sending, now)
+                leave(fs)
+            # flows killed during this event leave too
+            if drop_killed():
+                dirty = True
+            if moved:
+                if trace is not None:
+                    # completed/killed flows stop transmitting at this instant
+                    self._sync_slices(moved, sending, now)
+                moved.clear()
 
             # mark a scheduler change point as needing a rate refresh
             if t_sched is not None and abs(now - t_sched) <= EPS:
                 dirty = True
 
-            self._settle_tasks(unsettled_tasks, now, touched)
+            if settling:
+                self._settle_tasks(unsettled_tasks, settling, now)
+                settling.clear()
 
         if trace is not None:
             self._flush_slices(now)
@@ -543,72 +607,63 @@ class Engine:
         for l, frac in sorted(collector.peak_utilization().items()):
             tel.gauge("net/link_peak_utilization", labels(l)).set(frac)
 
-    @staticmethod
-    def _drop_inactive(
-        active: list[FlowState], active_set: set[FlowState], touched: set[int]
-    ) -> list[FlowState]:
-        """The flows of ``active`` still pending, in order: ``active``
-        itself when none left, else a new list.  Flows that left are
-        removed from ``active_set`` and their tasks added to ``touched``."""
-        pending = FlowStatus.PENDING
-        left = [fs for fs in active if fs.status is not pending]
-        if not left:
-            return active
-        active_set.difference_update(left)
-        touched.update(fs.flow.task_id for fs in left)
-        return [fs for fs in active if fs.status is pending]
-
-    def _sync_slices(self, sending: list[FlowState], now: float) -> None:
-        """Diff the physically-transmitting set against the last picture and
-        emit slice events (ends before starts; a path change is both).
+    def _sync_slices(self, moved, sending, now: float) -> None:
+        """Diff the transmission of the flows in ``moved`` against the last
+        picture and emit slice events (ends before starts, each by flow
+        id; a path change is both).
 
         Called after every rate recompute (post down-link zeroing — the
         trace records what the network actually carried) and after
-        completions, so a flow's slice closes at the instant it stopped.
+        completions and kills, so a flow's slice closes at the instant it
+        stopped.  Exact when ``moved`` holds every flow whose transmission
+        may have started, stopped or changed path since the last diff;
         ``sending`` must hold every flow with ``rate > 0``.
         """
-        current = {
-            fs.flow.flow_id: (tuple(fs.path), fs.flow.task_id)
-            for fs in sending
-            if fs.rate > 0 and fs.path is not None
-        }
         prev = self._transmitting
-        if current == prev:
-            return
+        ended: list[FlowState] = []
+        started: list[FlowState] = []
+        for fs in moved:
+            was = prev.get(fs)
+            path = (
+                tuple(fs.path) if fs in sending and fs.path is not None else None
+            )
+            if path == was:
+                continue
+            if was is not None:
+                ended.append(fs)
+                del prev[fs]
+            if path is not None:
+                prev[fs] = path
+                started.append(fs)
         trace = self.trace
-        ended = [f for f, v in prev.items() if current.get(f) != v]
-        started = [f for f, v in current.items() if prev.get(f) != v]
-        for fid in sorted(ended):
-            trace.emit(SliceEnd(now, flow_id=fid, task_id=prev[fid][1]))
-        for fid in sorted(started):
-            path, tid = current[fid]
-            trace.emit(SliceStart(now, flow_id=fid, task_id=tid, path=path))
-        self._transmitting = current
+        for fs in sorted(ended, key=_flow_id):
+            trace.emit(SliceEnd(now, flow_id=fs.flow.flow_id,
+                                task_id=fs.flow.task_id))
+        for fs in sorted(started, key=_flow_id):
+            trace.emit(SliceStart(now, flow_id=fs.flow.flow_id,
+                                  task_id=fs.flow.task_id, path=prev[fs]))
 
     def _flush_slices(self, now: float) -> None:
         """Close every still-open slice at the end of the run."""
-        prev = self._transmitting
-        for fid in sorted(prev):
-            self.trace.emit(SliceEnd(now, flow_id=fid, task_id=prev[fid][1]))
+        for fs in sorted(self._transmitting, key=_flow_id):
+            self.trace.emit(SliceEnd(now, flow_id=fs.flow.flow_id,
+                                     task_id=fs.flow.task_id))
         self._transmitting = {}
 
     def _settle_tasks(
-        self, unsettled: set[int], now: float, touched: set[int] | None = None
+        self, unsettled: set[int], tids: list[int], now: float
     ) -> None:
-        """Finalize tasks whose flows have all reached a terminal status,
-        checking only the ``touched`` ones when given (in ``unsettled``
-        order, so hooks see settlements in the same order either way)."""
-        done: list[int] = []
-        for tid in unsettled:
-            if touched is not None and tid not in touched:
-                continue
+        """Finalize the tasks ``tids``, whose flows have all reached a
+        terminal status, and take them out of ``unsettled``.  Several
+        settle in ``unsettled`` order, the order hooks have always seen."""
+        if len(tids) > 1:
+            chosen = set(tids)
+            tids = [tid for tid in unsettled if tid in chosen]
+        for tid in tids:
             ts = self._task_by_id[tid]
-            if all(not fs.active for fs in ts.flow_states):
-                ts.settle()
-                done.append(tid)
-                for hook in self.hooks:
-                    cb = getattr(hook, "on_task_settled", None)
-                    if cb is not None:
-                        cb(ts, now)
-        for tid in done:
-            unsettled.discard(tid)
+            ts.settle()
+            for hook in self.hooks:
+                cb = getattr(hook, "on_task_settled", None)
+                if cb is not None:
+                    cb(ts, now)
+        unsettled.difference_update(tids)

@@ -9,6 +9,7 @@ so one workload can be replayed across all six schedulers.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 from repro.net.topology import Path
@@ -23,6 +24,20 @@ rate``), so the engine, the TAPS sender model's slice probes and deadline
 checks on completion times compare with this slack.  Plan time needs
 none: it lives on the exact grid of :mod:`repro.util.intervals`.
 """
+
+
+_KILL_SERIALS = itertools.count(1)
+
+last_kill: int = 0
+"""The serial number of the latest :meth:`FlowState.kill` in this
+process, in any run.  The engine looks for killed flows only when this
+has moved since it last looked.  Each kill stores a number no kill
+stored before (``next`` on one shared count is atomic), so the value
+moves at every kill even when threads kill at once: a kill in another
+run costs the engine one needless look, never a missed kill.  It is a
+module global, not a class attribute, because writing an attribute of
+the ``FlowState`` class would reset the interpreter's attribute caches
+for every flow state at each kill."""
 
 
 class FlowStatus(enum.Enum):
@@ -115,11 +130,14 @@ class FlowState:
         self.rate = 0.0
 
     def kill(self, status: FlowStatus) -> None:
-        """Terminate or reject the flow; it stops transmitting for good."""
+        """Terminate or reject the flow; it stops transmitting for good
+        (and moves :data:`last_kill`)."""
+        global last_kill
         if status not in (FlowStatus.TERMINATED, FlowStatus.REJECTED):
             raise ValueError(f"kill() takes TERMINATED/REJECTED, got {status}")
         self.status = status
         self.rate = 0.0
+        last_kill = next(_KILL_SERIALS)
 
 
 @dataclass(slots=True, eq=False)

@@ -86,12 +86,12 @@ def cases(draw):
     return topo, tasks, faults, draw(st.integers(1, 8)), knobs
 
 
-def _run(cls, topo, tasks, faults, max_paths, knobs):
+def _run(cls, topo, tasks, faults, max_paths, knobs, horizon=None):
     recorder = TraceRecorder()
     sched = cls(**knobs)
     result = Engine(topo, tasks, sched,
                     path_service=PathService(topo, max_paths=max_paths),
-                    faults=faults, trace=recorder).run()
+                    faults=faults, horizon=horizon, trace=recorder).run()
     outcome = json.dumps({
         "finished_at": result.finished_at,
         "counters": asdict(result.counters),

@@ -10,7 +10,9 @@ formulas kept here as the reference:
   ``capacity if slices.contains(now + 2 * EPS) else 0.0``;
 * ``next_change(now)`` is the minimum of each pending plan's
   ``slices.next_boundary(now + EPS)`` and the batch-flush time, if later
-  than ``now + EPS``.
+  than ``now + EPS``;
+* whenever the rate report (``rate_changes``) is not ``None``, every flow
+  whose rate differs across the ``assign_rates`` call is in it.
 
 Boundaries sit on a grid ``10 * EPS`` apart and call times land within a
 few EPS of grid points, so boundaries in ``(now + EPS, now + 2 * EPS]`` —
@@ -108,6 +110,7 @@ def test_sender_model_matches_full_scan(base, window, table, script):
     grid, now = 0, base
     flush_at = None
     next_task = 100
+    states = list(pool)  # every flow state a plan may refer to
     for forward, offset, change, calls in script:
         grid += forward
         now = max(now, base + grid * GRID + offset)
@@ -134,12 +137,20 @@ def test_sender_model_matches_full_scan(base, window, table, script):
             next_task += 1
             ts = TaskState(task=task)
             ts.flow_states = [FlowState(flow=f) for f in task.flows]
+            states.extend(ts.flow_states)
             sched.on_task_arrival(ts, now)
             if flush_at is None:
                 flush_at = now + window
         for call in calls:
             if call == "rates":
+                before = [fs.rate for fs in states]
                 sched.assign_rates(now)
+                report = sched.rate_changes
+                if report is not None:
+                    assert all(
+                        fs in report
+                        for fs, rate in zip(states, before) if fs.rate != rate
+                    )
                 if flush_at is not None and now >= flush_at - EPS:
                     flush_at = None
                 got = {fid: p.flow_state.rate

@@ -13,6 +13,18 @@ what that must preserve:
 * ``on_advance`` hooks receive every active flow, sending or not;
 * a flow that is complete on arrival still completes without sending;
 * a task settles at the event its last flow leaves the active set.
+
+After a rate recompute the engine trusts the scheduler's rate report
+(``Scheduler.rate_changes``) for the sending set and the slice events.
+The stubs below report exactly the rates they change, and pin what the
+engine must still see for itself:
+
+* flows that complete at one instant are finished in arrival order, not
+  in the order they started sending;
+* a flow killed inside ``assign_rates`` and left out of the report stops
+  at once, and so does a flow killed at its deadline (step 2);
+* after a fault transition a sending flow on a down link stops although
+  the report does not name it.
 """
 
 import pytest
@@ -22,6 +34,7 @@ from repro.sched.base import Scheduler
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
 from repro.sim.state import FlowStatus
+from repro.trace.events import SliceEnd, SliceStart
 from repro.trace import TraceRecorder
 from repro.workload.flow import make_task
 from repro.workload.traces import dumbbell
@@ -207,3 +220,151 @@ def test_tasks_settle_at_the_event_their_last_flow_leaves():
     hook = Settled()
     Engine(topo, tasks, _Stub(), hooks=(hook,)).run()
     assert hook.calls == [(2, 1.0), (1, 4.0), (3, 4.0), (5, 4.0), (7, 6.0)]
+
+
+class _Reporting(_Stub):
+    """Routed unit-rate flows; reports exactly the rates it changes."""
+
+    def on_task_arrival(self, task_state, now):
+        self._admit_flows(task_state)
+
+    def assign_rates(self, now):
+        self.rate_calls.append(now)
+        self.rate_changes = []
+        for fs in self.active_flows:
+            if fs.rate != 1.0:
+                fs.rate = 1.0
+                self.rate_changes.append(fs)
+
+
+def _slices(recorder):
+    """(time, kind, flow id) of every slice event."""
+    return [
+        (e.time, e.kind, e.flow_id) for e in recorder
+        if isinstance(e, (SliceStart, SliceEnd))
+    ]
+
+
+def test_same_instant_completions_keep_arrival_order():
+    """Flow 1 starts sending at t=0 and flow 0 at t=1; both complete at
+    t=3.  They are finished, traced and passed to ``on_flow_completed``
+    and ``on_flow_settled`` in arrival order."""
+
+    class Staggered(_Reporting):
+        def __init__(self) -> None:
+            super().__init__()
+            self.completed: list[int] = []
+
+        def assign_rates(self, now):
+            self.rate_changes = []
+            for fs in self.active_flows:
+                if fs.rate == 0.0 and (fs.flow.flow_id == 1 or now >= 1.0):
+                    fs.rate = 1.0
+                    self.rate_changes.append(fs)
+
+        def next_change(self, now):
+            return 1.0 if now < 1.0 else None
+
+        def on_flow_completed(self, fs, now):
+            self.completed.append(fs.flow.flow_id)
+            super().on_flow_completed(fs, now)
+
+    class Settled:
+        def __init__(self) -> None:
+            self.flows: list[int] = []
+
+        def on_flow_settled(self, fs, now):
+            self.flows.append(fs.flow.flow_id)
+
+    topo = dumbbell(2)
+    tasks = [
+        make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0),
+        make_task(1, 0.0, 10.0, [("L1", "R1", 3.0)], 1),
+    ]
+    sched, hook, recorder = Staggered(), Settled(), TraceRecorder()
+    result = Engine(topo, tasks, sched, hooks=(hook,), trace=recorder).run()
+    assert [fs.completed_at for fs in result.flow_states] == [3.0, 3.0]
+    assert [e.flow_id for e in recorder.events_of_kind("flow-completed")] == [0, 1]
+    assert sched.completed == [0, 1]
+    assert hook.flows == [0, 1]
+
+
+def test_flow_killed_in_assign_rates_stops_though_unreported():
+    """At t=1 the scheduler kills sending flow 0 inside ``assign_rates``
+    and reports no change: the flow stops at once and its slice ends at
+    t=1."""
+
+    class KillInRates(_Reporting):
+        def assign_rates(self, now):
+            if now < 1.0:
+                super().assign_rates(now)
+                return
+            for fs in list(self.active_flows):
+                if fs.flow.flow_id == 0:
+                    fs.kill(FlowStatus.TERMINATED)
+                    self._drop(fs)
+            self.rate_changes = []
+
+        def next_change(self, now):
+            return 1.0 if now < 1.0 else None
+
+    topo = dumbbell(2)
+    tasks = [
+        make_task(0, 0.0, 20.0, [("L0", "R0", 10.0)], 0),
+        make_task(1, 0.0, 20.0, [("L1", "R1", 4.0)], 1),
+    ]
+    recorder = TraceRecorder()
+    result = Engine(topo, tasks, KillInRates(), trace=recorder).run()
+    killed, other = result.flow_states
+    assert killed.status is FlowStatus.TERMINATED
+    assert killed.bytes_sent == 1.0
+    assert other.completed_at == 4.0
+    assert _slices(recorder) == [
+        (0.0, "slice-start", 0), (0.0, "slice-start", 1),
+        (1.0, "slice-end", 0), (4.0, "slice-end", 1),
+    ]
+
+
+def test_flow_killed_at_its_deadline_ends_its_slice_at_once():
+    """Flow 0 misses its deadline at t=1 and the default reaction kills it
+    (step 2).  The rate report that follows names no flow, yet flow 0's
+    slice ends at t=1."""
+    topo = dumbbell(2)
+    tasks = [
+        make_task(0, 0.0, 1.0, [("L0", "R0", 10.0)], 0),
+        make_task(1, 0.0, 20.0, [("L1", "R1", 4.0)], 1),
+    ]
+    recorder = TraceRecorder()
+    sched = _Reporting()
+    result = Engine(topo, tasks, sched, trace=recorder).run()
+    assert sched.rate_calls == [0.0, 1.0, 4.0]
+    assert result.counters.deadline_events == 1
+    assert result.flow_states[0].bytes_sent == 1.0
+    assert _slices(recorder) == [
+        (0.0, "slice-start", 0), (0.0, "slice-start", 1),
+        (1.0, "slice-end", 0), (4.0, "slice-end", 1),
+    ]
+
+
+def test_fault_stops_a_sending_flow_the_report_omits():
+    """Flow 0's first link is down from t=1 to t=2.  The scheduler's
+    report at t=1 names no flow, yet flow 0 stops at t=1: at a fault
+    transition the engine re-checks every sending flow against the down
+    links.  It resumes when the scheduler restores its rate at t=2."""
+    topo = dumbbell(2)
+    link = topo.link("L0", "SL").index
+    tasks = [
+        make_task(0, 0.0, 20.0, [("L0", "R0", 4.0)], 0),
+        make_task(1, 0.0, 20.0, [("L1", "R1", 3.0)], 1),
+    ]
+    recorder = TraceRecorder()
+    sched = _Reporting()
+    result = Engine(topo, tasks, sched, trace=recorder,
+                    faults=[LinkFault(link, 1.0, 2.0)]).run()
+    assert sched.rate_calls == [0.0, 1.0, 2.0, 3.0, 5.0]
+    assert [fs.completed_at for fs in result.flow_states] == [5.0, 3.0]
+    assert _slices(recorder) == [
+        (0.0, "slice-start", 0), (0.0, "slice-start", 1),
+        (1.0, "slice-end", 0), (2.0, "slice-start", 0),
+        (3.0, "slice-end", 1), (5.0, "slice-end", 0),
+    ]

@@ -1,7 +1,11 @@
 """FlowState / TaskState lifecycle semantics."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.sim import state
 from repro.sim.state import FlowState, FlowStatus, TaskOutcome, TaskState
 from repro.workload.flow import make_task
 
@@ -74,6 +78,37 @@ class TestFlowState:
         fs = _states(_task()).flow_states[0]
         with pytest.raises(ValueError):
             fs.kill(FlowStatus.COMPLETED)
+
+    def test_every_kill_moves_last_kill_across_threads(self):
+        """The engine trusts ``last_kill`` to move at every kill.  Seen
+        from the killing thread it must, even with kills racing in more
+        threads than cores."""
+        per_thread, threads = 5_000, 4
+        pools = [_states(_task(sizes=(1.0,) * per_thread)).flow_states
+                 for _ in range(threads)]
+        missed = []
+
+        def kill_all(flows):
+            for fs in flows:
+                seen = state.last_kill
+                fs.kill(FlowStatus.TERMINATED)
+                if state.last_kill == seen:
+                    missed.append(fs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=kill_all, args=(flows,))
+                       for flows in pools]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert all(not fs.active for flows in pools for fs in flows)
+        assert missed == []
 
 
 class TestTaskState:
