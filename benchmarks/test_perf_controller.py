@@ -43,7 +43,7 @@ from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import SPAN_PREFIX
+from repro.obs.spans import span_tree
 from repro.sim.engine import Engine
 from repro.trace import TraceRecorder, audit_trace
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -180,9 +180,8 @@ def test_perf_controller(results_dir):
     )
     # the per-layer split: the telemetered run's span tree
     layers = {
-        h.name[len(SPAN_PREFIX):]: {"calls": h.count, "seconds": h.sum}
-        for h in registry.instruments()
-        if h.name.startswith(SPAN_PREFIX)
+        path: {"calls": calls, "seconds": seconds}
+        for path, (calls, seconds) in span_tree(registry).items()
     }
     planner = layers.get("run/arrival/admission/trial/path_calculation")
     assert planner is not None, sorted(layers)

@@ -43,6 +43,15 @@ from repro.exp.executor import ExecutorConfig, make_executor
 from repro.exp.figures import FIGURES, run_figure
 from repro.exp.motivation import run_all
 from repro.exp.report import render_sweep, render_timeseries
+from repro.exp.runner import (
+    RUN_FILES,
+    export_figure_csv,
+    generate_report,
+    load_run_artifacts,
+    run_files,
+    run_traced,
+    write_run_artifacts,
+)
 
 
 def _executor_from_args(args) -> ExecutorConfig:
@@ -123,8 +132,6 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    from repro.exp.runner import export_figure_csv
-
     executor = _executor_from_args(args)
     for fid in sorted(FIGURES):
         run = _print_figure(fid, args.scale, executor)
@@ -237,7 +244,6 @@ def _cmd_optimality(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.exp.runner import run_traced, write_run_artifacts
     from repro.metrics import summarize, trace_digest
     from repro.obs import MetricsRegistry
     from repro.sim.faults import LinkFault
@@ -278,39 +284,37 @@ def _cmd_stats(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs import TelemetryError, load_jsonl, render_stats, stats_json
+    from repro.obs import load_jsonl, render_stats, stats_json
 
     target = Path(args.run_dir)
-    path = target / "telemetry.jsonl" if target.is_dir() else target
+    path = run_files(target)["telemetry"] if target.is_dir() else target
     if not path.exists():
         print(f"error: no telemetry snapshot at {path} "
               "(produce one with: repro-taps run --out-dir DIR)",
               file=sys.stderr)
         return 1
     try:
-        snapshot = load_jsonl(path)
-    except TelemetryError as exc:
+        telemetry = load_jsonl(path)
+    except (OSError, ValueError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(stats_json(snapshot), indent=1, sort_keys=True))
+        print(json.dumps(stats_json(telemetry), indent=1, sort_keys=True))
     else:
-        print(render_stats(snapshot), end="")
+        print(render_stats(telemetry), end="")
     return 0
 
 
 def _load_trace_or_fail(run_dir: str):
     """The (trace, telemetry) pair for a run dir, or (None, None) after
     printing the error — shared by ``timeline`` and ``explain``."""
-    from repro.exp.runner import load_run_artifacts
-
     try:
         trace, telemetry = load_run_artifacts(run_dir)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {run_dir}: {exc}", file=sys.stderr)
         return None, None
     if trace is None:
-        print(f"error: no trace.jsonl under {run_dir} "
+        print(f"error: no {RUN_FILES['trace']} under {run_dir} "
               "(produce one with: repro-taps run --out-dir DIR)",
               file=sys.stderr)
         return None, None
@@ -411,7 +415,13 @@ def _cmd_audit(args) -> int:
     from repro.metrics import trace_digest
     from repro.trace import audit_trace, load_jsonl
 
-    trace = load_jsonl(args.trace)
+    try:
+        trace = load_jsonl(args.trace)
+    except (OSError, ValueError) as exc:
+        # exit 1 means "violations found"; a file that is not a readable
+        # trace is a usage error
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 2
     for key, value in sorted(trace.meta.items()):
         print(f"  {key}: {value}")
     for line in trace_digest(trace.events).lines():
@@ -434,8 +444,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.exp.runner import generate_report
-
     executor = _executor_from_args(args)
     out = generate_report(
         args.out, SCALES[args.scale], args.figures,
@@ -501,15 +509,15 @@ def main(argv: list[str] | None = None) -> int:
                        metavar=("LINK", "START", "END"),
                        help="inject one link outage [START, END)")
     p_run.add_argument("--out-dir", default=None, metavar="DIR",
-                       help="write run artifacts (trace.jsonl, "
-                            "telemetry.jsonl) into DIR")
+                       help="write run artifacts "
+                            f"({', '.join(RUN_FILES.values())}) into DIR")
     p_run.set_defaults(func=_cmd_run)
 
     p_stats = sub.add_parser(
         "stats",
         help="render a run report from exported telemetry (no re-simulation)")
     p_stats.add_argument("run_dir", metavar="RUN_DIR",
-                        help="run directory holding telemetry.jsonl "
+                        help=f"run directory holding {RUN_FILES['telemetry']} "
                              "(or a path to the file itself)")
     p_stats.add_argument("--json", action="store_true",
                          help="emit the report as machine-readable JSON")
@@ -520,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         help="export a run's timelines as Chrome trace-event JSON "
              "(Perfetto-viewable)")
     p_tl.add_argument("run_dir", metavar="RUN_DIR",
-                      help="run directory holding trace.jsonl "
+                      help=f"run directory holding {RUN_FILES['trace']} "
                            "(or a path to the trace file itself)")
     p_tl.add_argument("--out", default=None, metavar="FILE",
                       help="output path (default: RUN_DIR/trace.chrome.json)")
@@ -530,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         "explain",
         help="why was a task rejected/preempted/dropped? (from the trace)")
     p_exp.add_argument("run_dir", metavar="RUN_DIR",
-                       help="run directory holding trace.jsonl "
+                       help=f"run directory holding {RUN_FILES['trace']} "
                             "(or a path to the trace file itself)")
     p_exp.add_argument("--task", type=int, default=None, metavar="T",
                        help="explain one task id (default: every "

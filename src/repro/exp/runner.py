@@ -161,6 +161,18 @@ def run_traced(
     return result, recorder
 
 
+#: the files of a ``run --out-dir`` directory, by artifact
+RUN_FILES = {"trace": "trace.jsonl", "telemetry": "telemetry.jsonl"}
+
+
+def run_files(run_dir: str | Path) -> dict[str, Path]:
+    """Each artifact's path in the run directory ``run_dir`` — the layout
+    :func:`write_run_artifacts` writes and ``repro-taps stats``,
+    ``timeline``, ``explain`` and ``diff`` read."""
+    return {artifact: Path(run_dir) / name
+            for artifact, name in RUN_FILES.items()}
+
+
 def write_run_artifacts(
     out_dir: str | Path,
     recorder: TraceRecorder | None = None,
@@ -168,45 +180,39 @@ def write_run_artifacts(
 ) -> dict[str, Path]:
     """Write a run's artifacts into ``out_dir`` and return their paths.
 
-    The layout is the contract ``repro-taps stats`` reads:
-    ``trace.jsonl`` (decision trace) and ``telemetry.jsonl`` (versioned
-    metrics snapshot).  Only the artifacts whose source object was
+    The layout is :func:`run_files`: the decision trace and the versioned
+    telemetry snapshot.  Only the artifacts whose source object was
     supplied are written.
     """
     from repro.obs.export import write_jsonl
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    paths = run_files(out)
     written: dict[str, Path] = {}
     if recorder is not None:
-        recorder.to_jsonl(out / "trace.jsonl")
-        written["trace"] = out / "trace.jsonl"
+        written["trace"] = recorder.to_jsonl(paths["trace"])
     if telemetry is not None:
-        written["telemetry"] = write_jsonl(telemetry, out / "telemetry.jsonl")
+        written["telemetry"] = write_jsonl(telemetry, paths["telemetry"])
     return written
 
 
 def load_run_artifacts(run_dir: str | Path):
     """Read a ``run --out-dir`` bundle back: ``(trace, telemetry)``.
 
+    ``telemetry`` is a :class:`~repro.obs.registry.MetricsRegistry`.
     Either element is ``None`` when its artifact is absent.  ``run_dir``
-    may also point directly at a ``trace.jsonl`` file (the ``--trace``
-    output), in which case only the trace side is populated.  This is
-    the loader behind ``repro-taps timeline`` / ``explain``.
+    may also point directly at a trace file (the ``--trace`` output), in
+    which case only the trace side is populated.  This is the loader
+    behind ``repro-taps timeline`` / ``explain``.
     """
     from repro.obs.export import load_jsonl as load_telemetry
     from repro.trace.recorder import load_jsonl as load_trace
 
     target = Path(run_dir)
-    if target.is_dir():
-        trace_path = target / "trace.jsonl"
-        telem_path = target / "telemetry.jsonl"
-    else:
-        trace_path, telem_path = target, None
-    trace = load_trace(trace_path) if trace_path.exists() else None
-    telemetry = (
-        load_telemetry(telem_path)
-        if telem_path is not None and telem_path.exists()
-        else None
-    )
+    files = run_files(target) if target.is_dir() else {"trace": target}
+    files = {artifact: p for artifact, p in files.items() if p.exists()}
+    trace = load_trace(files["trace"]) if "trace" in files else None
+    telemetry = (load_telemetry(files["telemetry"])
+                 if "telemetry" in files else None)
     return trace, telemetry

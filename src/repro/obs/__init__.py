@@ -36,7 +36,6 @@ from repro.obs.explain import TaskVerdict, explain_run, explain_task
 from repro.obs.export import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryError,
-    TelemetrySnapshot,
     dumps_jsonl,
     load_jsonl,
     write_jsonl,
@@ -49,7 +48,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.report import render_stats, stats_json
-from repro.obs.spans import SpanTimers
+from repro.obs.spans import SpanTimers, span_tree
 from repro.obs.timeline import (
     RunTimeline,
     TaskTimeline,
@@ -74,7 +73,6 @@ __all__ = [
     "TaskTimeline",
     "TaskVerdict",
     "TelemetryError",
-    "TelemetrySnapshot",
     "append_history",
     "build_timeline",
     "chrome_events",
@@ -88,6 +86,7 @@ __all__ = [
     "load_bundle",
     "load_jsonl",
     "render_stats",
+    "span_tree",
     "stats_json",
     "timeline_from",
     "write_chrome_trace",

@@ -14,11 +14,11 @@ format, loadable in Perfetto (https://ui.perfetto.dev) or
   active flows, busy links, and down links;
 * **controller** (pid 3) — admission decisions (accept / reject /
   preemption / drop / reallocation) as instant (``i``) events;
-* **profile** (pid 4, only when telemetry is supplied) — the span-timer
-  *aggregates* laid out as a flame graph: spans are recorded as
-  histograms (DESIGN.md §7), so each ``X`` event here is a span's
-  **total** wall time with children nested inside their parent, not an
-  individual invocation.
+* **profile** (pid 4, only when a telemetry registry, loaded or live, is
+  supplied) — the span-timer *aggregates* laid out as a flame graph:
+  spans are recorded as histograms (DESIGN.md §7), so each ``X`` event
+  here is a span's **total** wall time with children nested inside their
+  parent, not an individual invocation.
 
 Sim-time timelines use microseconds (``ts = sim seconds × 1e6``), the
 unit the format specifies.  Export is deterministic: the same timeline
@@ -31,9 +31,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.obs.export import TelemetrySnapshot
-from repro.obs.registry import Histogram
-from repro.obs.report import SPAN_PREFIX
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import span_tree
 from repro.obs.timeline import RunTimeline
 
 PID_TASKS = 1
@@ -149,40 +148,32 @@ def _net_events(tl: RunTimeline) -> list[dict]:
     return out
 
 
-def _span_flame(snapshot: TelemetrySnapshot) -> list[dict]:
+def _span_flame(telemetry: MetricsRegistry) -> list[dict]:
     """The span-timer aggregates as one flame-graph layout.
 
     Spans are histograms (no per-invocation timestamps), so each frame
     is a span's *total* wall time; children are packed left-to-right
-    inside their parent.  Lexicographic order over ``/``-paths visits
-    every parent before its children.
+    inside their parent.  Path order visits every parent before its
+    children.
     """
-    reg = snapshot.to_registry()
-    spans = sorted(
-        (h for h in reg.instruments()
-         if isinstance(h, Histogram) and h.name.startswith(SPAN_PREFIX)),
-        key=lambda h: h.name,
-    )
     out: list[dict] = []
     cursor: dict[str, float] = {"": 0.0}  # parent path -> next child offset
-    start_of: dict[str, float] = {}
-    for h in spans:
-        path = h.name[len(SPAN_PREFIX):]
+    for path, (calls, seconds) in span_tree(telemetry).items():
         parent = path.rsplit("/", 1)[0] if "/" in path else ""
         start = cursor.get(parent, 0.0)
-        start_of[path] = start
-        cursor[parent] = start + h.sum
+        cursor[parent] = start + seconds
         cursor[path] = start
-        out.append({"ph": "X", "ts": _us(start), "dur": _us(h.sum),
+        out.append({"ph": "X", "ts": _us(start), "dur": _us(seconds),
                     "pid": PID_PROFILE, "tid": 0, "cat": "span-aggregate",
                     "name": path.rsplit("/", 1)[-1],
-                    "args": {"path": path, "calls": h.count,
-                             "mean_s": h.mean, "total_s": h.sum}})
+                    "args": {"path": path, "calls": calls,
+                             "mean_s": seconds / calls if calls else 0.0,
+                             "total_s": seconds}})
     return out
 
 
 def chrome_events(
-    tl: RunTimeline, telemetry: TelemetrySnapshot | None = None
+    tl: RunTimeline, telemetry: MetricsRegistry | None = None
 ) -> list[dict]:
     """The timeline (and optional telemetry spans) as trace-event dicts."""
     out: list[dict] = [
@@ -202,7 +193,7 @@ def chrome_events(
 
 
 def dumps_chrome(
-    tl: RunTimeline, telemetry: TelemetrySnapshot | None = None
+    tl: RunTimeline, telemetry: MetricsRegistry | None = None
 ) -> str:
     """The trace-event array as a compact JSON string."""
     return json.dumps(chrome_events(tl, telemetry), separators=(",", ":"))
@@ -211,7 +202,7 @@ def dumps_chrome(
 def write_chrome_trace(
     path: str | Path,
     tl: RunTimeline,
-    telemetry: TelemetrySnapshot | None = None,
+    telemetry: MetricsRegistry | None = None,
 ) -> Path:
     """Write the Chrome trace-event JSON to ``path``; returns the path."""
     out = Path(path)

@@ -2,9 +2,9 @@
 
 ``repro-taps diff <run-a> <run-b>`` compares two artifact bundles — a
 ``run --out-dir`` directory (trace JSONL + telemetry JSONL + any perf
-records), a bare ``trace.jsonl`` / ``telemetry.jsonl``, a single perf
-record JSON, or a ``benchmarks/results/history/`` store (its newest
-record) — and reports per-metric deltas with a severity model built
+records), a bare trace or telemetry JSONL file, a single perf record
+JSON, or a ``benchmarks/results/history/`` store (its newest record) —
+and reports per-metric deltas with a severity model built
 around one fact: **decision metrics are deterministic, wall-clock
 metrics are not.**
 
@@ -41,10 +41,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.metrics.tracestats import TraceDigest, trace_digest
-from repro.obs.export import TelemetryError, TelemetrySnapshot
+from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 from repro.obs.export import load_jsonl as load_telemetry_jsonl
-from repro.obs.registry import Histogram
+from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.spans import span_tree
+from repro.trace.events import SCHEMA_VERSION as TRACE_SCHEMA_VERSION
 from repro.trace.recorder import load_jsonl as load_trace_jsonl
+from repro.util.jsonl import read_jsonl
 
 DIFF_SCHEMA_VERSION = 1
 """Version of the ``diff --json`` report shape."""
@@ -67,16 +70,22 @@ class Bundle:
     label: str
     source: Path
     digest: TraceDigest | None = None
-    trace_meta: dict[str, Any] = field(default_factory=dict)
     trace_sha: str | None = None
-    telemetry: TelemetrySnapshot | None = None
+    telemetry: MetricsRegistry | None = None
     perf: dict[str, dict] = field(default_factory=dict)
 
 
+def _load(load, path: Path):
+    """``load(path)``, with a file that fails to load as a :class:`DiffError`."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise DiffError(f"{path}: {exc}") from None
+
+
 def _load_trace_into(bundle: Bundle, path: Path) -> None:
-    trace = load_trace_jsonl(path)
+    trace = _load(load_trace_jsonl, path)
     bundle.digest = trace_digest(trace.events)
-    bundle.trace_meta = trace.meta
     bundle.trace_sha = hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -92,20 +101,19 @@ def _load_perf_json(path: Path) -> dict | None:
 def load_bundle(path: str | Path, label: str | None = None) -> Bundle:
     """Load whatever artifacts ``path`` holds (see module doc).
 
-    Raises :class:`DiffError` when nothing comparable is found.
+    Raises :class:`DiffError` when nothing comparable is found or an
+    artifact in it fails to load.
     """
     src = Path(path)
     bundle = Bundle(label=label or str(path), source=src)
     if src.is_dir():
-        trace = src / "trace.jsonl"
-        telem = src / "telemetry.jsonl"
-        if trace.exists():
-            _load_trace_into(bundle, trace)
-        if telem.exists():
-            try:
-                bundle.telemetry = load_telemetry_jsonl(telem)
-            except TelemetryError as exc:
-                raise DiffError(f"{telem}: {exc}") from None
+        from repro.exp.runner import run_files
+
+        files = run_files(src)
+        if files["trace"].exists():
+            _load_trace_into(bundle, files["trace"])
+        if files["telemetry"].exists():
+            bundle.telemetry = _load(load_telemetry_jsonl, files["telemetry"])
         records = {
             p.name: rec
             for p in sorted(src.glob("*.json"))
@@ -118,21 +126,13 @@ def load_bundle(path: str | Path, label: str | None = None) -> Bundle:
         else:
             bundle.perf = {Path(n).stem: r for n, r in records.items()}
     elif src.suffix == ".jsonl":
-        first = src.read_text().split("\n", 1)[0] if src.exists() else ""
-        try:
-            head = json.loads(first) if first else {}
-        except json.JSONDecodeError:
-            head = {}
-        kind = head.get("kind") if isinstance(head, dict) else None
-        if kind == "trace-header":
+        # which of the two run artifacts the file holds
+        schemas = {"trace": TRACE_SCHEMA_VERSION,
+                   "telemetry": TELEMETRY_SCHEMA_VERSION}
+        if _load(lambda p: read_jsonl(p, schemas)[0], src) == "trace":
             _load_trace_into(bundle, src)
-        elif kind == "telemetry-header":
-            try:
-                bundle.telemetry = load_telemetry_jsonl(src)
-            except TelemetryError as exc:
-                raise DiffError(f"{src}: {exc}") from None
         else:
-            raise DiffError(f"{src}: neither a trace nor a telemetry JSONL")
+            bundle.telemetry = _load(load_telemetry_jsonl, src)
     elif src.suffix == ".json":
         rec = _load_perf_json(src)
         if rec is None:
@@ -333,14 +333,13 @@ def _digest_deltas(a: TraceDigest, b: TraceDigest) -> list[MetricDelta]:
     return out
 
 
-def _admission_hist(snap: TelemetrySnapshot) -> Histogram | None:
-    reg = snap.to_registry()
+def _admission_hist(reg: MetricsRegistry) -> Histogram | None:
     h = reg.get("controller/admission_latency_seconds")
     return h if isinstance(h, Histogram) and h.count else None
 
 
 def _telemetry_deltas(
-    a: TelemetrySnapshot, b: TelemetrySnapshot,
+    a: MetricsRegistry, b: MetricsRegistry,
     threshold: float, strict: bool,
 ) -> tuple[list[MetricDelta], int]:
     out: list[MetricDelta] = []
@@ -351,7 +350,7 @@ def _telemetry_deltas(
             continue
         compared += 1
         d = _count_delta(f"telemetry/controller/{name}",
-                         ia["value"], ib["value"], higher_worse)
+                         ia.value, ib.value, higher_worse)
         if d:
             out.append(d)
     ha, hb = _admission_hist(a), _admission_hist(b)
@@ -366,14 +365,11 @@ def _telemetry_deltas(
                 f"telemetry/admission_{label}_seconds", qa, qb,
                 threshold, strict,
             ))
-    for snap_pair in (("span/run", "telemetry/span_run_total_seconds"),):
-        span_name, metric = snap_pair
-        sa = next(iter(a.find(span_name)), None)
-        sb = next(iter(b.find(span_name)), None)
-        if sa is not None and sb is not None and sa["kind"] == "histogram":
-            compared += 1
-            out.append(_timing_delta(metric, sa["sum"], sb["sum"],
-                                     threshold, strict))
+    run_a, run_b = span_tree(a).get("run"), span_tree(b).get("run")
+    if run_a is not None and run_b is not None:
+        compared += 1
+        out.append(_timing_delta("telemetry/span_run_total_seconds",
+                                 run_a[1], run_b[1], threshold, strict))
     return out, compared
 
 

@@ -1,17 +1,17 @@
 """Telemetry export: versioned JSONL snapshots.
 
-``telemetry.jsonl``, written next to a run's trace output, holds one
+A run's telemetry file, written next to its trace output, holds one
 header object (``telemetry-header`` with :data:`TELEMETRY_SCHEMA_VERSION`
 and the run meta) followed by one object per instrument, stably ordered by
-``(name, labels)``.  :func:`load_jsonl` reads it back with **strict**
-validation (exact field sets, types, bucket-layout consistency) and raises
-:class:`TelemetryError` on any deviation — ``repro-taps stats`` turns that
-into a non-zero exit, so a schema drift can never render as a
-half-plausible report.
+``(name, labels)``.  :func:`load_jsonl` reads it back into a
+:class:`~repro.obs.registry.MetricsRegistry` with **strict** validation
+(exact field sets, types, bucket-layout consistency, one line per
+instrument) and raises :class:`TelemetryError` on any deviation —
+``repro-taps stats`` turns that into a non-zero exit, so a schema drift
+can never render as a half-plausible report.
 
 Serialization is deterministic: equal registries produce byte-identical
-files (the round-trip tests assert export → load → merge-into-empty →
-export equality).
+files (the round-trip tests assert export → load → export equality).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.registry import MetricsRegistry
+from repro.util.jsonl import read_jsonl
 
 TELEMETRY_SCHEMA_VERSION = 1
 """Version of the telemetry JSONL schema.
@@ -37,6 +38,9 @@ class TelemetryError(ValueError):
 
 # -- JSONL ---------------------------------------------------------------------
 
+#: the header's exact field set
+_HEADER_FIELDS = {"kind", "schema", "meta"}
+
 #: exact field sets per instrument kind (validation is closed-world:
 #: unknown or missing fields are schema violations, not extensions)
 _FIELDS = {
@@ -45,6 +49,10 @@ _FIELDS = {
     "histogram": {"kind", "name", "labels", "lo", "growth", "buckets",
                   "counts", "sum", "count", "min", "max"},
 }
+#: the fields of each kind that must be numbers (a histogram's ``buckets``
+#: and ``count`` must also be ints)
+_NUMBERS = {"counter": ("value",), "gauge": ("value", "max"),
+            "histogram": ("lo", "growth", "sum", "min", "max")}
 
 
 def header(registry: MetricsRegistry) -> dict[str, Any]:
@@ -75,11 +83,11 @@ def _fail(msg: str) -> None:
     raise TelemetryError(msg)
 
 
-def _validate_instrument(item: Any, lineno: int) -> dict:
+def _validate_instrument(item: Any, lineno: int) -> None:
     if not isinstance(item, dict):
         _fail(f"line {lineno}: instrument must be an object")
     kind = item.get("kind")
-    want = _FIELDS.get(kind)
+    want = _FIELDS.get(kind) if isinstance(kind, str) else None
     if want is None:
         _fail(f"line {lineno}: unknown instrument kind {kind!r}")
     if set(item) != want:
@@ -92,100 +100,52 @@ def _validate_instrument(item: Any, lineno: int) -> dict:
         isinstance(k, str) and isinstance(v, str) for k, v in labels.items()
     ):
         _fail(f"line {lineno}: labels must be a str→str object")
-    numeric = (int, float)
-    if kind == "counter":
-        if isinstance(item["value"], bool) or not isinstance(item["value"], numeric):
-            _fail(f"line {lineno}: counter value must be a number")
-    elif kind == "gauge":
-        for k in ("value", "max"):
-            if isinstance(item[k], bool) or not isinstance(item[k], numeric):
-                _fail(f"line {lineno}: gauge {k} must be a number")
-    else:  # histogram
-        for k in ("lo", "growth", "sum", "min", "max"):
-            if isinstance(item[k], bool) or not isinstance(item[k], numeric):
-                _fail(f"line {lineno}: histogram {k} must be a number")
-        for k in ("buckets", "count"):
-            if isinstance(item[k], bool) or not isinstance(item[k], int):
-                _fail(f"line {lineno}: histogram {k} must be an int")
-        counts = item["counts"]
-        if (
-            not isinstance(counts, list)
-            or len(counts) != item["buckets"] + 2
-            or not all(isinstance(c, int) and not isinstance(c, bool)
-                       and c >= 0 for c in counts)
-        ):
-            _fail(f"line {lineno}: histogram counts must be "
-                  f"{item['buckets'] + 2} non-negative ints")
-        if sum(counts) != item["count"]:
-            _fail(f"line {lineno}: histogram counts sum to {sum(counts)}, "
-                  f"count says {item['count']}")
-    return item
+    for k in _NUMBERS[kind]:
+        if isinstance(item[k], bool) or not isinstance(item[k], (int, float)):
+            _fail(f"line {lineno}: {kind} {k} must be a number")
+    if kind != "histogram":
+        return
+    for k in ("buckets", "count"):
+        if isinstance(item[k], bool) or not isinstance(item[k], int):
+            _fail(f"line {lineno}: histogram {k} must be an int")
+    counts = item["counts"]
+    if (
+        not isinstance(counts, list)
+        or len(counts) != item["buckets"] + 2
+        or not all(isinstance(c, int) and not isinstance(c, bool)
+                   and c >= 0 for c in counts)
+    ):
+        _fail(f"line {lineno}: histogram counts must be "
+              f"{item['buckets'] + 2} non-negative ints")
+    if sum(counts) != item["count"]:
+        _fail(f"line {lineno}: histogram counts sum to {sum(counts)}, "
+              f"count says {item['count']}")
 
 
-class TelemetrySnapshot:
-    """A validated telemetry export, read back from JSONL."""
-
-    __slots__ = ("schema", "meta", "instruments")
-
-    def __init__(self, schema: int, meta: dict, instruments: list[dict]):
-        self.schema = schema
-        self.meta = meta
-        self.instruments = instruments
-
-    def find(self, name: str) -> list[dict]:
-        """Instrument snapshots with this name (one per label set)."""
-        return [i for i in self.instruments if i["name"] == name]
-
-    def get(self, name: str) -> dict | None:
-        """The single unlabelled instrument of this name, or ``None``."""
-        for i in self.instruments:
-            if i["name"] == name and not i["labels"]:
-                return i
-        return None
-
-    def to_registry(self) -> MetricsRegistry:
-        """Rebuild a live registry (quantiles etc.) from the snapshot."""
-        reg = MetricsRegistry(meta=dict(self.meta))
-        reg.merge_snapshot(self.instruments)
-        return reg
-
-
-def load_jsonl(source: str | Path | Iterable[str]) -> TelemetrySnapshot:
+def load_jsonl(source: str | Path | Iterable[str]) -> MetricsRegistry:
     """Parse and strictly validate a telemetry JSONL export.
 
-    Raises :class:`TelemetryError` on a missing/foreign header, a schema
-    version mismatch, or any malformed instrument line.
+    Returns a :class:`~repro.obs.registry.MetricsRegistry` holding the
+    header meta and one instrument per line, which exports back to the
+    same bytes.  Raises :class:`TelemetryError` on a missing/foreign
+    header, a schema version mismatch, or any malformed or repeated
+    instrument line.
     """
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    else:
-        lines = source
-    it = iter(lines)
-    try:
-        first = next(it)
-    except StopIteration:
-        _fail("empty telemetry file: no header line")
-    try:
-        head = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise TelemetryError(f"header is not JSON: {exc}") from None
-    if not isinstance(head, dict) or head.get("kind") != "telemetry-header":
-        _fail("not a telemetry file: first line is not a telemetry-header")
-    if set(head) != {"kind", "schema", "meta"}:
-        _fail(f"header field mismatch: "
-              f"{sorted(set(head) ^ {'kind', 'schema', 'meta'})}")
-    if head["schema"] != TELEMETRY_SCHEMA_VERSION:
-        _fail(f"unsupported telemetry schema {head['schema']!r} "
-              f"(this build reads schema {TELEMETRY_SCHEMA_VERSION})")
+    _, head, body = read_jsonl(
+        source, {"telemetry": TELEMETRY_SCHEMA_VERSION}, TelemetryError
+    )
+    if set(head) != _HEADER_FIELDS:
+        _fail(f"header field mismatch: {sorted(set(head) ^ _HEADER_FIELDS)}")
     if not isinstance(head["meta"], dict):
         _fail("header meta must be an object")
-    instruments = []
-    for lineno, line in enumerate(it, start=2):
-        if not line.strip():
-            continue
+    registry = MetricsRegistry(meta=head["meta"])
+    for lineno, item in body:
+        _validate_instrument(item, lineno)
+        if registry.get(item["name"], item["labels"]) is not None:
+            _fail(f"line {lineno}: duplicate instrument {item['name']!r} "
+                  f"{item['labels']}")
         try:
-            item = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TelemetryError(f"line {lineno}: not JSON: {exc}") from None
-        instruments.append(_validate_instrument(item, lineno))
-    return TelemetrySnapshot(head["schema"], head["meta"], instruments)
+            registry.merge_snapshot(item)
+        except ValueError as exc:
+            _fail(f"line {lineno}: {exc}")
+    return registry

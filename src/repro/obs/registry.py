@@ -97,6 +97,10 @@ class Gauge:
         }
 
     def merge(self, snap: dict) -> None:
+        if self.max == -inf:
+            # never set: take the snapshot as is (0.0 is no identity for max)
+            self.value, self.max = snap["value"], snap["max"]
+            return
         self.set(max(self.value, snap["value"]))
         if snap["max"] > self.max:
             self.max = snap["max"]

@@ -1,10 +1,13 @@
-"""Render a human-readable run report from an exported telemetry snapshot.
+"""Render a human-readable run report from a telemetry registry.
 
-``repro-taps stats <run-dir>`` loads ``telemetry.jsonl`` and calls
-:func:`render_stats` — everything in the report is computed from the
-exported artifact alone, with no re-simulation.  Sections degrade
-gracefully: a snapshot that never saw the engine (e.g. a bare controller
-benchmark) simply omits the engine/link sections rather than erroring.
+``repro-taps stats <run-dir>`` loads the run's telemetry export into a
+:class:`~repro.obs.registry.MetricsRegistry` and prints
+:func:`render_stats`; ``--json`` prints :func:`stats_json`, the dict that
+text is rendered from, so the two report the same numbers.  A live
+registry (the one ``run_traced(telemetry=...)`` filled) renders the same
+way — nothing here re-simulates.  Sections degrade gracefully: a registry
+that never saw the engine (e.g. a bare controller benchmark) simply
+omits the engine/link sections rather than erroring.
 
 Instrument names consumed here are the contract published in DESIGN.md
 §7; renaming an instrument means updating both.
@@ -12,11 +15,76 @@ Instrument names consumed here are the contract published in DESIGN.md
 
 from __future__ import annotations
 
-from repro.obs.export import TelemetrySnapshot
+from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.spans import span_tree
 
-#: span histograms start with this prefix; the remainder is the /-path
-SPAN_PREFIX = "span/"
+#: (key, counter) of each admission-decision count
+_DECISIONS = (
+    ("accepted", "controller/tasks_accepted"),
+    ("rejected", "controller/tasks_rejected"),
+    ("preempted", "controller/tasks_preempted"),
+    ("reallocations", "controller/reallocations"),
+    ("trials_rolled_back", "alloc/trials_rolled_back"),
+)
+
+#: (key, hit counter, miss counter) of each cache
+_CACHES = (
+    ("union_cache", "alloc/union_cache_hits", "alloc/union_cache_misses"),
+    ("result_cache", "executor/cache_hits", "executor/cache_misses"),
+)
+
+#: links the text report lists (the JSON lists every link)
+_TOP_LINKS = 10
+
+
+def _value(reg: MetricsRegistry, name: str) -> float | None:
+    inst = reg.get(name)
+    return inst.value if inst is not None else None
+
+
+def stats_json(reg: MetricsRegistry) -> dict:
+    """The ``repro-taps stats --json`` payload, which :func:`render_stats`
+    renders as text (CI and scripts consume this instead of scraping the
+    text report)."""
+    out: dict = {"schema": TELEMETRY_SCHEMA_VERSION, "meta": dict(reg.meta)}
+    hist = reg.get("controller/admission_latency_seconds")
+    if isinstance(hist, Histogram) and hist.count:
+        out["admission_latency"] = {
+            "count": hist.count, "mean": hist.mean, "sum": hist.sum,
+            "max": hist.max, **hist.percentiles(0.50, 0.90, 0.99),
+        }
+    decisions = {key: value for key, name in _DECISIONS
+                 if (value := _value(reg, name)) is not None}
+    if decisions:
+        out["decisions"] = decisions
+    caches = {}
+    for key, hit_name, miss_name in _CACHES:
+        hits, misses = _value(reg, hit_name), _value(reg, miss_name)
+        if hits is not None or misses is not None:
+            caches[key] = {"hits": hits or 0, "misses": misses or 0}
+    evaluated = _value(reg, "alloc/candidates_evaluated")
+    if evaluated is not None:
+        caches["path_prune"] = {
+            "pruned": _value(reg, "alloc/candidates_pruned") or 0,
+            "evaluated": evaluated,
+        }
+    if caches:
+        out["caches"] = caches
+    peaks = reg.find("net/link_peak_utilization")
+    if peaks:
+        out["links"] = [
+            {"labels": dict(g.labels), "peak": g.max}
+            for g in sorted(peaks, key=lambda g: g.max, reverse=True)
+        ]
+    spans = span_tree(reg)
+    if spans:
+        out["spans"] = [
+            {"path": path, "calls": calls, "total_seconds": seconds,
+             "mean_seconds": seconds / calls if calls else 0.0}
+            for path, (calls, seconds) in spans.items()
+        ]
+    return out
 
 
 def _fmt_seconds(s: float) -> str:
@@ -37,202 +105,73 @@ def _section(title: str) -> list[str]:
     return ["", title, "-" * len(title)]
 
 
-def _counter_value(snap: TelemetrySnapshot, name: str) -> float | None:
-    item = snap.get(name)
-    return item["value"] if item is not None else None
-
-
-def _admission_section(reg: MetricsRegistry) -> list[str]:
-    hist = reg.get("controller/admission_latency_seconds")
-    if not isinstance(hist, Histogram) or hist.count == 0:
-        return []
-    out = _section("Admission latency")
-    pcts = hist.percentiles(0.50, 0.90, 0.99)
-    out.append(
-        f"  {hist.count} admissions, mean {_fmt_seconds(hist.mean)}, "
-        f"total {_fmt_seconds(hist.sum)}"
-    )
-    out.append(
-        "  p50 {p50}  p90 {p90}  p99 {p99}  max {mx}".format(
-            p50=_fmt_seconds(pcts["p50"]),
-            p90=_fmt_seconds(pcts["p90"]),
-            p99=_fmt_seconds(pcts["p99"]),
-            mx=_fmt_seconds(hist.max),
-        )
-    )
-    return out
-
-
-def _decisions_section(snap: TelemetrySnapshot) -> list[str]:
-    accepted = _counter_value(snap, "controller/tasks_accepted")
-    rejected = _counter_value(snap, "controller/tasks_rejected")
-    if accepted is None and rejected is None:
-        return []
-    accepted = accepted or 0
-    rejected = rejected or 0
-    total = accepted + rejected
-    out = _section("Admission decisions")
-    out.append(f"  accepted   {accepted:>8}  ({_fmt_rate(accepted, total)})")
-    out.append(f"  rejected   {rejected:>8}  ({_fmt_rate(rejected, total)})")
-    preempted = _counter_value(snap, "controller/tasks_preempted")
-    if preempted:
-        out.append(f"  preempted  {preempted:>8}  (victim tasks discarded)")
-    rounds = _counter_value(snap, "controller/reallocations")
-    rollbacks = _counter_value(snap, "alloc/trials_rolled_back")
-    if rounds is not None:
-        out.append(
-            f"  reallocation rounds {rounds:>8}"
-            + (f"  ({rollbacks:g} trials rolled back)" if rollbacks else "")
-        )
-    return out
-
-
-def _cache_section(snap: TelemetrySnapshot) -> list[str]:
-    pairs = [
-        ("union cache", "alloc/union_cache_hits", "alloc/union_cache_misses"),
-        ("result cache", "executor/cache_hits", "executor/cache_misses"),
-    ]
-    rows = []
-    for label, hit_name, miss_name in pairs:
-        hits = _counter_value(snap, hit_name)
-        misses = _counter_value(snap, miss_name)
-        if hits is None and misses is None:
-            continue
-        hits = hits or 0
-        misses = misses or 0
-        rows.append(
-            f"  {label:<13} {_fmt_rate(hits, hits + misses)}  "
-            f"({hits} hits / {misses} misses)"
-        )
-    pruned = _counter_value(snap, "alloc/candidates_pruned")
-    evaluated = _counter_value(snap, "alloc/candidates_evaluated")
-    if evaluated is not None:
-        rows.append(
-            f"  {'path prune':<13} {_fmt_rate(pruned or 0, evaluated)}  "
-            f"({pruned or 0} of {evaluated} candidates)"
-        )
-    if not rows:
-        return []
-    return _section("Cache and prune effectiveness") + rows
-
-
-def _links_section(reg: MetricsRegistry, top: int = 10) -> list[str]:
-    peaks = reg.find("net/link_peak_utilization")
-    if not peaks:
-        return []
-    ranked = sorted(peaks, key=lambda g: g.max, reverse=True)
-    out = _section(f"Per-link peak utilization (top {min(top, len(ranked))} "
-                   f"of {len(ranked)} links)")
-    for g in ranked[:top]:
-        labels = dict(g.labels)
-        name = labels.get("link", "?")
-        ends = (
-            f" ({labels['src']}→{labels['dst']})"
-            if "src" in labels and "dst" in labels
-            else ""
-        )
-        out.append(f"  link {name:>4}{ends:<14} peak {g.max:6.1%}")
-    return out
-
-
-def _span_tree(reg: MetricsRegistry) -> list[str]:
-    spans = [
-        h for h in reg.instruments()
-        if isinstance(h, Histogram) and h.name.startswith(SPAN_PREFIX)
-    ]
-    if not spans:
-        return []
-    total = sum(h.sum for h in spans if "/" not in h.name[len(SPAN_PREFIX):])
-    out = _section("Span-time breakdown")
-    out.append(f"  {'span':<44} {'calls':>8} {'total':>10} {'mean':>10}")
-    for h in sorted(spans, key=lambda h: h.name):
-        path = h.name[len(SPAN_PREFIX):]
-        depth = path.count("/")
-        leaf = path.rsplit("/", 1)[-1]
-        label = "  " * depth + leaf
-        share = f"  {h.sum / total:5.1%}" if depth == 0 and total else ""
-        out.append(
-            f"  {label:<44} {h.count:>8} {_fmt_seconds(h.sum):>10} "
-            f"{_fmt_seconds(h.mean):>10}{share}"
-        )
-    return out
-
-
-def stats_json(snap: TelemetrySnapshot) -> dict:
-    """The ``repro-taps stats --json`` payload: the same sections as
-    :func:`render_stats`, as a machine-readable dict (CI and scripts
-    consume this instead of scraping the text report)."""
-    reg = snap.to_registry()
-    out: dict = {"schema": snap.schema, "meta": dict(snap.meta)}
-    hist = reg.get("controller/admission_latency_seconds")
-    if isinstance(hist, Histogram) and hist.count:
-        pcts = hist.percentiles(0.50, 0.90, 0.99)
-        out["admission_latency"] = {
-            "count": hist.count, "mean": hist.mean, "sum": hist.sum,
-            "max": hist.max, **pcts,
-        }
-    decisions = {}
-    for key, name in (
-        ("accepted", "controller/tasks_accepted"),
-        ("rejected", "controller/tasks_rejected"),
-        ("preempted", "controller/tasks_preempted"),
-        ("reallocations", "controller/reallocations"),
-        ("trials_rolled_back", "alloc/trials_rolled_back"),
-    ):
-        value = _counter_value(snap, name)
-        if value is not None:
-            decisions[key] = value
-    if decisions:
-        out["decisions"] = decisions
-    caches = {}
-    for key, hit_name, miss_name in (
-        ("union_cache", "alloc/union_cache_hits", "alloc/union_cache_misses"),
-        ("result_cache", "executor/cache_hits", "executor/cache_misses"),
-    ):
-        hits = _counter_value(snap, hit_name)
-        misses = _counter_value(snap, miss_name)
-        if hits is None and misses is None:
-            continue
-        caches[key] = {"hits": hits or 0, "misses": misses or 0}
-    if caches:
-        out["caches"] = caches
-    peaks = reg.find("net/link_peak_utilization")
-    if peaks:
-        out["links"] = [
-            {"labels": dict(g.labels), "peak": g.max}
-            for g in sorted(peaks,
-                            key=lambda g: (-g.max, sorted(dict(g.labels))))
-        ]
-    spans = [
-        h for h in reg.instruments()
-        if isinstance(h, Histogram) and h.name.startswith(SPAN_PREFIX)
-    ]
-    if spans:
-        out["spans"] = [
-            {"path": h.name[len(SPAN_PREFIX):], "calls": h.count,
-             "total_seconds": h.sum, "mean_seconds": h.mean}
-            for h in sorted(spans, key=lambda h: h.name)
-        ]
-    return out
-
-
-def render_stats(snap: TelemetrySnapshot) -> str:
-    """The full ``repro-taps stats`` report for one telemetry snapshot."""
-    reg = snap.to_registry()
-    lines = ["Telemetry report" + (f" (schema {snap.schema})" if snap.schema else "")]
-    if snap.meta:
-        lines.extend(
-            f"  {k}: {v}" for k, v in sorted(snap.meta.items())
-        )
-    if not snap.instruments:
+def render_stats(reg: MetricsRegistry) -> str:
+    """The full ``repro-taps stats`` report: :func:`stats_json` as text."""
+    doc = stats_json(reg)
+    lines = [f"Telemetry report (schema {doc['schema']})"]
+    lines.extend(f"  {k}: {v}" for k, v in sorted(doc["meta"].items()))
+    if not len(reg):
         lines.append("  (no instruments recorded)")
         return "\n".join(lines) + "\n"
-    for section in (
-        _admission_section(reg),
-        _decisions_section(snap),
-        _cache_section(snap),
-        _links_section(reg),
-        _span_tree(reg),
-    ):
-        lines.extend(section)
+    if "admission_latency" in doc:
+        lat = doc["admission_latency"]
+        t = {k: _fmt_seconds(v) for k, v in lat.items() if k != "count"}
+        lines += _section("Admission latency") + [
+            f"  {lat['count']} admissions, mean {t['mean']}, total {t['sum']}",
+            f"  p50 {t['p50']}  p90 {t['p90']}  p99 {t['p99']}  max {t['max']}"]
+    decisions = doc.get("decisions", {})
+    if "accepted" in decisions or "rejected" in decisions:
+        counts = {key: decisions.get(key) or 0
+                  for key in ("accepted", "rejected")}
+        lines += _section("Admission decisions")
+        for key, n in counts.items():
+            lines.append(f"  {key}   {n:>8}  "
+                         f"({_fmt_rate(n, sum(counts.values()))})")
+        if decisions.get("preempted"):
+            lines.append(f"  preempted  {decisions['preempted']:>8}  "
+                         "(victim tasks discarded)")
+        if "reallocations" in decisions:
+            rollbacks = decisions.get("trials_rolled_back")
+            lines.append(
+                f"  reallocation rounds {decisions['reallocations']:>8}"
+                + (f"  ({rollbacks:g} trials rolled back)" if rollbacks
+                   else ""))
+    caches = doc.get("caches", {})
+    if caches:
+        lines += _section("Cache and prune effectiveness")
+        for key, _hits, _misses in _CACHES:
+            if key in caches:
+                hits, misses = caches[key]["hits"], caches[key]["misses"]
+                lines.append(f"  {key.replace('_', ' '):<13} "
+                             f"{_fmt_rate(hits, hits + misses)}  "
+                             f"({hits} hits / {misses} misses)")
+        if "path_prune" in caches:
+            prune = caches["path_prune"]
+            pruned, evaluated = prune["pruned"], prune["evaluated"]
+            lines.append(f"  {'path prune':<13} {_fmt_rate(pruned, evaluated)}"
+                         f"  ({pruned} of {evaluated} candidates)")
+    links = doc.get("links", [])
+    if links:
+        shown = links[:_TOP_LINKS]
+        lines += _section(f"Per-link peak utilization (top {len(shown)} "
+                          f"of {len(links)} links)")
+        for row in shown:
+            labels = row["labels"]
+            ends = (f" ({labels['src']}→{labels['dst']})"
+                    if "src" in labels and "dst" in labels else "")
+            lines.append(f"  link {labels.get('link', '?'):>4}{ends:<14} "
+                         f"peak {row['peak']:6.1%}")
+    spans = doc.get("spans", [])
+    if spans:
+        total = sum(s["total_seconds"] for s in spans if "/" not in s["path"])
+        lines += _section("Span-time breakdown")
+        lines.append(f"  {'span':<44} {'calls':>8} {'total':>10} {'mean':>10}")
+        for s in spans:
+            depth = s["path"].count("/")
+            label = "  " * depth + s["path"].rsplit("/", 1)[-1]
+            share = (f"  {s['total_seconds'] / total:5.1%}"
+                     if depth == 0 and total else "")
+            lines.append(f"  {label:<44} {s['calls']:>8} "
+                         f"{_fmt_seconds(s['total_seconds']):>10} "
+                         f"{_fmt_seconds(s['mean_seconds']):>10}{share}")
     return "\n".join(lines) + "\n"

@@ -9,9 +9,11 @@ Spans nest: while one is open, inner spans extend its path, so the
 controller's ``path_calculation`` span opened inside the engine's
 ``arrival`` span lands in the histogram
 ``span/engine/arrival/controller/admission/path_calculation`` — the full
-causal pipeline is readable straight off the instrument name, and the
-``repro-taps stats`` report renders the tree with each node's call count
-and total/mean time.
+causal pipeline is readable straight off the instrument name.
+:func:`span_tree` is the one reader of that naming: the ``repro-taps
+stats`` report, the Perfetto flame, ``repro-taps diff`` and the perf
+record's ``layers`` block all take each node's call count and total time
+from it.
 
 Every span exit records its wall duration into a histogram named
 ``span/<full-path>``, so span timings inherit everything histograms give
@@ -29,6 +31,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
+
+from repro.obs.registry import Histogram, MetricsRegistry
+
+_PREFIX = "span/"
 
 
 class SpanTimers:
@@ -56,4 +62,14 @@ class SpanTimers:
             dt = perf_counter() - t0
             path = "/".join(self._stack)
             self._stack.pop()
-            self._registry.histogram("span/" + path).observe(dt)
+            self._registry.histogram(_PREFIX + path).observe(dt)
+
+
+def span_tree(registry: MetricsRegistry) -> dict[str, tuple[int, float]]:
+    """Every span in ``registry`` as ``{path: (calls, total seconds)}``,
+    in path order (each parent before its children)."""
+    return {
+        h.name[len(_PREFIX):]: (h.count, h.sum)
+        for h in registry.instruments()
+        if isinstance(h, Histogram) and h.name.startswith(_PREFIX)
+    }

@@ -66,6 +66,7 @@ class PlanRecord:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "PlanRecord":
+        _check_fields(d, _PLAN_FIELDS, "plan record")
         return cls(
             flow_id=d["flow"],
             task_id=d["task"],
@@ -333,28 +334,49 @@ _TUPLE_OF_TUPLES = ("flows", "missing", "lateness")
 _TUPLE_OF_PLANS = ("plans",)
 _PLAIN_TUPLES = ("victims", "killed_flows", "down_links", "path")
 
+#: the exact key set :meth:`TraceEvent.to_json` writes, per event class
+_JSON_FIELDS = {
+    cls: {"kind", "seq", "t"} | ({f.name for f in fields(cls)} - {"time", "seq"})
+    for cls in EVENT_TYPES.values()
+}
+_PLAN_FIELDS = {"flow", "task", "path", "slices", "completion", "deadline"}
+
+
+def _check_fields(d: Any, want: set[str], what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object")
+    if set(d) != want:
+        raise ValueError(f"field mismatch for {what}: {sorted(set(d) ^ want)}")
+
 
 def event_from_json(d: dict[str, Any]) -> TraceEvent:
-    """Rebuild a typed event from its :meth:`TraceEvent.to_json` dict."""
-    kind = d["kind"]
-    cls = EVENT_TYPES.get(kind)
+    """Rebuild a typed event from its :meth:`TraceEvent.to_json` dict.
+
+    Raises ``ValueError`` unless ``d`` is an object of a known kind with
+    exactly the fields that kind writes, plan records included.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("trace event must be an object")
+    kind = d.get("kind")
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown trace event kind {kind!r}")
-    kwargs: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name == "time":
-            kwargs["time"] = d["t"]
-            continue
-        if f.name == "seq":
-            continue
-        value = d[f.name]
-        if f.name in _TUPLE_OF_PLANS:
-            value = tuple(PlanRecord.from_json(p) for p in value)
-        elif f.name in _TUPLE_OF_TUPLES:
-            value = tuple(tuple(item) for item in value)
-        elif f.name in _PLAIN_TUPLES:
-            value = tuple(value)
-        kwargs[f.name] = value
+    _check_fields(d, _JSON_FIELDS[cls], kind)
+    kwargs: dict[str, Any] = {"time": d["t"]}
+    try:
+        for f in fields(cls):
+            if f.name in ("time", "seq"):
+                continue
+            value = d[f.name]
+            if f.name in _TUPLE_OF_PLANS:
+                value = tuple(PlanRecord.from_json(p) for p in value)
+            elif f.name in _TUPLE_OF_TUPLES:
+                value = tuple(tuple(item) for item in value)
+            elif f.name in _PLAIN_TUPLES:
+                value = tuple(value)
+            kwargs[f.name] = value
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind}: {exc}") from None
     ev = cls(**kwargs)
-    ev.seq = d.get("seq", -1)
+    ev.seq = d["seq"]
     return ev

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.trace.events import SCHEMA_VERSION, TraceEvent, event_from_json
+from repro.util.jsonl import read_jsonl
 
 
 class TraceRecorder:
@@ -151,27 +152,18 @@ class LoadedTrace:
 def load_jsonl(source: str | Path | Iterable[str]) -> LoadedTrace:
     """Parse a JSONL trace (path or iterable of lines) back into events.
 
-    Raises ``ValueError`` on a missing/foreign header or an unsupported
-    schema version.
+    Raises ``ValueError`` on a missing/foreign header, an unsupported
+    schema version, or an event line that is not JSON, not an object, of
+    an unknown kind, or with a missing, unknown or unreadable field (the
+    message names the line).
     """
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    else:
-        lines = source
-    it = iter(lines)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("empty trace: no header line") from None
-    header = json.loads(first)
-    if not isinstance(header, dict) or header.get("kind") != "trace-header":
-        raise ValueError("not a trace file: first line is not a trace-header")
-    if header.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema {header.get('schema')!r} "
-            f"(this build reads schema {SCHEMA_VERSION})"
-        )
-    events = [event_from_json(json.loads(line)) for line in it if line.strip()]
+    _, header, body = read_jsonl(source, {"trace": SCHEMA_VERSION})
+    events = []
+    for lineno, item in body:
+        try:
+            events.append(event_from_json(item))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return LoadedTrace(
         schema=header["schema"],
         meta=header.get("meta", {}),

@@ -11,6 +11,9 @@ Submodules
     Seeded random-source helpers for reproducible workloads.
 ``errors``
     Exception hierarchy for the package.
+``jsonl``
+    The header-then-objects JSON Lines framing that trace and telemetry
+    files share.
 """
 
 from repro.util.errors import (

@@ -1,5 +1,9 @@
 """CLI entry point (argument parsing and end-to-end subcommands)."""
 
+import json
+import re
+import shutil
+
 import pytest
 
 from repro.cli import main
@@ -128,6 +132,10 @@ def test_stats_rejects_corrupt_telemetry(tmp_path, capsys):
     assert "not a telemetry file" in capsys.readouterr().err
     assert main(["stats", str(tmp_path / "nowhere")]) == 1
     assert "no telemetry" in capsys.readouterr().err
+    tele.write_bytes(b"\xff\xfe not text\n")
+    assert main(["stats", str(tele)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tele}: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +161,109 @@ def test_stats_json_flag(cli_run_dir, capsys):
     assert doc["decisions"]["accepted"] + doc["decisions"]["rejected"] == 24
     assert doc["admission_latency"]["count"] > 0
     assert doc["links"] and all("peak" in row for row in doc["links"])
+
+
+def _seconds(shown):
+    """A time as the report prints it -> (seconds, half its last digit)."""
+    if shown == "0":
+        return 0.0, 0.0
+    for unit, scale, digits in (("µs", 1e-6, 1), ("ms", 1e-3, 2), ("s", 1.0, 3)):
+        if shown.endswith(unit):
+            return float(shown[:-len(unit)]) * scale, 0.5 * 10**-digits * scale
+    raise AssertionError(f"not a printed time: {shown!r}")
+
+
+def _same_time(shown, value):
+    parsed, tolerance = _seconds(shown)
+    assert abs(parsed - value) <= tolerance * (1 + 1e-9) + 1e-15, (shown, value)
+
+
+def _same_share(shown, num, den):
+    assert abs(float(shown) - 100 * num / den) <= 0.05 + 1e-9, (shown, num, den)
+
+
+def test_stats_text_is_rendered_from_stats_json(cli_run_dir, capsys):
+    """Every count, ratio and time the text report prints equals the
+    ``--json`` value it is rendered from, row by row."""
+    capsys.readouterr()
+    assert main(["stats", str(cli_run_dir)]) == 0
+    text = capsys.readouterr().out
+    assert main(["stats", str(cli_run_dir), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    head, *blocks = text.rstrip("\n").split("\n\n")
+    assert head.split("\n") == [f"Telemetry report (schema {doc['schema']})"] + [
+        f"  {k}: {v}" for k, v in sorted(doc["meta"].items())]
+    sections = {}
+    for block in blocks:
+        title, _rule, *rows = block.split("\n")
+        sections[title.split(" (")[0]] = (title, rows)
+    assert set(sections) == {
+        "Admission latency", "Admission decisions",
+        "Cache and prune effectiveness", "Per-link peak utilization",
+        "Span-time breakdown"}
+
+    lat = doc["admission_latency"]
+    summary, quantiles = sections["Admission latency"][1]
+    m = re.fullmatch(r"  (\d+) admissions, mean (\S+), total (\S+)", summary)
+    assert int(m[1]) == lat["count"]
+    _same_time(m[2], lat["mean"])
+    _same_time(m[3], lat["sum"])
+    shown = re.findall(r"(p50|p90|p99|max) (\S+)", quantiles)
+    assert [key for key, _ in shown] == ["p50", "p90", "p99", "max"]
+    for key, value in shown:
+        _same_time(value, lat[key])
+
+    decisions = doc["decisions"]
+    total = decisions["accepted"] + decisions["rejected"]
+    accepted, rejected, rounds = sections["Admission decisions"][1]
+    for key, row in (("accepted", accepted), ("rejected", rejected)):
+        m = re.fullmatch(rf"  {key}\s+(\d+)  \(\s*([\d.]+)%\)", row)
+        assert int(m[1]) == decisions[key]
+        _same_share(m[2], decisions[key], total)
+    m = re.fullmatch(r"  reallocation rounds\s+(\d+)", rounds)
+    assert int(m[1]) == decisions["reallocations"]
+
+    caches = doc["caches"]
+    union, prune = sections["Cache and prune effectiveness"][1]
+    m = re.fullmatch(
+        r"  union cache\s+([\d.]+)%  \((\d+) hits / (\d+) misses\)", union)
+    hits, misses = caches["union_cache"]["hits"], caches["union_cache"]["misses"]
+    assert (int(m[2]), int(m[3])) == (hits, misses)
+    _same_share(m[1], hits, hits + misses)
+    m = re.fullmatch(
+        r"  path prune\s+([\d.]+)%  \((\d+) of (\d+) candidates\)", prune)
+    pruned = caches["path_prune"]["pruned"]
+    evaluated = caches["path_prune"]["evaluated"]
+    assert (int(m[2]), int(m[3])) == (pruned, evaluated)
+    _same_share(m[1], pruned, evaluated)
+
+    title, rows = sections["Per-link peak utilization"]
+    links = doc["links"]
+    assert title == (f"Per-link peak utilization (top {len(rows)} "
+                     f"of {len(links)} links)")
+    for row, link in zip(rows, links):
+        m = re.fullmatch(r"  link\s+(\S+) \((\S+)→(\S+)\)\s+peak\s+([\d.]+)%",
+                         row)
+        labels = link["labels"]
+        assert (m[1], m[2], m[3]) == (
+            labels["link"], labels["src"], labels["dst"])
+        _same_share(m[4], link["peak"], 1.0)
+
+    _header, *rows = sections["Span-time breakdown"][1]
+    spans = doc["spans"]
+    assert len(rows) == len(spans) > 1
+    root_total = sum(s["total_seconds"] for s in spans if "/" not in s["path"])
+    for row, span in zip(rows, spans):
+        m = re.fullmatch(
+            r"  ( *)(\S+)\s+(\d+)\s+(\S+)\s+(\S+)(?:\s+([\d.]+)%)?", row)
+        assert len(m[1]) == 2 * span["path"].count("/")
+        assert m[2] == span["path"].rsplit("/", 1)[-1]
+        assert int(m[3]) == span["calls"]
+        _same_time(m[4], span["total_seconds"])
+        _same_time(m[5], span["mean_seconds"])
+        assert (m[6] is not None) == ("/" not in span["path"])
+        if m[6] is not None:
+            _same_share(m[6], span["total_seconds"], root_total)
 
 
 def test_timeline_subcommand(cli_run_dir, capsys):
@@ -233,6 +344,61 @@ def test_diff_unloadable_operand_exits_2(tmp_path, capsys):
     missing = tmp_path / "nowhere"
     assert main(["diff", str(missing), str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _copy_with_broken_event(run_dir, dst):
+    """Copy the bundle ``run_dir`` to ``dst`` with the ``t`` field cut
+    from its first slice-start event; returns that event's line number."""
+    shutil.copytree(run_dir, dst)
+    trace = dst / "trace.jsonl"
+    lines = trace.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if json.loads(line)["kind"] == "slice-start")
+    event = json.loads(lines[i])
+    del event["t"]
+    lines[i] = json.dumps(event, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    return i + 1
+
+
+def test_audit_of_a_file_that_is_not_a_trace_is_one_error_line(
+        cli_run_dir, tmp_path, capsys):
+    """Exit 1 means "violations found"; a missing or foreign file is a
+    usage error: exit 2 and one ``error:`` line, no traceback."""
+    missing = tmp_path / "missing.jsonl"
+    telemetry = cli_run_dir / "telemetry.jsonl"
+    capsys.readouterr()
+    for path, reason in ((missing, "No such file"),
+                         (telemetry, "not a trace file")):
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert reason in err
+
+
+def test_diff_of_an_unloadable_trace_exits_2(cli_run_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    lineno = _copy_with_broken_event(cli_run_dir, broken)
+    capsys.readouterr()
+    assert main(["diff", str(cli_run_dir), str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"line {lineno}: field mismatch for slice-start" in err
+    alien = tmp_path / "alien.jsonl"
+    alien.write_text('{"kind":"trace-header","schema":999}\n')
+    assert main(["diff", str(alien), str(alien)]) == 2
+    assert "unsupported trace schema 999" in capsys.readouterr().err
+
+
+def test_explain_and_timeline_report_a_malformed_trace(
+        cli_run_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    lineno = _copy_with_broken_event(cli_run_dir, broken)
+    capsys.readouterr()
+    for command in ("explain", "timeline"):
+        assert main([command, str(broken)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"line {lineno}: " in err
 
 
 def test_audit_fails_on_corrupted_trace(tmp_path, capsys):

@@ -16,14 +16,15 @@ from repro.obs.timeline import timeline_from
 REQUIRED = ("ph", "ts", "pid", "tid")
 
 
-def _snapshot(registry):
+def _loaded(registry):
+    """The registry as ``repro-taps timeline`` sees it: exported, loaded."""
     return load_jsonl(dumps_jsonl(registry).splitlines())
 
 
 def test_every_event_has_required_fields(traced_run):
     _result, recorder, registry = traced_run
     tl = timeline_from(recorder)
-    events = chrome_events(tl, _snapshot(registry))
+    events = chrome_events(tl, _loaded(registry))
     assert events
     for ev in events:
         for key in REQUIRED:
@@ -39,7 +40,7 @@ def test_output_is_a_loadable_json_array(traced_run, tmp_path):
     _result, recorder, registry = traced_run
     tl = timeline_from(recorder)
     out = write_chrome_trace(tmp_path / "run.chrome.json", tl,
-                             _snapshot(registry))
+                             _loaded(registry))
     loaded = json.loads(out.read_text())
     assert isinstance(loaded, list) and loaded
     assert all(isinstance(e, dict) for e in loaded)
@@ -64,7 +65,7 @@ def test_faulted_run_exports_outage_and_validates(faulted_run, tmp_path):
     _result, recorder, registry = faulted_run
     tl = timeline_from(recorder)
     out = write_chrome_trace(tmp_path / "faulted.chrome.json", tl,
-                             _snapshot(registry))
+                             _loaded(registry))
     events = json.loads(out.read_text())
     assert isinstance(events, list)
     for ev in events:
@@ -79,7 +80,7 @@ def test_faulted_run_exports_outage_and_validates(faulted_run, tmp_path):
 def test_span_flame_nests_children_in_parents(traced_run):
     _result, recorder, registry = traced_run
     tl = timeline_from(recorder)
-    events = chrome_events(tl, _snapshot(registry))
+    events = chrome_events(tl, _loaded(registry))
     frames = {
         e["args"]["path"]: (e["ts"], e["ts"] + e["dur"])
         for e in events
@@ -98,10 +99,16 @@ def test_span_flame_nests_children_in_parents(traced_run):
 def test_export_is_deterministic(traced_run):
     _result, recorder, registry = traced_run
     tl = timeline_from(recorder)
-    snap = _snapshot(registry)
-    assert dumps_chrome(tl, snap) == dumps_chrome(
-        timeline_from(recorder), snap
+    loaded = _loaded(registry)
+    assert dumps_chrome(tl, loaded) == dumps_chrome(
+        timeline_from(recorder), loaded
     )
+
+
+def test_live_registry_exports_like_its_loaded_copy(traced_run):
+    _result, recorder, registry = traced_run
+    tl = timeline_from(recorder)
+    assert dumps_chrome(tl, registry) == dumps_chrome(tl, _loaded(registry))
 
 
 def test_pids_are_disjoint_namespaces(traced_run):

@@ -35,25 +35,37 @@ def _sample_registry() -> MetricsRegistry:
 def test_jsonl_round_trip_is_byte_identical():
     reg = _sample_registry()
     text = dumps_jsonl(reg)
-    snap = load_jsonl(text.splitlines())
-    assert snap.schema == TELEMETRY_SCHEMA_VERSION
-    assert snap.meta == {"scale": "small", "seed": 3}
-    # rebuild a registry from the snapshot and re-export: identical bytes
-    assert dumps_jsonl(snap.to_registry()) == text
+    assert json.loads(text.splitlines()[0])["schema"] == TELEMETRY_SCHEMA_VERSION
+    loaded = load_jsonl(text.splitlines())
+    assert isinstance(loaded, MetricsRegistry)
+    assert loaded.meta == {"scale": "small", "seed": 3}
+    # the loaded registry re-exports to identical bytes
+    assert dumps_jsonl(loaded) == text
+
+
+def test_run_export_round_trip_is_byte_identical(traced_run):
+    """A real run's export, integer gauges included, reloads to a
+    registry that writes the same bytes."""
+    _result, _recorder, registry = traced_run
+    negative = MetricsRegistry()
+    negative.gauge("net/link_peak_utilization").set(-2.5)
+    for reg in (registry, negative):
+        text = dumps_jsonl(reg)
+        assert dumps_jsonl(load_jsonl(text.splitlines())) == text
 
 
 def test_write_and_load_file(tmp_path):
     path = write_jsonl(_sample_registry(), tmp_path / "telemetry.jsonl")
-    snap = load_jsonl(path)
-    assert snap.get("controller/tasks_accepted")["value"] == 12
-    assert snap.find("net/link_peak_utilization")[0]["labels"]["link"] == "4"
+    reg = load_jsonl(path)
+    assert reg.get("controller/tasks_accepted").value == 12
+    assert dict(reg.find("net/link_peak_utilization")[0].labels)["link"] == "4"
 
 
 def test_loaded_histogram_quantiles_survive_round_trip():
     reg = _sample_registry()
     live = reg.get("controller/admission_latency_seconds")
-    snap = load_jsonl(dumps_jsonl(reg).splitlines())
-    rebuilt = snap.to_registry().get("controller/admission_latency_seconds")
+    loaded = load_jsonl(dumps_jsonl(reg).splitlines())
+    rebuilt = loaded.get("controller/admission_latency_seconds")
     assert rebuilt.quantile(0.5) == live.quantile(0.5)
     assert rebuilt.quantile(0.99) == live.quantile(0.99)
 
@@ -171,6 +183,28 @@ def test_load_rejects_wrong_bucket_count():
             lines[i] = json.dumps(item)
             break
     with pytest.raises(TelemetryError, match="non-negative ints"):
+        load_jsonl(lines)
+
+
+def test_load_rejects_repeated_instrument():
+    """The exporter writes one line per (name, labels); loading a second
+    one would merge it silently into the first."""
+    lines = _lines()
+    i, _item = _counter_line(lines)
+    lines.append(lines[i])
+    with pytest.raises(TelemetryError, match="duplicate instrument"):
+        load_jsonl(lines)
+
+
+def test_load_rejects_impossible_bucket_layout():
+    lines = _lines()
+    for i, line in enumerate(lines):
+        item = json.loads(line)
+        if item.get("kind") == "histogram":
+            item["lo"] = 0
+            lines[i] = json.dumps(item)
+            break
+    with pytest.raises(TelemetryError, match="need lo > 0"):
         load_jsonl(lines)
 
 

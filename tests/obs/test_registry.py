@@ -18,6 +18,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.spans import span_tree
 
 
 def test_counter_accumulates_and_snapshots():
@@ -82,6 +83,23 @@ def test_span_records_on_exception():
             raise RuntimeError()
     assert reg.find("span/boom")[0].count == 1
     assert reg.spans.current_path == ""  # stack unwound
+
+
+def test_span_tree_reads_only_span_timers_in_path_order():
+    reg = MetricsRegistry()
+    reg.histogram("controller/admission_latency_seconds").observe(1.0)
+    with reg.spans.span("run"):
+        for _ in range(3):
+            with reg.spans.span("rates"):
+                pass
+        with reg.spans.span("arrival"):
+            pass
+    tree = span_tree(reg)
+    assert list(tree) == ["run", "run/arrival", "run/rates"]
+    run = reg.get("span/run")
+    assert tree["run"] == (1, run.sum)
+    assert tree["run/rates"][0] == 3
+    assert span_tree(MetricsRegistry()) == {}
 
 
 def test_histogram_quantile_empty_and_bounds():

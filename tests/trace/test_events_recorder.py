@@ -115,9 +115,64 @@ class TestRecorder:
         with pytest.raises(ValueError, match="unsupported trace schema"):
             load_jsonl(['{"kind":"trace-header","schema":999}'])
 
+    def test_load_rejects_non_json_event_line(self):
+        lines = _sample_lines()
+        lines[2] = "{oops"
+        with pytest.raises(ValueError, match="line 3: not JSON"):
+            load_jsonl(lines)
+
     def test_clear_resets_everything(self):
         rec = TraceRecorder(capacity=2)
         for ev in _sample_events():
             rec.emit(ev)
         rec.clear()
         assert len(rec) == 0 and rec.emitted == 0 and rec.dropped == 0
+
+
+def _sample_lines() -> list[str]:
+    rec = TraceRecorder()
+    for ev in _sample_events():
+        rec.emit(ev)
+    return rec.dumps().splitlines()
+
+
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _first_plan(change):
+    def mutate(d):
+        return {**d, "plans": [change(d["plans"][0])] + d["plans"][1:]}
+    return mutate
+
+
+class TestLoadRejectsMalformedEvents:
+    """A damaged event line is a load error that names its line — never a
+    ``KeyError`` traceback, and never a silently dropped field, which
+    could let a corrupted trace audit clean."""
+
+    @pytest.mark.parametrize("kind, mutate, message", [
+        ("slice-start", _drop("t"), r"field mismatch for slice-start: \['t'\]"),
+        ("task-arrival", _drop("seq"), r"field mismatch for task-arrival"),
+        ("task-arrival", lambda d: {**d, "extra": 1},
+         r"field mismatch for task-arrival: \['extra'\]"),
+        ("task-reject", lambda d: [d], "trace event must be an object"),
+        ("trial-begin", lambda d: {**d, "kind": "trial-start"},
+         "unknown trace event kind 'trial-start'"),
+        ("task-accept", _first_plan(_drop("deadline")),
+         r"field mismatch for plan record: \['deadline'\]"),
+        ("task-accept", _first_plan(lambda p: {**p, "rate": 1.0}),
+         r"field mismatch for plan record: \['rate'\]"),
+        ("task-accept", _first_plan(lambda p: 7),
+         "plan record must be an object"),
+        ("slice-start", lambda d: {**d, "path": 5}, "malformed slice-start"),
+    ], ids=["missing-t", "missing-seq", "unknown-field", "not-an-object",
+            "unknown-kind", "plan-missing-field", "plan-unknown-field",
+            "plan-not-an-object", "path-not-a-list"])
+    def test_bad_event_line_names_its_line(self, kind, mutate, message):
+        lines = _sample_lines()
+        i = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["kind"] == kind)
+        lines[i] = json.dumps(mutate(json.loads(lines[i])))
+        with pytest.raises(ValueError, match=f"line {i + 1}: {message}"):
+            load_jsonl(lines)
