@@ -11,7 +11,7 @@ Run:  python examples/testbed_throughput.py
 
 import numpy as np
 
-from repro import Engine, ThroughputTimeSeries, make_scheduler
+from repro import Engine, TransmissionLog, make_scheduler
 from repro.exp.report import render_timeseries
 from repro.sched.fair import FairSharing
 from repro.workload.traces import testbed_trace
@@ -24,10 +24,9 @@ def main() -> None:
         ("Fair Sharing", lambda: FairSharing(quit_on_miss=False)),
     ):
         topology, tasks = testbed_trace()
-        collector = ThroughputTimeSeries()
-        result = Engine(topology, tasks, factory(), hooks=(collector,)).run()
-        collector.finalize(result.flow_states)
-        series[name] = collector.sample(num_points=100)
+        log = TransmissionLog(topology)
+        result = Engine(topology, tasks, factory(), hooks=(log,)).run()
+        series[name] = log.sample(num_points=100)
         met = sum(1 for fs in result.flow_states if fs.met_deadline)
         print(f"{name:14s} flows met {met}/{len(result.flow_states)}, "
               f"run length {result.finished_at * 1e3:.1f} ms")

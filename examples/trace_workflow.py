@@ -6,7 +6,7 @@ Shows the pieces a study built on this library would use daily:
 1. generate a heavy-tailed workload (web-search size CDF instead of the
    paper's normal distribution),
 2. save it to a JSON trace and reload it (byte-identical replay),
-3. run it under TAPS with a per-link load collector attached,
+3. run it under TAPS with a transmission log attached,
 4. print the hottest links, split into useful vs wasted bytes.
 
 Run:  python examples/trace_workflow.py
@@ -25,7 +25,7 @@ from repro import (
     save_tasks,
     summarize,
 )
-from repro.metrics.linkload import LinkLoadCollector
+from repro.metrics import TransmissionLog
 from repro.util.units import KB, ms
 
 
@@ -49,9 +49,8 @@ def main() -> None:
               f"({trace_path.stat().st_size / 1024:.0f} KiB JSON)")
         replay = load_tasks(trace_path)
 
-    load = LinkLoadCollector(topology)
-    result = Engine(topology, replay, TapsScheduler(), hooks=(load,)).run()
-    load.finalize(result.flow_states)
+    log = TransmissionLog(topology)
+    result = Engine(topology, replay, TapsScheduler(), hooks=(log,)).run()
     metrics = summarize(result)
 
     print(f"\nTAPS on the reloaded trace: "
@@ -61,7 +60,7 @@ def main() -> None:
 
     print("\nhottest links (bytes carried; all useful under TAPS):")
     print(f"{'link':22s} {'KB total':>9s} {'KB useful':>9s} {'util':>6s}")
-    for row in load.hottest(result.finished_at, n=8):
+    for row in log.hottest(result.finished_at, n=8):
         print(f"{row.src + ' -> ' + row.dst:22s} "
               f"{row.bytes_total / 1024:>9.1f} "
               f"{row.bytes_useful / 1024:>9.1f} "

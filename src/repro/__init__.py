@@ -27,7 +27,7 @@ Package map
 """
 
 from repro.core import TapsScheduler, PreemptionPolicy
-from repro.metrics import RunMetrics, ThroughputTimeSeries, summarize
+from repro.metrics import RunMetrics, TransmissionLog, summarize
 from repro.net import (
     BCube,
     FatTree,
@@ -73,7 +73,7 @@ __all__ = [
     "TapsScheduler",
     "PreemptionPolicy",
     "RunMetrics",
-    "ThroughputTimeSeries",
+    "TransmissionLog",
     "summarize",
     "BCube",
     "FatTree",

@@ -47,7 +47,6 @@ from repro.exp.runner import (
     RUN_FILES,
     export_figure_csv,
     generate_report,
-    load_run_artifacts,
     run_files,
     run_traced,
     write_run_artifacts,
@@ -306,31 +305,44 @@ def _cmd_stats(args) -> int:
 
 
 def _load_trace_or_fail(run_dir: str):
-    """The (trace, telemetry) pair for a run dir, or (None, None) after
-    printing the error — shared by ``timeline`` and ``explain``."""
-    try:
-        trace, telemetry = load_run_artifacts(run_dir)
-    except (OSError, ValueError) as exc:
-        print(f"error: {run_dir}: {exc}", file=sys.stderr)
-        return None, None
-    if trace is None:
+    """The trace of a run dir (or of the trace file ``run_dir``), or None
+    after printing the error — shared by ``timeline`` and ``explain``."""
+    from pathlib import Path
+
+    from repro.trace import load_jsonl
+
+    target = Path(run_dir)
+    path = run_files(target)["trace"] if target.is_dir() else target
+    if not path.exists():
         print(f"error: no {RUN_FILES['trace']} under {run_dir} "
               "(produce one with: repro-taps run --out-dir DIR)",
               file=sys.stderr)
-        return None, None
-    return trace, telemetry
+        return None
+    try:
+        return load_jsonl(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {run_dir}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_timeline(args) -> int:
     from pathlib import Path
 
-    from repro.obs import timeline_from, write_chrome_trace
+    from repro.obs import load_jsonl, timeline_from, write_chrome_trace
 
-    trace, telemetry = _load_trace_or_fail(args.run_dir)
+    trace = _load_trace_or_fail(args.run_dir)
     if trace is None:
         return 1
-    tl = timeline_from(trace)
+    # the span flame comes from the run dir's telemetry, when it has one
     target = Path(args.run_dir)
+    telemetry_path = run_files(target)["telemetry"]
+    try:
+        telemetry = (load_jsonl(telemetry_path) if telemetry_path.is_file()
+                     else None)
+    except (OSError, ValueError) as exc:
+        print(f"error: {args.run_dir}: {exc}", file=sys.stderr)
+        return 1
+    tl = timeline_from(trace)
     default_dir = target if target.is_dir() else target.parent
     out_path = args.out if args.out is not None else (
         default_dir / "trace.chrome.json"
@@ -352,7 +364,7 @@ def _cmd_explain(args) -> int:
     from repro.obs import explain_run, explain_task, timeline_from
     from repro.trace import audit_events
 
-    trace, _telemetry = _load_trace_or_fail(args.run_dir)
+    trace = _load_trace_or_fail(args.run_dir)
     if trace is None:
         return 1
     tl = timeline_from(trace)

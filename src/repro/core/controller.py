@@ -403,20 +403,15 @@ class TapsScheduler(Scheduler):
                 return
 
             if decision.decision is Decision.REJECT_NEW:
-                # previous plans (untouched) stay in force.  A missing flow
-                # that got no plan at all (skipped as unplannable) is
-                # reported with infinite lateness rather than omitted.
+                # previous plans (untouched) stay in force; the rule names
+                # only flows the trial planned
                 lateness = tuple(
                     (fid, trial_plans[fid].completion
                      - trial_plans[fid].flow_state.flow.deadline)
-                    if fid in trial_plans
-                    else (fid, float("inf"))
                     for fid in decision.missing_flow_ids
                 )
                 missing = tuple(
-                    (fid,
-                     trial_plans[fid].flow_state.flow.task_id
-                     if fid in trial_plans else task_id)
+                    (fid, trial_plans[fid].flow_state.flow.task_id)
                     for fid in decision.missing_flow_ids
                 )
                 self._reject(task_state, now, "would-miss", ledger,

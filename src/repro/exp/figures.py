@@ -22,7 +22,7 @@ import numpy as np
 from repro.exp.configs import SMALL, Scale
 from repro.exp.executor import ExecutorConfig
 from repro.exp.sweep import SweepGrid, SweepResult, run_sweep_grid
-from repro.metrics.timeseries import ThroughputTimeSeries
+from repro.metrics.transmission import TransmissionLog
 from repro.sched.registry import make_scheduler
 from repro.sim.engine import Engine
 from repro.util.errors import ConfigurationError
@@ -228,11 +228,9 @@ def fig14(scale: Scale, executor: ExecutorConfig | None = None) -> FigureRun:
     series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, factory in schedulers.items():
         topo, tasks = testbed_trace(seed=scale.seeds[0])
-        collector = ThroughputTimeSeries()
-        engine = Engine(topo, tasks, factory(), hooks=(collector,))
-        result = engine.run()
-        collector.finalize(result.flow_states)
-        series[name] = collector.sample(num_points=100)
+        log = TransmissionLog(topo)
+        Engine(topo, tasks, factory(), hooks=(log,)).run()
+        series[name] = log.sample(num_points=100)
     return FigureRun(
         "fig14",
         "Testbed: effective application throughput over time",

@@ -195,24 +195,3 @@ def write_run_artifacts(
     if telemetry is not None:
         written["telemetry"] = write_jsonl(telemetry, paths["telemetry"])
     return written
-
-
-def load_run_artifacts(run_dir: str | Path):
-    """Read a ``run --out-dir`` bundle back: ``(trace, telemetry)``.
-
-    ``telemetry`` is a :class:`~repro.obs.registry.MetricsRegistry`.
-    Either element is ``None`` when its artifact is absent.  ``run_dir``
-    may also point directly at a trace file (the ``--trace`` output), in
-    which case only the trace side is populated.  This is the loader
-    behind ``repro-taps timeline`` / ``explain``.
-    """
-    from repro.obs.export import load_jsonl as load_telemetry
-    from repro.trace.recorder import load_jsonl as load_trace
-
-    target = Path(run_dir)
-    files = run_files(target) if target.is_dir() else {"trace": target}
-    files = {artifact: p for artifact, p in files.items() if p.exists()}
-    trace = load_trace(files["trace"]) if "trace" in files else None
-    telemetry = (load_telemetry(files["telemetry"])
-                 if "telemetry" in files else None)
-    return trace, telemetry

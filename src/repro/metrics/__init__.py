@@ -7,7 +7,9 @@
   offered bytes (the paper's size-weighted counterpart of the flow ratio);
 * **wasted bandwidth ratio** — bytes transmitted by flows that ultimately
   missed / total task size (Fig. 8's definition);
-* **effective application throughput over time** — the Fig. 14 trace.
+* **effective application throughput over time** — the Fig. 14 trace,
+  from a :class:`~repro.metrics.transmission.TransmissionLog`, which also
+  gives each link's useful and wasted bytes.
 
 Plus :mod:`repro.metrics.tracestats`, which digests a decision trace
 (:mod:`repro.trace`) into headline admission/preemption/slice counts.
@@ -16,13 +18,13 @@ The allocation hot path's work counters live in
 """
 
 from repro.metrics.summary import RunMetrics, summarize
-from repro.metrics.timeseries import ThroughputTimeSeries
 from repro.metrics.tracestats import TraceDigest, trace_digest
+from repro.metrics.transmission import TransmissionLog
 
 __all__ = [
     "RunMetrics",
     "summarize",
-    "ThroughputTimeSeries",
     "TraceDigest",
     "trace_digest",
+    "TransmissionLog",
 ]

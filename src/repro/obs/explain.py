@@ -41,7 +41,8 @@ REASON_TEXT = {
                         "(admission latency)",
     "unreachable": "no usable path existed between the endpoints",
     "would-miss": "the trial allocation missed at least one deadline",
-    "table-limit": "the controller's plan table was full",
+    "table-limit": "some switch would carry more planned flows than "
+                   "its flow-table limit (§IV-C install budget)",
 }
 
 

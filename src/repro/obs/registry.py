@@ -2,7 +2,7 @@
 
 The registry is the single sink for everything the runtime observes about
 itself — controller decision counts, admission-latency distributions,
-span timings, link-utilization gauges, cache hit counters.  Design rules
+span timings, the active-flow gauge, cache hit counters.  Design rules
 (see DESIGN.md §7):
 
 * **Negligible when absent.**  Every instrumented component takes
@@ -69,7 +69,7 @@ class Gauge:
     Merge semantics take the **max** of both ``value`` and ``max`` —
     across sweep workers "the last value" of a shared gauge is
     meaningless, while "the highest anyone saw" (peak queue depth, peak
-    link utilization) is the quantity the SLO questions ask.  Max is
+    active flows) is the quantity the SLO questions ask.  Max is
     associative and commutative, keeping merges order-independent.
     """
 

@@ -6,8 +6,8 @@
 text is rendered from, so the two report the same numbers.  A live
 registry (the one ``run_traced(telemetry=...)`` filled) renders the same
 way — nothing here re-simulates.  Sections degrade gracefully: a registry
-that never saw the engine (e.g. a bare controller benchmark) simply
-omits the engine/link sections rather than erroring.
+that lacks an instrument (e.g. a bare controller benchmark never saw the
+engine) simply omits its section rather than erroring.
 
 Instrument names consumed here are the contract published in DESIGN.md
 §7; renaming an instrument means updating both.
@@ -33,9 +33,6 @@ _CACHES = (
     ("union_cache", "alloc/union_cache_hits", "alloc/union_cache_misses"),
     ("result_cache", "executor/cache_hits", "executor/cache_misses"),
 )
-
-#: links the text report lists (the JSON lists every link)
-_TOP_LINKS = 10
 
 
 def _value(reg: MetricsRegistry, name: str) -> float | None:
@@ -71,12 +68,6 @@ def stats_json(reg: MetricsRegistry) -> dict:
         }
     if caches:
         out["caches"] = caches
-    peaks = reg.find("net/link_peak_utilization")
-    if peaks:
-        out["links"] = [
-            {"labels": dict(g.labels), "peak": g.max}
-            for g in sorted(peaks, key=lambda g: g.max, reverse=True)
-        ]
     spans = span_tree(reg)
     if spans:
         out["spans"] = [
@@ -150,17 +141,6 @@ def render_stats(reg: MetricsRegistry) -> str:
             pruned, evaluated = prune["pruned"], prune["evaluated"]
             lines.append(f"  {'path prune':<13} {_fmt_rate(pruned, evaluated)}"
                          f"  ({pruned} of {evaluated} candidates)")
-    links = doc.get("links", [])
-    if links:
-        shown = links[:_TOP_LINKS]
-        lines += _section(f"Per-link peak utilization (top {len(shown)} "
-                          f"of {len(links)} links)")
-        for row in shown:
-            labels = row["labels"]
-            ends = (f" ({labels['src']}→{labels['dst']})"
-                    if "src" in labels and "dst" in labels else "")
-            lines.append(f"  link {labels.get('link', '?'):>4}{ends:<14} "
-                         f"peak {row['peak']:6.1%}")
     spans = doc.get("spans", [])
     if spans:
         total = sum(s["total_seconds"] for s in spans if "/" not in s["path"])

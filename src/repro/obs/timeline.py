@@ -150,18 +150,6 @@ class LinkTimeline:
     busy: list[LinkInterval] = field(default_factory=list)
     outages: list[tuple[float, float | None]] = field(default_factory=list)
 
-    def busy_time(self, until: float) -> float:
-        """Total occupied time up to ``until`` (open intervals clipped)."""
-        total = 0.0
-        for iv in self.busy:
-            end = iv.end if iv.end is not None else until
-            total += max(0.0, min(end, until) - iv.start)
-        return total
-
-    def utilization(self, until: float) -> float:
-        """Occupied fraction of ``[0, until]``."""
-        return self.busy_time(until) / until if until > 0 else 0.0
-
     def down_at(self, t: float) -> bool:
         """Whether the link was inside an outage window at ``t``."""
         return any(

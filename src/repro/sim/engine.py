@@ -25,8 +25,9 @@ rescan remains where the report cannot be trusted: when it is ``None``
 (every baseline; TAPS whenever its plan table was replaced) and at every
 fault transition.  Completed flows leave the insertion-ordered active set
 one by one; killed flows are looked for only when
-``repro.sim.state.last_kill`` shows a kill happened; and a task settles
-when its count of active flows reaches zero.
+``repro.sim.state.last_kill`` shows a kill happened.  Hooks see only the
+sending flows, and every task that arrived settles once, when the run
+ends.
 """
 
 from __future__ import annotations
@@ -121,13 +122,14 @@ class Engine:
     path_service:
         Shared path cache; pass one when sweeping many runs on a topology.
     hooks:
-        Objects with optional ``on_advance(t0, t1, flows)``,
-        ``on_flow_settled(fs, now)``, ``on_task_settled(ts, now)``
-        callbacks (see :mod:`repro.metrics.timeseries`).  ``flows`` is
-        the engine's insertion-ordered set of every active flow, sending
-        or not (a dict keyed by flow state, in arrival order): iterate it
-        during the call, do not keep or change it.  Hooks observe; they
-        must not kill flows or write rates.
+        Objects with an ``on_advance(t0, t1, flows)`` method (see
+        :class:`~repro.metrics.transmission.TransmissionLog`), called
+        after every interval ``[t0, t1)`` of positive length.  ``flows``
+        is the engine's set of the flows that sent over it (``rate > 0``
+        after down-link zeroing; a dict keyed by flow state, not in
+        arrival order): iterate it during the call, do not keep or change
+        it.  Hooks observe; they must not kill flows or write rates.  A
+        flow's outcome is known from its final state after the run.
     max_events:
         Safety valve against runaway loops; ``SimulationError`` when hit.
     horizon:
@@ -148,13 +150,12 @@ class Engine:
         engine opens a ``run`` span over the whole simulation with
         ``arrival``/``rates`` phase spans nested inside (scheduler spans
         nest further, e.g. ``span/run/arrival/admission``), tracks the
-        ``engine/active_flows`` gauge, auto-attaches a
-        :class:`~repro.metrics.linkload.LinkLoadCollector` hook (reusing
-        a caller-supplied one), and at end of run publishes its work
-        counters, per-link ``net/link_utilization`` /
-        ``net/link_peak_utilization`` gauges, and the scheduler's own
-        telemetry (via ``publish_telemetry``, when the scheduler has
-        one).  Like ``trace``, the registry is handed to a
+        ``engine/active_flows`` gauge, and at end of run publishes its
+        work counters and the scheduler's own telemetry (via
+        ``publish_telemetry``, when the scheduler has one).  It attaches
+        no hook: per-link load is a
+        :class:`~repro.metrics.transmission.TransmissionLog` query.
+        Like ``trace``, the registry is handed to a
         telemetry-capable scheduler before ``attach``.  Telemetry never
         feeds back into decisions, so traces stay byte-identical with it
         on or off.
@@ -206,22 +207,9 @@ class Engine:
             self._arrivals.append(ts)
             self.task_states.append(ts)
             self.flow_states.extend(ts.flow_states)
-        self._task_by_id = {ts.task.task_id: ts for ts in self.task_states}
         self.counters = EngineCounters()
         self.trace = trace
         self.telemetry = telemetry
-        self._tel_linkload = None
-        if telemetry is not None:
-            # lazy import: repro.metrics.summary imports this module back
-            from repro.metrics.linkload import LinkLoadCollector
-
-            for hook in self.hooks:
-                if isinstance(hook, LinkLoadCollector):
-                    self._tel_linkload = hook
-                    break
-            else:
-                self._tel_linkload = LinkLoadCollector(topology)
-                self.hooks = (*self.hooks, self._tel_linkload)
         # flow -> path of the flows physically transmitting now; diffed
         # against the flows that may have changed to emit slice events
         self._transmitting: dict[FlowState, tuple[int, ...]] = {}
@@ -280,12 +268,6 @@ class Engine:
         # or when its deadline is no longer after now + EPS
         deadlines: list[tuple[float, int, FlowState]] = []
         pushed = 0
-        unsettled_tasks: set[int] = set()
-        # task id -> how many of its flows are in `active`; a task leaves
-        # it for `settling` when the count reaches zero, and settles at
-        # the end of that event
-        in_flight: dict[int, int] = {}
-        settling: list[int] = []
         # sim_state.last_kill when `active` was last cleared of kills
         kills = sim_state.last_kill
         dirty = True
@@ -301,13 +283,6 @@ class Engine:
             if fs in sending:
                 del sending[fs]
                 moved.append(fs)
-            tid = fs.flow.task_id
-            left = in_flight[tid] - 1
-            if left:
-                in_flight[tid] = left
-            else:
-                del in_flight[tid]
-                settling.append(tid)
 
         def drop_killed() -> bool:
             # flows killed since the last look leave `active`; whether any
@@ -332,7 +307,6 @@ class Engine:
                 for fs in active:
                     fs.kill(FlowStatus.TERMINATED)
                 active.clear()
-                self._settle_tasks(unsettled_tasks, list(unsettled_tasks), now)
                 break
 
             # 1. deliver arrivals due now
@@ -359,22 +333,14 @@ class Engine:
                 else:
                     with tel.spans.span("arrival"):
                         sched.on_task_arrival(ts, now)
-                tid = ts.task.task_id
-                unsettled_tasks.add(tid)
-                arrived = 0
                 for fs in ts.flow_states:
                     if fs.status is pending:
                         active[fs] = None
-                        arrived += 1
                         pushed += 1
                         heappush(deadlines, (fs.flow.deadline, pushed, fs))
                         if fs.flow.deadline < next_deadline:
                             next_deadline = fs.flow.deadline
                         born_done |= _done(fs.remaining, fs.flow.size)
-                if arrived:
-                    in_flight[tid] = arrived
-                else:
-                    settling.append(tid)
                 dirty = True
 
             # 2. deadline expiries due now (notify each flow once)
@@ -496,7 +462,6 @@ class Engine:
                     fs.kill(FlowStatus.TERMINATED)
                     self.counters.stalled_kills += 1
                 active.clear()
-                self._settle_tasks(unsettled_tasks, list(unsettled_tasks), now)
                 break
 
             # guard against zero-length steps looping forever
@@ -508,9 +473,7 @@ class Engine:
                 for fs in sending:
                     fs.advance(dt)
                 for hook in self.hooks:
-                    on_advance = getattr(hook, "on_advance", None)
-                    if on_advance is not None:
-                        on_advance(now, t_next, active)
+                    hook.on_advance(now, t_next, sending)
             prev_now = now
             now = t_next
             if now <= prev_now and dt == 0 and not dirty:
@@ -540,10 +503,6 @@ class Engine:
                         met_deadline=fs.met_deadline,
                     ))
                 sched.on_flow_completed(fs, now)
-                for hook in self.hooks:
-                    cb = getattr(hook, "on_flow_settled", None)
-                    if cb is not None:
-                        cb(fs, now)
                 dirty = True
                 leave(fs)
             # flows killed during this event leave too
@@ -559,17 +518,17 @@ class Engine:
             if t_sched is not None and abs(now - t_sched) <= EPS:
                 dirty = True
 
-            if settling:
-                self._settle_tasks(unsettled_tasks, settling, now)
-                settling.clear()
-
+        # every flow of an arrived task has reached a terminal status;
+        # tasks that never arrived (cut off by the horizon) stay PENDING
+        for ts in self._arrivals[:next_arrival_idx]:
+            ts.settle()
         if trace is not None:
             self._flush_slices(now)
             trace.emit(RunEnd(now))
         if run_span is not None:
             run_span.__exit__(None, None, None)
         if tel is not None:
-            self._publish_telemetry(tel, now)
+            self._publish_telemetry(tel)
         result = SimulationResult(
             scheduler_name=getattr(sched, "name", type(sched).__name__),
             topology_name=self.topology.name,
@@ -582,30 +541,14 @@ class Engine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _publish_telemetry(self, tel, now: float) -> None:
-        """End-of-run publication: engine work counters, the scheduler's
-        own counters, and per-link utilization gauges."""
+    def _publish_telemetry(self, tel) -> None:
+        """End-of-run publication: engine work counters and the
+        scheduler's own counters."""
         for f in fields(EngineCounters):
             tel.counter("engine/" + f.name).inc(getattr(self.counters, f.name))
         publish = getattr(self.scheduler, "publish_telemetry", None)
         if publish is not None:
             publish()
-        collector = self._tel_linkload
-        if collector is None:
-            return
-        collector.finalize(self.flow_states)
-        links = self.topology.links
-
-        def labels(l: int) -> dict[str, str]:
-            return {"link": str(l), "src": links[l].src, "dst": links[l].dst}
-
-        if now > 0:
-            for load in collector.utilization(now):
-                tel.gauge(
-                    "net/link_utilization", labels(load.link_index)
-                ).set(load.utilization)
-        for l, frac in sorted(collector.peak_utilization().items()):
-            tel.gauge("net/link_peak_utilization", labels(l)).set(frac)
 
     def _sync_slices(self, moved, sending, now: float) -> None:
         """Diff the transmission of the flows in ``moved`` against the last
@@ -649,21 +592,3 @@ class Engine:
             self.trace.emit(SliceEnd(now, flow_id=fs.flow.flow_id,
                                      task_id=fs.flow.task_id))
         self._transmitting = {}
-
-    def _settle_tasks(
-        self, unsettled: set[int], tids: list[int], now: float
-    ) -> None:
-        """Finalize the tasks ``tids``, whose flows have all reached a
-        terminal status, and take them out of ``unsettled``.  Several
-        settle in ``unsettled`` order, the order hooks have always seen."""
-        if len(tids) > 1:
-            chosen = set(tids)
-            tids = [tid for tid in unsettled if tid in chosen]
-        for tid in tids:
-            ts = self._task_by_id[tid]
-            ts.settle()
-            for hook in self.hooks:
-                cb = getattr(hook, "on_task_settled", None)
-                if cb is not None:
-                    cb(ts, now)
-        unsettled.difference_update(tids)

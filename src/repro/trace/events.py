@@ -30,8 +30,10 @@ two controller modes that decide identically must emit identical streams.
 
 from __future__ import annotations
 
+import json
+import types
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar
+from typing import Any, ClassVar, get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = 1
 """Version of the event vocabulary; bumped on any incompatible change to
@@ -66,15 +68,8 @@ class PlanRecord:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "PlanRecord":
-        _check_fields(d, _PLAN_FIELDS, "plan record")
-        return cls(
-            flow_id=d["flow"],
-            task_id=d["task"],
-            path=tuple(d["path"]),
-            slices=tuple(d["slices"]),
-            completion=d["completion"],
-            deadline=d["deadline"],
-        )
+        _check_fields(d, set(_PLAN_KEYS), "plan record")
+        return cls(**_decode(d, _PLAN_KEYS, cls, "plan record"))
 
 
 @dataclass(slots=True)
@@ -186,8 +181,7 @@ class TaskReject(TraceEvent):
     (1 = several tasks missing, 2 = the new task's own flows missing,
     3 = single-victim ratio comparison lost), ``None`` for rejections
     outside the rule.  ``missing`` pairs each missing flow with its task;
-    ``lateness`` pairs it with how far past its deadline the trial
-    finished it (``inf`` when the trial could not plan it at all);
+    ``lateness`` pairs it with how far past its deadline the trial finished it;
     ``victim_ratio`` / ``new_ratio`` are set for clause 3.  For clause 2
     the evidence covers ``Ftmp`` only up to the new task's last flow: the
     trial stops there once one of the new task's flows misses, so later
@@ -329,17 +323,20 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
     )
 }
 
-#: per-class decoders for fields that JSON flattens to lists
-_TUPLE_OF_TUPLES = ("flows", "missing", "lateness")
-_TUPLE_OF_PLANS = ("plans",)
-_PLAIN_TUPLES = ("victims", "killed_flows", "down_links", "path")
-
-#: the exact key set :meth:`TraceEvent.to_json` writes, per event class
-_JSON_FIELDS = {
-    cls: {"kind", "seq", "t"} | ({f.name for f in fields(cls)} - {"time", "seq"})
+#: JSON key -> attribute, per event class: ``seq``, ``t`` for ``time``,
+#: then the class's own fields (``kind`` is the class itself)
+_EVENT_KEYS = {
+    cls: {"seq": "seq", "t": "time"} | {
+        f.name: f.name for f in fields(cls) if f.name not in ("time", "seq")
+    }
     for cls in EVENT_TYPES.values()
 }
-_PLAN_FIELDS = {"flow", "task", "path", "slices", "completion", "deadline"}
+_PLAN_KEYS = {"flow": "flow_id", "task": "task_id", "path": "path",
+              "slices": "slices", "completion": "completion",
+              "deadline": "deadline"}
+#: each class's resolved field types, read on load
+_HINTS = {cls: get_type_hints(cls)
+          for cls in (PlanRecord, *EVENT_TYPES.values())}
 
 
 def _check_fields(d: Any, want: set[str], what: str) -> None:
@@ -349,11 +346,62 @@ def _check_fields(d: Any, want: set[str], what: str) -> None:
         raise ValueError(f"field mismatch for {what}: {sorted(set(d) ^ want)}")
 
 
+def _value(value: Any, hint: Any) -> Any:
+    """``value`` as JSON holds a field of type ``hint``, with its tuples
+    restored; ``TypeError`` when it is not of that type.  A float field
+    takes an int too; a bool is never a number."""
+    if hint is float:
+        ok = isinstance(value, (int, float))
+    elif hint in (int, str, bool):
+        ok = isinstance(value, hint)
+    elif hint is PlanRecord:
+        return PlanRecord.from_json(value)
+    elif get_origin(hint) is types.UnionType:  # X | None
+        return None if value is None else _value(value, get_args(hint)[0])
+    else:  # tuple[X, ...] or a fixed-length tuple
+        args = get_args(hint)
+        if not isinstance(value, list):
+            raise TypeError
+        if args[-1] is Ellipsis:
+            return tuple(_value(v, args[0]) for v in value)
+        if len(value) != len(args):
+            raise TypeError
+        return tuple(_value(v, a) for v, a in zip(value, args))
+    if not ok or (isinstance(value, bool) and hint is not bool):
+        raise TypeError
+    return value
+
+
+def _decode(
+    d: dict[str, Any], keys: dict[str, str], cls: type, what: str
+) -> dict[str, Any]:
+    """The constructor arguments of ``cls`` in the JSON object ``d``,
+    whose key ``k`` holds attribute ``keys[k]``; ``ValueError`` naming
+    the first key whose value is not of the attribute's type."""
+    hints = _HINTS[cls]
+    kwargs = {}
+    for key, attr in keys.items():
+        try:
+            kwargs[attr] = _value(d[key], hints[attr])
+        except TypeError:
+            shown = json.dumps(d[key])
+            if len(shown) > 40:
+                shown = shown[:37] + "..."
+            hint = hints[attr]
+            raise ValueError(
+                f"malformed {what}: {key!r} must be "
+                f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                f"got {shown}"
+            ) from None
+    return kwargs
+
+
 def event_from_json(d: dict[str, Any]) -> TraceEvent:
     """Rebuild a typed event from its :meth:`TraceEvent.to_json` dict.
 
     Raises ``ValueError`` unless ``d`` is an object of a known kind with
-    exactly the fields that kind writes, plan records included.
+    exactly the fields that kind writes, each of its declared type, plan
+    records included.
     """
     if not isinstance(d, dict):
         raise ValueError("trace event must be an object")
@@ -361,22 +409,5 @@ def event_from_json(d: dict[str, Any]) -> TraceEvent:
     cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown trace event kind {kind!r}")
-    _check_fields(d, _JSON_FIELDS[cls], kind)
-    kwargs: dict[str, Any] = {"time": d["t"]}
-    try:
-        for f in fields(cls):
-            if f.name in ("time", "seq"):
-                continue
-            value = d[f.name]
-            if f.name in _TUPLE_OF_PLANS:
-                value = tuple(PlanRecord.from_json(p) for p in value)
-            elif f.name in _TUPLE_OF_TUPLES:
-                value = tuple(tuple(item) for item in value)
-            elif f.name in _PLAIN_TUPLES:
-                value = tuple(value)
-            kwargs[f.name] = value
-    except TypeError as exc:
-        raise ValueError(f"malformed {kind}: {exc}") from None
-    ev = cls(**kwargs)
-    ev.seq = d["seq"]
-    return ev
+    _check_fields(d, {"kind", *_EVENT_KEYS[cls]}, kind)
+    return cls(**_decode(d, _EVENT_KEYS[cls], cls, kind))

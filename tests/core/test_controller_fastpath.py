@@ -20,7 +20,7 @@ from repro.core.reference import (
     ReferenceTaps,
     reference_path_calculation,
 )
-from repro.core.reject import Decision, PreemptionPolicy, RejectDecision
+from repro.core.reject import PreemptionPolicy
 from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.sim.engine import Engine
@@ -165,23 +165,3 @@ class TestStatsRegressions:
         sched.on_deadline_expired(ts.flow_states[0], 5.1)
         assert sched.stats.backstop_kills == 1
         assert sched.stats.tasks_dropped_on_fault == 0
-
-    def test_planless_missing_flow_reported_with_infinite_lateness(self):
-        """A rejected flow that never got a trial plan (unplannable, so
-        skipped) is reported as infinitely late in the task-reject event,
-        not dropped from it (the old code KeyError'd / omitted it)."""
-        topo = dumbbell(1)
-        recorder = TraceRecorder()
-        sched = TapsScheduler(trace=recorder)
-        sched.attach(topo, PathService(topo))
-        sched.rule.evaluate = lambda plans, new, states: RejectDecision(
-            Decision.REJECT_NEW, missing_flow_ids=(999,)
-        )
-        task = make_task(0, 0.0, 5.0, [("L0", "R0", 1.0)], 0)
-        ts = TaskState(task=task)
-        ts.flow_states = [FlowState(flow=f) for f in task.flows]
-        sched.on_task_arrival(ts, 0.0)
-        (reject,) = [ev for ev in recorder if ev.kind == "task-reject"]
-        assert reject.reason == "would-miss"
-        assert reject.lateness == ((999, float("inf")),)
-        assert reject.missing == ((999, 0),)

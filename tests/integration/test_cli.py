@@ -115,7 +115,6 @@ def test_run_out_dir_then_stats_roundtrip(tmp_path, capsys):
     assert "Telemetry report" in out
     assert "Admission latency" in out and "p99" in out
     assert "accepted" in out
-    assert "link" in out  # per-link peak utilization section
     assert "Span-time breakdown" in out
     # stats also accepts the telemetry file path directly
     assert main(["stats", str(run_dir / "telemetry.jsonl")]) == 0
@@ -160,7 +159,7 @@ def test_stats_json_flag(cli_run_dir, capsys):
     assert doc["schema"] == 1
     assert doc["decisions"]["accepted"] + doc["decisions"]["rejected"] == 24
     assert doc["admission_latency"]["count"] > 0
-    assert doc["links"] and all("peak" in row for row in doc["links"])
+    assert "links" not in doc
 
 
 def _seconds(shown):
@@ -199,8 +198,7 @@ def test_stats_text_is_rendered_from_stats_json(cli_run_dir, capsys):
         sections[title.split(" (")[0]] = (title, rows)
     assert set(sections) == {
         "Admission latency", "Admission decisions",
-        "Cache and prune effectiveness", "Per-link peak utilization",
-        "Span-time breakdown"}
+        "Cache and prune effectiveness", "Span-time breakdown"}
 
     lat = doc["admission_latency"]
     summary, quantiles = sections["Admission latency"][1]
@@ -236,18 +234,6 @@ def test_stats_text_is_rendered_from_stats_json(cli_run_dir, capsys):
     evaluated = caches["path_prune"]["evaluated"]
     assert (int(m[2]), int(m[3])) == (pruned, evaluated)
     _same_share(m[1], pruned, evaluated)
-
-    title, rows = sections["Per-link peak utilization"]
-    links = doc["links"]
-    assert title == (f"Per-link peak utilization (top {len(rows)} "
-                     f"of {len(links)} links)")
-    for row, link in zip(rows, links):
-        m = re.fullmatch(r"  link\s+(\S+) \((\S+)→(\S+)\)\s+peak\s+([\d.]+)%",
-                         row)
-        labels = link["labels"]
-        assert (m[1], m[2], m[3]) == (
-            labels["link"], labels["src"], labels["dst"])
-        _same_share(m[4], link["peak"], 1.0)
 
     _header, *rows = sections["Span-time breakdown"][1]
     spans = doc["spans"]
@@ -346,16 +332,20 @@ def test_diff_unloadable_operand_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _copy_with_broken_event(run_dir, dst):
-    """Copy the bundle ``run_dir`` to ``dst`` with the ``t`` field cut
-    from its first slice-start event; returns that event's line number."""
+def _copy_with_broken_event(run_dir, dst, **changes):
+    """Copy the bundle ``run_dir`` to ``dst`` with its first slice-start
+    event broken: the ``t`` field cut or, given ``changes``, those fields
+    set; returns that event's line number."""
     shutil.copytree(run_dir, dst)
     trace = dst / "trace.jsonl"
     lines = trace.read_text().splitlines()
     i = next(i for i, line in enumerate(lines)
              if json.loads(line)["kind"] == "slice-start")
     event = json.loads(lines[i])
-    del event["t"]
+    if changes:
+        event.update(changes)
+    else:
+        del event["t"]
     lines[i] = json.dumps(event, separators=(",", ":"))
     trace.write_text("\n".join(lines) + "\n")
     return i + 1
@@ -399,6 +389,41 @@ def test_explain_and_timeline_report_a_malformed_trace(
         assert main([command, str(broken)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"line {lineno}: " in err
+
+
+def test_a_mistyped_event_is_one_error_line(cli_run_dir, tmp_path, capsys):
+    """A slice-start at time "soon" is a load error naming its line:
+    ``audit`` exits 2 and ``explain`` 1, each with one ``error:`` line
+    instead of a ``TypeError`` traceback."""
+    broken = tmp_path / "soon"
+    lineno = _copy_with_broken_event(cli_run_dir, broken, t="soon")
+    trace = broken / "trace.jsonl"
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: line {lineno}: ")
+    assert err.count("\n") == 1 and "'t' must be float" in err
+    assert main(["explain", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"line {lineno}: " in err
+
+
+def test_explain_reads_only_the_trace(cli_run_dir, tmp_path, capsys):
+    """A bundle whose telemetry file is unreadable still explains, since
+    ``explain`` reads only the trace; ``stats`` and ``timeline``, which
+    read the telemetry, refuse it."""
+    bundle = tmp_path / "schema7"
+    shutil.copytree(cli_run_dir, bundle)
+    (bundle / "telemetry.jsonl").write_text(
+        '{"kind":"telemetry-header","schema":7}\n')
+    capsys.readouterr()
+    assert main(["explain", str(bundle)]) == 0
+    assert "clause evidence consistent" in capsys.readouterr().out
+    for command in ("stats", "timeline"):
+        assert main([command, str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unsupported telemetry schema 7" in err
 
 
 def test_audit_fails_on_corrupted_trace(tmp_path, capsys):

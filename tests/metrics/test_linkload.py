@@ -1,8 +1,8 @@
-"""Per-link utilization accounting."""
+"""Per-link loads from the transmission log."""
 
 import pytest
 
-from repro.metrics.linkload import LinkLoadCollector
+from repro.metrics.transmission import TransmissionLog
 from repro.sched.fair import FairSharing
 from repro.core.controller import TapsScheduler
 from repro.sim.engine import Engine
@@ -11,17 +11,16 @@ from repro.workload.traces import dumbbell
 
 
 def _run(topo, tasks, sched):
-    load = LinkLoadCollector(topo)
-    result = Engine(topo, tasks, sched, hooks=(load,)).run()
-    load.finalize(result.flow_states)
-    return load, result
+    log = TransmissionLog(topo)
+    result = Engine(topo, tasks, sched, hooks=(log,)).run()
+    return log, result
 
 
 def test_single_flow_charges_whole_path():
     topo = dumbbell(1)
     tasks = [make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0)]
     load, result = _run(topo, tasks, TapsScheduler())
-    rows = load.utilization(horizon=result.finished_at)
+    rows = load.link_loads(horizon=result.finished_at)
     # 3 links on the path, each carried the full 2 bytes
     assert len(rows) == 3
     for row in rows:
@@ -34,7 +33,7 @@ def test_utilization_fraction():
     topo = dumbbell(1)  # capacity 1
     tasks = [make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0)]
     load, result = _run(topo, tasks, TapsScheduler())
-    rows = load.utilization(horizon=4.0)
+    rows = load.link_loads(horizon=4.0)
     # 2 byte-seconds over 4 s of capacity-1 → 50%
     for row in rows:
         assert row.utilization == pytest.approx(0.5, rel=1e-4)
@@ -47,7 +46,7 @@ def test_wasted_bytes_attributed_to_missed_flows():
         make_task(1, 0.0, 1.0, [("L1", "R1", 50.0)], 1),    # misses
     ]
     load, result = _run(topo, tasks, FairSharing())
-    rows = {(r.src, r.dst): r for r in load.utilization(result.finished_at)}
+    rows = {(r.src, r.dst): r for r in load.link_loads(result.finished_at)}
     shared = rows[("SL", "SR")]
     assert shared.bytes_wasted > 0
     assert shared.bytes_useful == pytest.approx(2.0, rel=1e-3)
@@ -70,22 +69,22 @@ def test_idle_links_absent():
     topo = dumbbell(3)
     tasks = [make_task(0, 0.0, 100.0, [("L0", "R0", 1.0)], 0)]
     load, result = _run(topo, tasks, FairSharing())
-    rows = load.utilization(result.finished_at)
+    rows = load.link_loads(result.finished_at)
     touched = {(r.src, r.dst) for r in rows}
     assert ("L1", "SL") not in touched
 
 
 def test_bad_horizon():
-    load = LinkLoadCollector(dumbbell(1))
+    load = TransmissionLog(dumbbell(1))
     with pytest.raises(ValueError):
-        load.utilization(horizon=0.0)
+        load.link_loads(horizon=0.0)
 
 
-# -- peak utilization under link-outage fault windows -------------------------
+# -- link loads and peaks under link-outage fault windows ---------------------
 #
 # The engine zeroes rates on down links *before* hooks see the advance,
-# so peaks must reflect what the network physically carried — never the
-# controller's pre-outage allocations.
+# so what the log records must reflect what the network physically
+# carried — never the controller's pre-outage allocations.
 
 
 def _middle_link(topo):
@@ -96,18 +95,26 @@ def _middle_link(topo):
 
 
 def _run_faulted(topo, tasks, faults, horizon=None):
-    load = LinkLoadCollector(topo)
+    log = TransmissionLog(topo)
     result = Engine(
-        topo, tasks, TapsScheduler(), hooks=(load,),
+        topo, tasks, TapsScheduler(), hooks=(log,),
         faults=faults, horizon=horizon,
     ).run()
-    load.finalize(result.flow_states)
-    return load, result
+    return log, result
+
+
+def _peak(log, link):
+    """The highest total rate the log saw on ``link`` (0 if unused)."""
+    rates: dict[tuple[float, float], float] = {}
+    for t0, t1, _fs, rate, path in log.records:
+        if link in (path or ()):
+            rates[t0, t1] = rates.get((t0, t1), 0.0) + rate
+    return max(rates.values(), default=0.0)
 
 
 def test_peak_zero_while_path_is_down():
-    """An outage covering the whole (horizon-cut) run leaves no peaks:
-    the allocation existed, but the link never physically carried it."""
+    """An outage covering the whole (horizon-cut) run leaves no link
+    loaded: the allocation existed, but the link never carried it."""
     from repro.sim.faults import LinkFault
 
     topo = dumbbell(1)
@@ -115,17 +122,20 @@ def test_peak_zero_while_path_is_down():
     tasks = [make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0)]
     # control: same horizon, no fault — the link is busy immediately
     control, _ = _run_faulted(topo, tasks, faults=None, horizon=1.0)
-    assert control.peak_utilization().get(mid, 0.0) > 0.0
-    # outage spans past the horizon: nothing may register a peak
+    assert _peak(control, mid) > 0.0
+    assert control.link_loads(1.0)
+    # outage spans past the horizon: nothing may be charged anywhere
     load, _ = _run_faulted(
         topo, tasks, faults=[LinkFault(mid, 0.0, 5.0)], horizon=1.0
     )
-    assert load.peak_utilization() == {}
+    assert _peak(load, mid) == 0.0
+    assert load.link_loads(1.0) == []
 
 
 def test_peak_reflects_only_post_recovery_transmission():
-    """With an outage window early in the run, the recorded peaks come
-    from the post-recovery retransmission, not the voided allocation."""
+    """With an outage window early in the run, the link's peak and bytes
+    come from the post-recovery transmission, not the voided
+    allocation."""
     from repro.sim.faults import LinkFault
 
     topo = dumbbell(1)
@@ -134,19 +144,20 @@ def test_peak_reflects_only_post_recovery_transmission():
     load, result = _run_faulted(
         topo, tasks, faults=[LinkFault(mid, 0.0, 0.5)]
     )
-    peaks = load.peak_utilization()
     # the flow finished after the link came back, at full exclusive rate
-    assert result.finished_at > 0.5
-    assert peaks[mid] == pytest.approx(1.0, rel=1e-6)
-    # and per-flow byte accounting matches the delivered size, no
-    # phantom bytes charged during the outage
-    rows = {r.link_index: r for r in load.utilization(result.finished_at)}
+    assert result.finished_at == pytest.approx(2.5, rel=1e-6)
+    assert all(t0 >= 0.5 for t0, *_ in load.records)
+    assert _peak(load, mid) == pytest.approx(1.0, rel=1e-6)
+    # and byte accounting matches the delivered size, no phantom bytes
+    # charged during the outage
+    rows = {r.link_index: r for r in load.link_loads(result.finished_at)}
     assert rows[mid].bytes_total == pytest.approx(2.0, rel=1e-4)
+    assert rows[mid].utilization == pytest.approx(2.0 / 2.5, rel=1e-4)
 
 
 def test_peak_mid_run_outage_window_not_charged():
-    """Two tasks queued behind a downed shared link register no peaks at
-    all while it is out — allocations alone never count as carriage."""
+    """Two tasks queued behind a downed shared link load no link at all
+    while it is out — allocations alone never count as carriage."""
     from repro.sim.faults import LinkFault
 
     topo = dumbbell(2)
@@ -159,4 +170,28 @@ def test_peak_mid_run_outage_window_not_charged():
     load, _ = _run_faulted(
         topo, tasks, faults=[LinkFault(mid, 0.0, 1.0)], horizon=1.0
     )
-    assert load.peak_utilization() == {}
+    assert _peak(load, mid) == 0.0
+    assert load.link_loads(1.0) == []
+
+
+def test_rerouted_flow_charged_to_each_path_it_used():
+    """A flow moved to another path mid-run is charged, interval by
+    interval, to the path it used then — not all to its final path."""
+    from repro.net.fattree import FatTree
+    from repro.net.paths import PathService
+    from repro.sim.state import FlowState
+
+    topo = FatTree(k=4)
+    first, second = PathService(topo).candidates("h0_0_0", "h3_1_1")[:2]
+    (flow,) = make_task(0, 0.0, 10.0, [("h0_0_0", "h3_1_1", 3.0)], 0).flows
+    fs = FlowState(flow=flow, rate=1.0, path=first)
+    log = TransmissionLog(topo)
+    log.on_advance(0.0, 1.0, [fs])
+    fs.path = second
+    log.on_advance(1.0, 3.0, [fs])
+    fs.finish(3.0)
+    loads = {r.link_index: r for r in log.link_loads(3.0)}
+    assert set(loads) == set(first) | set(second)
+    for link, row in loads.items():
+        want = 1.0 * (link in first) + 2.0 * (link in second)
+        assert row.bytes_total == row.bytes_useful == want, link

@@ -1,9 +1,9 @@
-"""ThroughputTimeSeries: the Fig. 14 collector."""
+"""Effective throughput over time from the transmission log (Fig. 14)."""
 
 import numpy as np
 import pytest
 
-from repro.metrics.timeseries import ThroughputTimeSeries
+from repro.metrics.transmission import TransmissionLog
 from repro.sched.fair import FairSharing
 from repro.core.controller import TapsScheduler
 from repro.sim.engine import Engine
@@ -13,14 +13,13 @@ from repro.workload.traces import dumbbell
 
 def _collect(scheduler, tasks, topo=None):
     topo = topo or dumbbell(4)
-    c = ThroughputTimeSeries()
+    c = TransmissionLog(topo)
     result = Engine(topo, tasks, scheduler, hooks=(c,)).run()
-    c.finalize(result.flow_states)
     return c, result
 
 
 def test_empty_run():
-    c = ThroughputTimeSeries()
+    c = TransmissionLog(dumbbell(1))
     times, pct = c.sample()
     assert len(times) == 0
 
@@ -48,42 +47,27 @@ def test_mixed_traffic_instant_fraction():
         make_task(1, 0.0, 1.0, [("L1", "R1", 10.0)], 1),    # doomed
     ]
     c, _ = _collect(FairSharing(quit_on_miss=False), tasks)
-    useful, total = c.total_rate_at(0.5)
-    assert useful == pytest.approx(0.5)
-    assert total == pytest.approx(1.0)
     times, pct = c.sample(200)
-    # while both transmit: 50%; once the doomed one finishes at 20: 100%
+    # both share the middle link at half rate until they finish at 20,
+    # so half of what is sent is useful throughout
+    assert pct[0] == pytest.approx(50.0)
     early = pct[(times > 0.1) & (times < 10)]
     assert np.allclose(early, 50.0, atol=5)
 
 
-def test_peak_normalization_shows_drain():
-    tasks = [
-        make_task(0, 0.0, 100.0, [("L0", "R0", 2.0)], 0),
-        make_task(1, 0.0, 100.0, [("L1", "R1", 6.0)], 1),
-    ]
-    c, _ = _collect(TapsScheduler(), tasks)
-    times, pct = c.sample(100, normalize="peak")
-    assert pct.max() == pytest.approx(100.0)
-
-
-def test_invalid_normalize_rejected():
-    c = ThroughputTimeSeries()
-    with pytest.raises(ValueError):
-        c.sample(normalize="nonsense")
-
-
-def test_mean_effective_pct():
-    tasks = [make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0)]
-    c, _ = _collect(TapsScheduler(), tasks)
-    assert c.mean_effective_pct() == pytest.approx(100.0)
-
-
-def test_finalize_fills_unsettled_flows():
-    c = ThroughputTimeSeries()
+def test_usefulness_read_from_final_flow_states():
+    """The log decides usefulness when queried, from each flow's final
+    state: the same records read 100% while that state meets the
+    deadline and 0% once it says the flow finished late."""
     tasks = [make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0)]
     topo = dumbbell(1)
-    result = Engine(topo, tasks, TapsScheduler(), hooks=()).run()
-    # collector never saw hooks; finalize derives usefulness post-hoc
-    c.finalize(result.flow_states)
-    assert c._met[0] is True
+    c = TransmissionLog(topo)
+    result = Engine(topo, tasks, TapsScheduler(), hooks=(c,)).run()
+    (fs,) = result.flow_states
+    assert fs.met_deadline
+    _, pct = c.sample(10)
+    assert np.allclose(pct, 100.0)
+    completed_at, fs.completed_at = fs.completed_at, 11.0  # now late
+    _, pct = c.sample(10)
+    assert np.allclose(pct, 0.0)
+    fs.completed_at = completed_at

@@ -157,3 +157,25 @@ def test_handcrafted_inconsistent_clause_is_flagged():
     assert verdict.clause_recorded == 1
     assert verdict.clause_derived == 2
     assert not verdict.clause_consistent
+
+
+def test_table_limit_verdict_names_the_switch_budget():
+    """Both flows cross the dumbbell's two switches; with a one-entry
+    flow table (§IV-C's per-switch install budget) the second task is
+    refused, and the verdict says why in those terms."""
+    topo = dumbbell(2)
+    tasks = [
+        make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0),
+        make_task(1, 0.0, 10.0, [("L1", "R1", 2.0)], 1),
+    ]
+    recorder = TraceRecorder()
+    Engine(topo, tasks, TapsScheduler(flow_table_limit=1),
+           trace=recorder).run()
+    tl = timeline_from(recorder)
+    verdict = explain_task(tl, 1)
+    assert verdict.outcome == "rejected"
+    assert verdict.reject_reason == "table-limit"
+    assert verdict.clause_consistent
+    assert ("  why: some switch would carry more planned flows than its "
+            "flow-table limit (§IV-C install budget)") in verdict.lines()
+    assert explain_task(tl, 0).outcome == "completed"

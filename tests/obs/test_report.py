@@ -22,7 +22,7 @@ def test_json_carries_every_section_the_text_prints(traced_run):
     _result, _recorder, registry = traced_run
     doc = stats_json(registry)
     assert set(doc) == {"schema", "meta", "admission_latency", "decisions",
-                        "caches", "links", "spans"}
+                        "caches", "spans"}
     assert set(doc["caches"]) == {"union_cache", "path_prune"}
     prune = doc["caches"]["path_prune"]
     assert prune["evaluated"] == registry.get("alloc/candidates_evaluated").value

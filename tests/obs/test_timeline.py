@@ -43,8 +43,6 @@ def test_slices_and_links_are_consistent(traced_run):
         spans = sorted((iv.start, iv.end) for iv in entry.busy)
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
             assert s1 >= e0 - 1e-9, f"link {link} double-booked"
-        assert entry.busy_time(tl.end_time) <= tl.end_time + 1e-9
-        assert 0.0 <= entry.utilization(tl.end_time) <= 1.0 + 1e-9
 
 
 def test_plan_snapshots_and_slack(traced_run):

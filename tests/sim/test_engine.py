@@ -124,32 +124,18 @@ class TestBasics:
 
 
 class TestHooks:
-    def test_advance_and_settle_hooks_called(self):
-        calls = {"advance": 0, "flow": 0, "task": 0}
+    def test_advance_hook_called(self):
+        windows = []
 
         class Hook:
-            def on_advance(self, t0, t1, active):
-                calls["advance"] += 1
-                assert t1 > t0
-
-            def on_flow_settled(self, fs, now):
-                calls["flow"] += 1
-
-            def on_task_settled(self, ts, now):
-                calls["task"] += 1
+            def on_advance(self, t0, t1, flows):
+                windows.append((t0, t1, [fs.flow.flow_id for fs in flows]))
 
         topo = dumbbell(1)
-        Engine(topo, [_one_task()], ConstantRate(1.0), hooks=(Hook(),)).run()
-        assert calls["advance"] >= 1
-        assert calls["flow"] == 1
-        assert calls["task"] == 1
-
-    def test_hooks_optional_methods(self):
-        class Partial:
-            pass  # no callbacks at all
-
-        topo = dumbbell(1)
-        Engine(topo, [_one_task()], ConstantRate(1.0), hooks=(Partial(),)).run()
+        result = Engine(topo, [_one_task()], ConstantRate(1.0),
+                        hooks=(Hook(),)).run()
+        assert windows == [(0.0, 2.0, [0])]
+        assert result.task_states[0].outcome is TaskOutcome.COMPLETED
 
 
 class TestNumerics:

@@ -10,9 +10,9 @@ what that must preserve:
   event settles;
 * a flow killed inside ``assign_rates`` (a batch flush rejecting a task)
   marks the allocation dirty, so rates are recomputed at the next event;
-* ``on_advance`` hooks receive every active flow, sending or not;
+* ``on_advance`` hooks receive only the sending flows;
 * a flow that is complete on arrival still completes without sending;
-* a task settles at the event its last flow leaves the active set.
+* every task that arrived settles once, when the run ends.
 
 After a rate recompute the engine trusts the scheduler's rate report
 (``Scheduler.rate_changes``) for the sending set and the slice events.
@@ -33,7 +33,7 @@ from repro.core.controller import TapsScheduler
 from repro.sched.base import Scheduler
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
-from repro.sim.state import FlowStatus
+from repro.sim.state import FlowStatus, TaskOutcome
 from repro.trace.events import SliceEnd, SliceStart
 from repro.trace import TraceRecorder
 from repro.workload.flow import make_task
@@ -97,7 +97,7 @@ def test_flow_killed_on_link_change_still_bounds_next_event():
     assert result.counters.deadline_events == 0
     assert hook.windows == [
         (0.0, 1.0, [0, 1]),
-        (1.0, 1.5, [0, 1]),  # flow 0 is dead but still active
+        (1.0, 1.5, [1]),  # ends at the deadline of flow 0, dead at 1.0
         (1.5, 5.0, [1]),
         (5.0, 8.0, [1]),
     ]
@@ -149,8 +149,8 @@ def test_flow_killed_in_assign_rates_marks_allocation_dirty():
     assert result.counters.rate_recomputes == 5
     assert result.counters.deadline_events == 1
     assert hook.windows == [
-        (0.0, 0.5, [0, 1, 2]),
-        (0.5, 1.0, [0, 1, 2]),  # flow 0 was rejected at 0.5
+        (0.0, 0.5, []),  # nothing sends until the flush
+        (0.5, 1.0, [1, 2]),  # flow 0 was rejected at 0.5
         (1.0, 2.5, [1, 2]),
         (2.5, 5.5, [2]),
     ]
@@ -159,9 +159,9 @@ def test_flow_killed_in_assign_rates_marks_allocation_dirty():
     ]
 
 
-def test_on_advance_receives_waiting_flows():
+def test_on_advance_receives_only_sending_flows():
     """TAPS serialises two flows on the dumbbell's shared cable; while
-    one sends, the waiting one is still handed to ``on_advance``."""
+    one sends, the waiting one is not handed to ``on_advance``."""
     topo = dumbbell(2)
     tasks = [
         make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0),
@@ -169,7 +169,7 @@ def test_on_advance_receives_waiting_flows():
     ]
     hook = _Recorder()
     result = Engine(topo, tasks, TapsScheduler(), hooks=(hook,)).run()
-    assert [ids for _, _, ids in hook.windows] == [[0, 1], [1]]
+    assert [ids for _, _, ids in hook.windows] == [[0], [1]]
     assert [(t0, t1) for t0, t1, _ in hook.windows] == [
         (0.0, pytest.approx(2.0)), (pytest.approx(2.0), pytest.approx(4.0)),
     ]
@@ -197,29 +197,24 @@ def test_flow_complete_on_arrival_settles_with_its_event():
     assert result.tasks_completed == 1
 
 
-def test_tasks_settle_at_the_event_their_last_flow_leaves():
-    """Settlement is checked only for tasks whose flows arrived or left
-    the active set at an event; each task still settles at exactly that
-    event, and tasks settling together keep the engine's order."""
-
-    class Settled:
-        def __init__(self) -> None:
-            self.calls: list[tuple[int, float]] = []
-
-        def on_task_settled(self, ts, now):
-            self.calls.append((ts.task.task_id, now))
-
+def test_tasks_settle_once_at_run_end():
+    """Every task that arrived gets its outcome when the run ends: one
+    whose flows all completed in time, one killed at its deadline, one
+    still sending at the horizon.  A task the horizon cut off before it
+    arrived stays pending."""
     topo = dumbbell(4)
     tasks = [
         make_task(5, 0.0, 10.0, [("L0", "R0", 2.0), ("L1", "R1", 4.0)], 0),
-        make_task(1, 0.0, 10.0, [("L2", "R2", 4.0)], 2),
-        make_task(3, 0.0, 3.0, [("L3", "R3", 10.0)], 3),  # killed at 3
-        make_task(2, 0.0, 10.0, [("L0", "R0", 1.0)], 4),
-        make_task(7, 0.0, 10.0, [("L1", "R1", 6.0)], 5),
+        make_task(3, 0.0, 3.0, [("L3", "R3", 10.0)], 2),  # killed at 3
+        make_task(1, 0.0, 20.0, [("L2", "R2", 10.0)], 3),  # cut at 6
+        make_task(8, 7.0, 20.0, [("L0", "R0", 1.0)], 4),  # arrives at 7
     ]
-    hook = Settled()
-    Engine(topo, tasks, _Stub(), hooks=(hook,)).run()
-    assert hook.calls == [(2, 1.0), (1, 4.0), (3, 4.0), (5, 4.0), (7, 6.0)]
+    result = Engine(topo, tasks, _Stub(), horizon=6.0).run()
+    assert result.finished_at == 6.0
+    assert {ts.task.task_id: ts.outcome for ts in result.task_states} == {
+        5: TaskOutcome.COMPLETED, 3: TaskOutcome.FAILED,
+        1: TaskOutcome.FAILED, 8: TaskOutcome.PENDING,
+    }
 
 
 class _Reporting(_Stub):
@@ -248,7 +243,7 @@ def _slices(recorder):
 def test_same_instant_completions_keep_arrival_order():
     """Flow 1 starts sending at t=0 and flow 0 at t=1; both complete at
     t=3.  They are finished, traced and passed to ``on_flow_completed``
-    and ``on_flow_settled`` in arrival order."""
+    in arrival order."""
 
     class Staggered(_Reporting):
         def __init__(self) -> None:
@@ -269,24 +264,16 @@ def test_same_instant_completions_keep_arrival_order():
             self.completed.append(fs.flow.flow_id)
             super().on_flow_completed(fs, now)
 
-    class Settled:
-        def __init__(self) -> None:
-            self.flows: list[int] = []
-
-        def on_flow_settled(self, fs, now):
-            self.flows.append(fs.flow.flow_id)
-
     topo = dumbbell(2)
     tasks = [
         make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0),
         make_task(1, 0.0, 10.0, [("L1", "R1", 3.0)], 1),
     ]
-    sched, hook, recorder = Staggered(), Settled(), TraceRecorder()
-    result = Engine(topo, tasks, sched, hooks=(hook,), trace=recorder).run()
+    sched, recorder = Staggered(), TraceRecorder()
+    result = Engine(topo, tasks, sched, trace=recorder).run()
     assert [fs.completed_at for fs in result.flow_states] == [3.0, 3.0]
     assert [e.flow_id for e in recorder.events_of_kind("flow-completed")] == [0, 1]
     assert sched.completed == [0, 1]
-    assert hook.flows == [0, 1]
 
 
 def test_flow_killed_in_assign_rates_stops_though_unreported():

@@ -53,6 +53,10 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown trace event kind"):
             event_from_json({"kind": "no-such-event", "seq": 0, "t": 0.0})
 
+    def test_float_field_takes_an_int(self):
+        ev = event_from_json({"kind": "run-end", "seq": 4, "t": 2})
+        assert ev.time == 2 and ev.seq == 4
+
     def test_plan_record_round_trip(self):
         plan = PlanRecord(flow_id=1, task_id=2, path=(5,),
                           slices=(0.125, 0.25), completion=0.25, deadline=0.5)
@@ -146,10 +150,15 @@ def _first_plan(change):
     return mutate
 
 
+def _set(key, value):
+    return lambda d: {**d, key: value}
+
+
 class TestLoadRejectsMalformedEvents:
     """A damaged event line is a load error that names its line — never a
-    ``KeyError`` traceback, and never a silently dropped field, which
-    could let a corrupted trace audit clean."""
+    ``KeyError`` or ``TypeError`` traceback, and never a silently dropped
+    or mistyped field, which could let a corrupted trace audit clean or
+    crash the auditor and ``explain`` mid-replay."""
 
     @pytest.mark.parametrize("kind, mutate, message", [
         ("slice-start", _drop("t"), r"field mismatch for slice-start: \['t'\]"),
@@ -166,9 +175,43 @@ class TestLoadRejectsMalformedEvents:
         ("task-accept", _first_plan(lambda p: 7),
          "plan record must be an object"),
         ("slice-start", lambda d: {**d, "path": 5}, "malformed slice-start"),
+        ("slice-start", _set("t", "soon"),
+         r"malformed slice-start: 't' must be float, got \"soon\""),
+        ("task-arrival", _set("seq", 1.5),
+         r"malformed task-arrival: 'seq' must be int, got 1.5"),
+        ("task-arrival", _set("num_flows", True),
+         r"malformed task-arrival: 'num_flows' must be int, got true"),
+        ("task-arrival", _set("total_bytes", False),
+         r"malformed task-arrival: 'total_bytes' must be float, got false"),
+        ("task-reject", _set("reason", 7),
+         r"malformed task-reject: 'reason' must be str, got 7"),
+        ("task-reject", _set("clause", "3"),
+         r"malformed task-reject: 'clause' must be int \| None, got \"3\""),
+        ("task-reject", _set("victim_ratio", [0.6]),
+         r"malformed task-reject: 'victim_ratio' must be float \| None, "
+         r"got \[0.6\]"),
+        ("task-accept", _set("victims", ["1"]),
+         r"malformed task-accept: 'victims' must be tuple\[int, \.\.\.\]"),
+        ("task-reject", _set("missing", [[9, 2, 1]]),
+         r"malformed task-reject: 'missing' must be "
+         r"tuple\[tuple\[int, int\], \.\.\.\]"),
+        ("task-reject", _set("lateness", [9, 0.05]),
+         r"malformed task-reject: 'lateness' must be "
+         r"tuple\[tuple\[int, float\], \.\.\.\]"),
+        ("trial-begin", _set("flows", [[7, 1.2, 2048.0]]),
+         r"malformed trial-begin: 'flows' must be "
+         r"tuple\[tuple\[int, float, float, float\], "),
+        ("task-accept", _first_plan(_set("flow", "7")),
+         r"malformed plan record: 'flow' must be int, got \"7\""),
+        ("task-accept", _first_plan(_set("slices", "0.0")),
+         r"malformed plan record: 'slices' must be tuple\[float, \.\.\.\]"),
     ], ids=["missing-t", "missing-seq", "unknown-field", "not-an-object",
             "unknown-kind", "plan-missing-field", "plan-unknown-field",
-            "plan-not-an-object", "path-not-a-list"])
+            "plan-not-an-object", "path-not-a-list", "t-string", "seq-float",
+            "int-bool", "float-bool", "str-int", "optional-int-string",
+            "optional-float-list", "int-tuple-string", "pair-too-long",
+            "pairs-not-nested", "four-tuple-short", "plan-int-string",
+            "plan-floats-string"])
     def test_bad_event_line_names_its_line(self, kind, mutate, message):
         lines = _sample_lines()
         i = next(i for i, line in enumerate(lines)
@@ -176,3 +219,10 @@ class TestLoadRejectsMalformedEvents:
         lines[i] = json.dumps(mutate(json.loads(lines[i])))
         with pytest.raises(ValueError, match=f"line {i + 1}: {message}"):
             load_jsonl(lines)
+
+    def test_bool_field_refuses_a_number(self):
+        d = {"kind": "flow-completed", "seq": 0, "t": 1.0, "flow_id": 1,
+             "task_id": 1, "met_deadline": 1}
+        with pytest.raises(ValueError, match="'met_deadline' must be bool"):
+            event_from_json(d)
+        assert event_from_json({**d, "met_deadline": True}).met_deadline
