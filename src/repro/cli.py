@@ -53,6 +53,19 @@ from repro.exp.runner import (
 )
 
 
+def _at_least(low: float, kind=int):
+    """An argparse ``type`` that parses ``kind`` and refuses values below
+    ``low`` with a usage error (exit 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:  # also refuses a float NaN
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type on a bad parse
+    return parse
+
+
 def _executor_from_args(args) -> ExecutorConfig:
     """``--jobs/--cache-dir/--no-cache`` → an ExecutorConfig."""
     return make_executor(
@@ -64,7 +77,7 @@ def _executor_from_args(args) -> ExecutorConfig:
 
 def _add_executor_args(parser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_at_least(0), default=None, metavar="N",
         help="fan sweep points out over N worker processes "
              "(default: serial; 0 = one per CPU)")
     parser.add_argument(
@@ -456,6 +469,14 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from pathlib import Path
+
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        # refuse before regenerating every figure, not after
+        print(f"error: {args.out}: {out_dir} is not a directory",
+              file=sys.stderr)
+        return 2
     executor = _executor_from_args(args)
     out = generate_report(
         args.out, SCALES[args.scale], args.figures,
@@ -506,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_opt = sub.add_parser("optimality",
                            help="online TAPS vs the offline bound")
-    p_opt.add_argument("--instances", type=int, default=8)
+    p_opt.add_argument("--instances", type=_at_least(1), default=8)
     p_opt.set_defaults(func=_cmd_optimality)
 
     p_run = sub.add_parser("run",
@@ -567,8 +588,8 @@ def main(argv: list[str] | None = None) -> int:
     p_diff.add_argument("run_b", metavar="RUN_B")
     p_diff.add_argument("--json", action="store_true",
                         help="emit the report as machine-readable JSON")
-    p_diff.add_argument("--timing-threshold", type=float, default=0.10,
-                        metavar="FRAC",
+    p_diff.add_argument("--timing-threshold", type=_at_least(0, float),
+                        default=0.10, metavar="FRAC",
                         help="relative threshold for timing comparisons "
                              "(default 0.10)")
     p_diff.add_argument("--strict-timing", action="store_true",
@@ -580,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="replay a JSONL trace against the paper's "
                                 "schedule invariants")
     p_aud.add_argument("trace", metavar="FILE")
-    p_aud.add_argument("--max-violations", type=int, default=10,
+    p_aud.add_argument("--max-violations", type=_at_least(0), default=10,
                        help="print at most this many violations")
     p_aud.set_defaults(func=_cmd_audit)
 
@@ -597,7 +618,13 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an output path that cannot be written: one line, no traceback
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

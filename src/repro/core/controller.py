@@ -272,7 +272,7 @@ class TapsScheduler(Scheduler):
             "fault_reroutes", "tasks_dropped_on_fault",
         ):
             tel.counter("controller/" + name).inc(getattr(s, name))
-        s.profile.publish_to(tel, prefix="alloc/")
+        s.profile.publish_to(tel)
 
     # -- decision tracing ---------------------------------------------------
 

@@ -30,7 +30,7 @@ import json
 import os
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.metrics.summary import RESULT_SCHEMA_VERSION, RunMetrics, summarize
@@ -180,41 +180,14 @@ def _warm_worker(keys: Sequence[tuple[TopologySpec, int | None]]) -> None:
         _topology_for(spec, max_paths)
 
 
-def run_job(job: SimJob, telemetry=None) -> RunMetrics:
-    """Execute one grid point (in this process) and summarize it.
-
-    ``telemetry`` (an optional
-    :class:`~repro.obs.registry.MetricsRegistry`) collects the run's
-    instruments under a ``job`` span; metrics output is identical with it
-    on or off (telemetry never feeds back into decisions).
-    """
+def run_job(job: SimJob) -> RunMetrics:
+    """Execute one grid point (in this process) and summarize it."""
     topo, paths = _topology_for(job.topology, job.max_paths)
     tasks = generate_workload(job.workload, list(topo.hosts))
-    engine = Engine(
+    result = Engine(
         topo, tasks, make_scheduler(job.scheduler), path_service=paths,
-        telemetry=telemetry,
-    )
-    if telemetry is None:
-        result = engine.run()
-    else:
-        with telemetry.spans.span("job"):
-            result = engine.run()
+    ).run()
     return summarize(result)
-
-
-def _run_job_telemetered(job: SimJob) -> tuple[RunMetrics, list[dict]]:
-    """Pool target when the parent collects telemetry: run the job against
-    a worker-local registry and ship its snapshot back with the metrics.
-
-    Registries are monoids (counters/histograms add, gauges max), so the
-    parent can fold worker snapshots in completion order and the
-    aggregate is order-independent.
-    """
-    from repro.obs.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    metrics = run_job(job, telemetry=registry)
-    return metrics, registry.snapshot()
 
 
 # -- result cache --------------------------------------------------------------
@@ -300,21 +273,12 @@ class ExecutorConfig:
     ``jobs=1`` (default) runs in-process and bit-identically reproduces
     the historical serial sweep; ``jobs=0`` uses every available CPU;
     ``jobs>=2`` fans out over a process pool.  ``cache=None`` disables
-    the result cache.
-
-    ``telemetry`` (an optional
-    :class:`~repro.obs.registry.MetricsRegistry`) aggregates every
-    executed job's instruments: serial jobs record into it directly;
-    pool workers each record into a private registry whose snapshot
-    ships back with the result and merges in (so hot-path counters from
-    child processes no longer vanish).  Cache *hits* contribute only
-    ``executor/cache_hits`` — a cached job never ran, so it has no
-    telemetry.
+    the result cache.  Jobs run untelemetered: telemetry describes one
+    run (``repro-taps run --out-dir``), never a batch.
     """
 
     jobs: int = 1
     cache: ResultCache | None = None
-    telemetry: object | None = None
 
     def effective_jobs(self) -> int:
         if self.jobs < 0:
@@ -347,13 +311,10 @@ def execute_jobs(
     of submission and completion order.
     """
     cfg = config or ExecutorConfig()
-    tel = cfg.telemetry
     job_list = list(jobs)
     results: list[RunMetrics | None] = [None] * len(job_list)
     cache = cfg.cache
     if cache is not None:
-        # cache.stats accumulates across batches; count this batch's delta
-        hits_before, misses_before = cache.stats.hits, cache.stats.misses
         pending = []
         for i, job in enumerate(job_list):
             cached = cache.get(job)
@@ -363,40 +324,25 @@ def execute_jobs(
                 results[i] = cached
     else:
         pending = list(range(len(job_list)))
-    if tel is not None:
-        tel.counter("executor/jobs").inc(len(job_list))
-        tel.counter("executor/jobs_run").inc(len(pending))
-        if cache is not None:
-            tel.counter("executor/cache_hits").inc(
-                cache.stats.hits - hits_before
-            )
-            tel.counter("executor/cache_misses").inc(
-                cache.stats.misses - misses_before
-            )
 
     workers = min(cfg.effective_jobs(), len(pending))
     if workers <= 1:
         for i in pending:
-            results[i] = run_job(job_list[i], telemetry=tel)
+            results[i] = run_job(job_list[i])
             if cache is not None:
                 cache.put(job_list[i], results[i])
     else:
         distinct = list({(job_list[i].topology, job_list[i].max_paths): None
                          for i in pending})
-        target = run_job if tel is None else _run_job_telemetered
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_warm_worker,
             initargs=(distinct,),
         ) as pool:
-            futures = {pool.submit(target, job_list[i]): i for i in pending}
+            futures = {pool.submit(run_job, job_list[i]): i for i in pending}
             for fut in as_completed(futures):
                 i = futures[fut]
-                if tel is None:
-                    results[i] = fut.result()
-                else:
-                    results[i], snapshot = fut.result()
-                    tel.merge_snapshot(snapshot)
+                results[i] = fut.result()
                 if cache is not None:
                     cache.put(job_list[i], results[i])
     return results  # type: ignore[return-value]

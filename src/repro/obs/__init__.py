@@ -2,8 +2,8 @@
 
 See DESIGN.md §7 for the schema, the instrument naming convention, and
 the telemetry-vs-trace boundary.  The short version: telemetry measures
-*how long and how much* (histograms, counters, gauges — mergeable across
-sweep workers), the decision trace records *what was decided*, and
+*how long and how much* of one run (counters, and histograms on one
+fixed bucket layout), the decision trace records *what was decided*, and
 nothing in this package is ever consulted by scheduling code.
 
 On top of the raw artifacts sits the diagnosis layer (all offline,
@@ -41,12 +41,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.hotpath import HotPathCounters
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
 from repro.obs.report import render_stats, stats_json
 from repro.obs.spans import SpanTimers, span_tree
 from repro.obs.timeline import (
@@ -63,7 +58,6 @@ __all__ = [
     "Counter",
     "DiffError",
     "DiffReport",
-    "Gauge",
     "Histogram",
     "HotPathCounters",
     "MetricDelta",

@@ -3,12 +3,14 @@
 A run's telemetry file, written next to its trace output, holds one
 header object (``telemetry-header`` with :data:`TELEMETRY_SCHEMA_VERSION`
 and the run meta) followed by one object per instrument, stably ordered by
-``(name, labels)``.  :func:`load_jsonl` reads it back into a
+name: ``{kind, name, value}`` for a counter and
+``{kind, name, counts, sum, count, min, max}`` for a histogram on the
+one fixed bucket layout.  :func:`load_jsonl` reads it back into a
 :class:`~repro.obs.registry.MetricsRegistry` with **strict** validation
-(exact field sets, types, bucket-layout consistency, one line per
-instrument) and raises :class:`TelemetryError` on any deviation —
-``repro-taps stats`` turns that into a non-zero exit, so a schema drift
-can never render as a half-plausible report.
+(exact field sets, types, bucket count, one line per instrument) and
+raises :class:`TelemetryError` on any deviation — ``repro-taps stats``
+turns that into a non-zero exit, so a schema drift can never render as a
+half-plausible report.
 
 Serialization is deterministic: equal registries produce byte-identical
 files (the round-trip tests assert export → load → export equality).
@@ -20,14 +22,15 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import BUCKETS, MetricsRegistry
 from repro.util.jsonl import read_jsonl
 
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 """Version of the telemetry JSONL schema.
 
 Bump on any change to the header shape, instrument kinds, their field
-sets, or the default histogram bucket layout's *meaning*.  Checked on
+sets, or the histogram bucket layout.  Version 2 dropped gauges, labels
+and the per-histogram layout fields.  Checked on
 load; ``repro-taps stats`` refuses mismatched files.
 """
 
@@ -44,15 +47,12 @@ _HEADER_FIELDS = {"kind", "schema", "meta"}
 #: exact field sets per instrument kind (validation is closed-world:
 #: unknown or missing fields are schema violations, not extensions)
 _FIELDS = {
-    "counter": {"kind", "name", "labels", "value"},
-    "gauge": {"kind", "name", "labels", "value", "max"},
-    "histogram": {"kind", "name", "labels", "lo", "growth", "buckets",
-                  "counts", "sum", "count", "min", "max"},
+    "counter": {"kind", "name", "value"},
+    "histogram": {"kind", "name", "counts", "sum", "count", "min", "max"},
 }
-#: the fields of each kind that must be numbers (a histogram's ``buckets``
-#: and ``count`` must also be ints)
-_NUMBERS = {"counter": ("value",), "gauge": ("value", "max"),
-            "histogram": ("lo", "growth", "sum", "min", "max")}
+#: the fields of each kind that must be numbers (a histogram's ``count``
+#: must also be an int)
+_NUMBERS = {"counter": ("value",), "histogram": ("sum", "min", "max")}
 
 
 def header(registry: MetricsRegistry) -> dict[str, Any]:
@@ -95,28 +95,22 @@ def _validate_instrument(item: Any, lineno: int) -> None:
               f"{sorted(set(item) ^ want)}")
     if not isinstance(item["name"], str) or not item["name"]:
         _fail(f"line {lineno}: name must be a non-empty string")
-    labels = item["labels"]
-    if not isinstance(labels, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in labels.items()
-    ):
-        _fail(f"line {lineno}: labels must be a str→str object")
     for k in _NUMBERS[kind]:
         if isinstance(item[k], bool) or not isinstance(item[k], (int, float)):
             _fail(f"line {lineno}: {kind} {k} must be a number")
     if kind != "histogram":
         return
-    for k in ("buckets", "count"):
-        if isinstance(item[k], bool) or not isinstance(item[k], int):
-            _fail(f"line {lineno}: histogram {k} must be an int")
+    if isinstance(item["count"], bool) or not isinstance(item["count"], int):
+        _fail(f"line {lineno}: histogram count must be an int")
     counts = item["counts"]
     if (
         not isinstance(counts, list)
-        or len(counts) != item["buckets"] + 2
+        or len(counts) != BUCKETS + 2
         or not all(isinstance(c, int) and not isinstance(c, bool)
                    and c >= 0 for c in counts)
     ):
         _fail(f"line {lineno}: histogram counts must be "
-              f"{item['buckets'] + 2} non-negative ints")
+              f"{BUCKETS + 2} non-negative ints")
     if sum(counts) != item["count"]:
         _fail(f"line {lineno}: histogram counts sum to {sum(counts)}, "
               f"count says {item['count']}")
@@ -141,11 +135,15 @@ def load_jsonl(source: str | Path | Iterable[str]) -> MetricsRegistry:
     registry = MetricsRegistry(meta=head["meta"])
     for lineno, item in body:
         _validate_instrument(item, lineno)
-        if registry.get(item["name"], item["labels"]) is not None:
-            _fail(f"line {lineno}: duplicate instrument {item['name']!r} "
-                  f"{item['labels']}")
-        try:
-            registry.merge_snapshot(item)
-        except ValueError as exc:
-            _fail(f"line {lineno}: {exc}")
+        name = item["name"]
+        if registry.get(name) is not None:
+            _fail(f"line {lineno}: duplicate instrument {name!r}")
+        if item["kind"] == "counter":
+            registry.counter(name).value = item["value"]
+            continue
+        hist = registry.histogram(name)
+        hist.counts, hist.sum = item["counts"], item["sum"]
+        hist.count = item["count"]
+        if hist.count:
+            hist.min, hist.max = item["min"], item["max"]
     return registry

@@ -106,16 +106,8 @@ class HotPathCounters:
         out["prune_rate"] = self.prune_rate
         return out
 
-    def publish_to(self, registry, prefix: str = "alloc/") -> None:
-        """Mirror the counters into a registry (once, at end of run).
-
-        Additive counters become registry counters named
-        ``<prefix><field>``; ``max_reallocation_depth`` becomes a gauge
-        (its merge semantics are max, matching the field's meaning).
-        """
+    def publish_to(self, registry) -> None:
+        """Mirror every field into the registry as an ``alloc/<field>``
+        counter (once, at end of run)."""
         for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "max_reallocation_depth":
-                registry.gauge(prefix + f.name).set(v)
-            else:
-                registry.counter(prefix + f.name).inc(v)
+            registry.counter("alloc/" + f.name).inc(getattr(self, f.name))

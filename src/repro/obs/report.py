@@ -28,12 +28,6 @@ _DECISIONS = (
     ("trials_rolled_back", "alloc/trials_rolled_back"),
 )
 
-#: (key, hit counter, miss counter) of each cache
-_CACHES = (
-    ("union_cache", "alloc/union_cache_hits", "alloc/union_cache_misses"),
-    ("result_cache", "executor/cache_hits", "executor/cache_misses"),
-)
-
 
 def _value(reg: MetricsRegistry, name: str) -> float | None:
     inst = reg.get(name)
@@ -56,10 +50,10 @@ def stats_json(reg: MetricsRegistry) -> dict:
     if decisions:
         out["decisions"] = decisions
     caches = {}
-    for key, hit_name, miss_name in _CACHES:
-        hits, misses = _value(reg, hit_name), _value(reg, miss_name)
-        if hits is not None or misses is not None:
-            caches[key] = {"hits": hits or 0, "misses": misses or 0}
+    hits = _value(reg, "alloc/union_cache_hits")
+    misses = _value(reg, "alloc/union_cache_misses")
+    if hits is not None or misses is not None:
+        caches["union_cache"] = {"hits": hits or 0, "misses": misses or 0}
     evaluated = _value(reg, "alloc/candidates_evaluated")
     if evaluated is not None:
         caches["path_prune"] = {
@@ -130,12 +124,12 @@ def render_stats(reg: MetricsRegistry) -> str:
     caches = doc.get("caches", {})
     if caches:
         lines += _section("Cache and prune effectiveness")
-        for key, _hits, _misses in _CACHES:
-            if key in caches:
-                hits, misses = caches[key]["hits"], caches[key]["misses"]
-                lines.append(f"  {key.replace('_', ' '):<13} "
-                             f"{_fmt_rate(hits, hits + misses)}  "
-                             f"({hits} hits / {misses} misses)")
+        if "union_cache" in caches:
+            cache = caches["union_cache"]
+            hits, misses = cache["hits"], cache["misses"]
+            lines.append(f"  {'union cache':<13} "
+                         f"{_fmt_rate(hits, hits + misses)}  "
+                         f"({hits} hits / {misses} misses)")
         if "path_prune" in caches:
             prune = caches["path_prune"]
             pruned, evaluated = prune["pruned"], prune["evaluated"]

@@ -16,15 +16,13 @@ record's ``layers`` block all take each node's call count and total time
 from it.
 
 Every span exit records its wall duration into a histogram named
-``span/<full-path>``, so span timings inherit everything histograms give
-us: percentiles, and exact cross-process merging (a sweep's span tree is
-the elementwise sum of its workers' trees).
+``span/<full-path>``, so span timings get call counts, totals and
+percentiles from one run's histograms.
 
 One :class:`SpanTimers` (one stack) is shared per registry via
 ``registry.spans`` — components must not construct private instances, or
 their spans would not nest into the shared tree.  The timers are not
-thread-safe (neither is anything else in a simulation run); the parallel
-executor gives each worker process its own registry instead.
+thread-safe (neither is anything else in a simulation run).
 """
 
 from __future__ import annotations

@@ -146,14 +146,14 @@ class Engine:
         hands the same recorder to the scheduler before ``attach`` so
         controller decisions and engine facts interleave in one stream.
     telemetry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`.  The
-        engine opens a ``run`` span over the whole simulation with
-        ``arrival``/``rates`` phase spans nested inside (scheduler spans
-        nest further, e.g. ``span/run/arrival/admission``), tracks the
-        ``engine/active_flows`` gauge, and at end of run publishes its
-        work counters and the scheduler's own telemetry (via
-        ``publish_telemetry``, when the scheduler has one).  It attaches
-        no hook: per-link load is a
+        Optional :class:`~repro.obs.registry.MetricsRegistry` for this
+        one run.  The engine opens a ``run`` span over the whole
+        simulation with ``arrival``/``rates`` phase spans nested inside
+        (scheduler spans nest further, e.g.
+        ``span/run/arrival/admission``), and at end of run publishes its
+        ``engine/<field>`` work counters and the scheduler's own
+        telemetry (via ``publish_telemetry``, when the scheduler has
+        one).  It attaches no hook: per-link load is a
         :class:`~repro.metrics.transmission.TransmissionLog` query.
         Like ``trace``, the registry is handed to a
         telemetry-capable scheduler before ``attach``.  Telemetry never
@@ -246,7 +246,6 @@ class Engine:
                 topology=self.topology.name,
                 num_tasks=len(self.task_states),
             )
-            active_gauge = tel.gauge("engine/active_flows")
             run_span = tel.spans.span("run")
             run_span.__enter__()
 
@@ -428,8 +427,6 @@ class Engine:
                     self._sync_slices(moved, sending, now)
                 moved.clear()
                 dirty = False
-            if tel is not None:
-                active_gauge.set(len(active))
 
             # 4. choose the next event time
             t_next = math.inf

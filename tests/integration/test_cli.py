@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from repro.cli import main
+from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 
 
 def test_motivation_subcommand(capsys):
@@ -99,6 +100,50 @@ def test_run_with_fault_on_missing_link_fails_in_one_line(capsys):
     assert "fault on link 99999" in err and "96 links" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig6", "--jobs", "-1"],
+    ["all", "--jobs", "-1"],
+    ["zoo", "--jobs", "-1"],
+    ["report", "--jobs", "-1"],
+    ["optimality", "--instances", "0"],
+    ["diff", "A", "A", "--timing-threshold", "-1"],
+    ["audit", "t.jsonl", "--max-violations", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_out_of_range_flag_is_a_usage_error(argv, capsys):
+    """A value below a flag's range stops argparse (exit 2) before the
+    command runs, instead of a traceback or a misleading report."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["run-out-dir", "run-trace", "timeline-out",
+                                  "report-out"])
+def test_unwritable_output_is_one_error_line(
+    case, cli_run_dir, tmp_path, monkeypatch, capsys
+):
+    """An output path that cannot be written (an existing file as
+    ``--out-dir``, a file in a missing directory) is one ``error:`` line
+    and exit 2; ``report`` refuses before it regenerates any figure."""
+    a_file, missing = tmp_path / "F", tmp_path / "nodir"
+    a_file.write_text("")
+    argv = {
+        "run-out-dir": ["run", "--tasks", "4", "--out-dir", str(a_file)],
+        "run-trace": ["run", "--tasks", "4",
+                      "--trace", str(missing / "x.jsonl")],
+        "timeline-out": ["timeline", str(cli_run_dir),
+                         "--out", str(missing / "x.json")],
+        "report-out": ["report", "--out", str(missing / "r.md")],
+    }[case]
+    monkeypatch.setattr("repro.cli.generate_report",
+                        lambda *a, **k: pytest.fail("report regenerated"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_out_dir_then_stats_roundtrip(tmp_path, capsys):
     """``run --out-dir`` writes the artifact bundle; ``stats`` renders a
     report from those artifacts alone (no re-simulation)."""
@@ -156,7 +201,7 @@ def test_stats_json_flag(cli_run_dir, capsys):
     capsys.readouterr()
     assert main(["stats", str(cli_run_dir), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == TELEMETRY_SCHEMA_VERSION
     assert doc["decisions"]["accepted"] + doc["decisions"]["rejected"] == 24
     assert doc["admission_latency"]["count"] > 0
     assert "links" not in doc

@@ -22,8 +22,7 @@ from repro.obs.registry import MetricsRegistry
 def _sample_registry() -> MetricsRegistry:
     reg = MetricsRegistry(meta={"scale": "small", "seed": 3})
     reg.counter("controller/tasks_accepted").inc(12)
-    reg.gauge("net/link_peak_utilization",
-              {"link": "4", "src": "a", "dst": "b"}).set(0.75)
+    reg.counter("alloc/intervals_scanned").inc(0)
     h = reg.histogram("controller/admission_latency_seconds")
     for v in (1e-4, 2e-4, 5e-3, 1e-2):
         h.observe(v)
@@ -44,21 +43,18 @@ def test_jsonl_round_trip_is_byte_identical():
 
 
 def test_run_export_round_trip_is_byte_identical(traced_run):
-    """A real run's export, integer gauges included, reloads to a
-    registry that writes the same bytes."""
+    """A real run's export reloads to a registry that writes the same
+    bytes."""
     _result, _recorder, registry = traced_run
-    negative = MetricsRegistry()
-    negative.gauge("net/link_peak_utilization").set(-2.5)
-    for reg in (registry, negative):
-        text = dumps_jsonl(reg)
-        assert dumps_jsonl(load_jsonl(text.splitlines())) == text
+    text = dumps_jsonl(registry)
+    assert dumps_jsonl(load_jsonl(text.splitlines())) == text
 
 
 def test_write_and_load_file(tmp_path):
     path = write_jsonl(_sample_registry(), tmp_path / "telemetry.jsonl")
     reg = load_jsonl(path)
     assert reg.get("controller/tasks_accepted").value == 12
-    assert dict(reg.find("net/link_peak_utilization")[0].labels)["link"] == "4"
+    assert reg.get("alloc/intervals_scanned").value == 0
 
 
 def test_loaded_histogram_quantiles_survive_round_trip():
@@ -121,7 +117,7 @@ def test_load_rejects_extra_header_field():
 
 
 def test_load_rejects_unknown_kind():
-    lines = _lines() + ['{"kind":"summary","name":"x","labels":{}}']
+    lines = _lines() + ['{"kind":"gauge","name":"x","value":1}']
     with pytest.raises(TelemetryError, match="unknown instrument kind"):
         load_jsonl(lines)
 
@@ -187,8 +183,8 @@ def test_load_rejects_wrong_bucket_count():
 
 
 def test_load_rejects_repeated_instrument():
-    """The exporter writes one line per (name, labels); loading a second
-    one would merge it silently into the first."""
+    """The exporter writes one line per name; a second line of that
+    name is refused, not merged into the first."""
     lines = _lines()
     i, _item = _counter_line(lines)
     lines.append(lines[i])
@@ -196,7 +192,11 @@ def test_load_rejects_repeated_instrument():
         load_jsonl(lines)
 
 
+
+
 def test_load_rejects_impossible_bucket_layout():
+    """Every histogram has the one fixed layout, so a line that carries
+    its own (here an impossible ``lo``) is a field mismatch."""
     lines = _lines()
     for i, line in enumerate(lines):
         item = json.loads(line)
@@ -204,14 +204,16 @@ def test_load_rejects_impossible_bucket_layout():
             item["lo"] = 0
             lines[i] = json.dumps(item)
             break
-    with pytest.raises(TelemetryError, match="need lo > 0"):
+    with pytest.raises(TelemetryError, match="field mismatch.*'lo'"):
         load_jsonl(lines)
 
 
 def test_load_rejects_non_string_labels():
+    """Instruments have no labels: a line that carries any is a field
+    mismatch, not an extension."""
     lines = _lines()
     i, item = _counter_line(lines)
     item["labels"] = {"link": 4}
     lines[i] = json.dumps(item)
-    with pytest.raises(TelemetryError, match="labels"):
+    with pytest.raises(TelemetryError, match="field mismatch.*'labels'"):
         load_jsonl(lines)

@@ -1,13 +1,11 @@
-"""Telemetry wiring into the controller, engine, and executor.
+"""Telemetry wiring into the controller and the engine.
 
 Two guarantees are load-bearing.  First, telemetry is observational
 only: the decision trace must stay byte-identical whether telemetry is
 attached or not, and between the controller and the reference oracle with
-it attached.  Second,
-published counters are the *same numbers* the engine/controller already
-track, and process-pool workers' snapshots merge into exactly what a
-serial run records — so ``repro-taps stats`` never disagrees with the
-simulation it describes.
+it attached.  Second, published counters are the *same numbers* the
+engine/controller already track — so ``repro-taps stats`` never
+disagrees with the simulation it describes.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import fields
 
 from repro.core.reference import ReferenceTaps
 from repro.exp.configs import SMALL
-from repro.exp.executor import ExecutorConfig, SimJob, execute_jobs, topology_spec
+from repro.exp.executor import topology_spec
 from repro.exp.runner import run_traced
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.sim.engine import EngineCounters
@@ -156,52 +154,27 @@ def test_engine_counters_published_exactly():
             getattr(engine.counters, f.name), f.name
 
 
-def _deterministic_view(reg: MetricsRegistry):
-    """Everything order- and timing-independent in a snapshot: counter
-    values, gauge peaks, and histogram observation counts (durations are
-    wall-clock and legitimately differ between runs)."""
-    view = {}
-    for item in reg.snapshot():
-        key = (item["name"], tuple(sorted(item["labels"].items())))
-        if item["kind"] == "counter":
-            if item["name"].endswith("_seconds"):
-                continue  # wall-clock accumulators; not deterministic
-            view[key] = item["value"]
-        elif item["kind"] == "gauge":
-            view[key] = item["max"]
-        else:
-            view[key] = item["count"]
-    return view
 
+def test_run_publishes_only_counters_and_histograms():
+    """Every hot-path field lands as an ``alloc/<field>`` counter equal to
+    the live field, and a run records no instrument of any other kind."""
+    from repro.core.controller import TapsScheduler
+    from repro.net.paths import PathService
+    from repro.obs.hotpath import HotPathCounters
+    from repro.obs.registry import Counter
+    from repro.sim.engine import Engine
+    from repro.workload.generator import generate_workload
 
-def test_parallel_executor_merges_worker_telemetry():
-    """jobs=2 fan-out merges worker snapshots into the same deterministic
-    totals a serial run records — completion order cannot matter."""
-    jobs = [
-        SimJob(DUMBBELL, _workload(seed=s), sched, 4)
-        for s in (1, 2) for sched in ("TAPS", "PDQ")
-    ]
-    tel_serial = MetricsRegistry()
-    serial = execute_jobs(jobs, ExecutorConfig(jobs=1, telemetry=tel_serial))
-    tel_pool = MetricsRegistry()
-    pooled = execute_jobs(jobs, ExecutorConfig(jobs=2, telemetry=tel_pool))
-    assert pooled == serial
-    assert _deterministic_view(tel_pool) == _deterministic_view(tel_serial)
-    assert tel_serial.get("executor/jobs").value == len(jobs)
-    assert tel_serial.get("executor/jobs_run").value == len(jobs)
-
-
-def test_cached_jobs_count_as_hits_not_runs(tmp_path):
-    from repro.exp.executor import ResultCache
-
-    job = SimJob(DUMBBELL, _workload(seed=3), "TAPS", 4)
-    cache = ResultCache(tmp_path)
-    execute_jobs([job], ExecutorConfig(cache=cache))  # warm, untelemetered
     tel = MetricsRegistry()
-    execute_jobs([job], ExecutorConfig(cache=cache, telemetry=tel))
-    assert tel.get("executor/jobs").value == 1
-    assert tel.get("executor/cache_hits").value == 1
-    assert tel.get("executor/jobs_run") is None or \
-        tel.get("executor/jobs_run").value == 0
-    # a cached job never ran an engine, so no engine counters appear
-    assert tel.find("engine/events") == []
+    topo = DUMBBELL.build()
+    tasks = generate_workload(_workload(num_tasks=12, seed=3),
+                              list(topo.hosts))
+    sched = TapsScheduler()
+    Engine(topo, tasks, sched, path_service=PathService(topo, max_paths=4),
+           telemetry=tel).run()
+    profile = sched.stats.profile
+    for f in fields(HotPathCounters):
+        inst = tel.get("alloc/" + f.name)
+        assert isinstance(inst, Counter), f.name
+        assert inst.value == getattr(profile, f.name), f.name
+    assert {type(i) for i in tel.instruments()} == {Counter, Histogram}

@@ -5,7 +5,7 @@
 either filled live or loaded from a telemetry export.
 """
 
-from repro.obs.export import dumps_jsonl, load_jsonl
+from repro.obs.export import TELEMETRY_SCHEMA_VERSION, dumps_jsonl, load_jsonl
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_stats, stats_json
 
@@ -31,6 +31,7 @@ def test_json_carries_every_section_the_text_prints(traced_run):
 
 def test_empty_registry_reports_no_instruments():
     text = render_stats(MetricsRegistry(meta={"seed": 1}))
-    assert text == ("Telemetry report (schema 1)\n  seed: 1\n"
-                    "  (no instruments recorded)\n")
-    assert stats_json(MetricsRegistry()) == {"schema": 1, "meta": {}}
+    assert text == (f"Telemetry report (schema {TELEMETRY_SCHEMA_VERSION})\n"
+                    "  seed: 1\n  (no instruments recorded)\n")
+    assert stats_json(MetricsRegistry()) == {
+        "schema": TELEMETRY_SCHEMA_VERSION, "meta": {}}
