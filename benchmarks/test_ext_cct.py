@@ -51,7 +51,7 @@ def test_ext_mean_cct(benchmark, bench_scale, record_table):
         )
     record_table("ext_cct", "\n".join(lines))
 
-    cct = {l: m.mean_task_completion_time for l, m in results.items()}
+    cct = {label: m.mean_task_completion_time for label, m in results.items()}
     # every task completes under all three (lax deadlines)
     for m in results.values():
         assert m.num_tasks > 0

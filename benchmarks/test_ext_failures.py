@@ -24,8 +24,8 @@ def _random_faults(topo, horizon, n_faults, mean_outage, rng):
     so every endpoint stays attachable)."""
     switch_set = set(topo.switches)
     core_links = [
-        l.index for l in topo.links
-        if l.src in switch_set and l.dst in switch_set
+        link.index for link in topo.links
+        if link.src in switch_set and link.dst in switch_set
     ]
     picks = rng.choice(len(core_links), size=n_faults, replace=False)
     faults = []

@@ -5,8 +5,6 @@ Shapes: TAPS ≈ 100% effective throughput; Fair Sharing unstable and
 materially lower (paper: "up to ∼60%").
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.exp.figures import run_figure
 from repro.exp.report import render_timeseries

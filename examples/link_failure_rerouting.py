@@ -27,8 +27,8 @@ def main() -> None:
     # fail 8 random switch-to-switch links during the run
     rng = np.random.default_rng(7)
     switch_set = set(topology.switches)
-    fabric_links = [l.index for l in topology.links
-                    if l.src in switch_set and l.dst in switch_set]
+    fabric_links = [link.index for link in topology.links
+                    if link.src in switch_set and link.dst in switch_set]
     faults = []
     for i in rng.choice(len(fabric_links), size=8, replace=False):
         start = float(rng.uniform(0, horizon * 0.7))

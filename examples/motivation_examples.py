@@ -49,7 +49,7 @@ def print_fig3_slices() -> None:
         slices = ", ".join(f"({s:g},{e:g})" for s, e in plan.slices)
         hops = " -> ".join(
             [topology.links[plan.path[0]].src]
-            + [topology.links[l].dst for l in plan.path]
+            + [topology.links[link].dst for link in plan.path]
         )
         print(f"  {label:12s} slices {slices:18s} via {hops}")
     print("\nf4's split slice set matches the paper's optimal schedule "

@@ -8,6 +8,10 @@ detecting and acting on such misses is the reject rule's job
 (:mod:`repro.core.reject`).  Only a flow that no candidate can fit at all
 (its links blocked by an outage) gets no plan.
 
+Alg. 2 scores a flow's candidate paths by group, with one fold and one
+exact lower bound per group (:func:`_best_candidate`); skipped candidates
+count in ``candidates_pruned`` and never reach the ledger's segment cache.
+
 :func:`path_calculation` is a plain planner: it counts its work into a
 :class:`~repro.obs.hotpath.HotPathCounters` and times nothing.  The
 controller counts each call and opens its ``path_calculation`` telemetry
@@ -17,6 +21,7 @@ span (:meth:`~repro.core.controller.TapsScheduler._path_calculation`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.core.occupancy import OccupancyLedger
 from repro.net.paths import PathService
@@ -26,7 +31,7 @@ from repro.sim.state import FlowState
 from repro.util.errors import AllocationError
 from repro.util.intervals import (
     IntervalSet,
-    merge_boundaries,
+    occupied_first_fit_pair,
     occupied_fit_end_pair,
     up,
 )
@@ -76,27 +81,105 @@ def time_allocation(
     duration: float,
     release: float,
     horizon: float,
-    occupied: IntervalSet | None = None,
 ) -> tuple[IntervalSet, float]:
     """Alg. 3: allocate ``duration`` of idle time on ``path`` after ``release``.
 
     Returns ``(slices, completion_time)``.  ``horizon`` must be generous
     enough that the fit always succeeds (callers size it as
-    max-deadline + total backlog); running out is a programming error.
-    ``occupied`` lets a caller that already holds the path's occupancy
-    union (Alg. 2 just computed it for the winning candidate) skip the
-    ledger re-query; it must match ``ledger.union_for(path)``.
+    max-deadline + total backlog); running out raises
+    :class:`~repro.util.errors.AllocationError`.  Alg. 2 calls it for a
+    flow with a single candidate path; a multi-candidate winner is sliced
+    straight from the two folds it was scored on.
     """
-    if occupied is None:
-        occupied = ledger.union_for(path)
     try:
-        slices = occupied.occupied_first_fit(duration, release, horizon)
+        bounds = occupied_first_fit_pair(
+            ledger.union_for(path)._b, [], duration, release, horizon
+        )
     except ValueError as exc:
         raise AllocationError(
             f"horizon {horizon:g} too small for duration {duration:g} "
             f"after t={release:g}"
         ) from exc
+    slices = IntervalSet._from_boundaries(bounds)
     return slices, slices.end()
+
+
+def _best_candidate(
+    candidates: tuple[Path, ...],
+    ledger: OccupancyLedger,
+    duration: float,
+    release: float,
+    horizon: float,
+    profile: HotPathCounters,
+) -> tuple[Path, list[float], list[float]] | None:
+    """Alg. 2 lines 7–14: the candidate with the earliest completion (ties
+    keep the first), with the two folds it was scored on; ``None`` when no
+    candidate fits.
+
+    Candidates are scored by **group**, in candidate order.  A group is a
+    run of consecutive candidates that share every link outside their
+    interior segment: the endpoint links plus, on paths of five or more
+    links, the first and last hop.  Its links are folded once (the
+    endpoint fold is shared by consecutive groups), and a member's union
+    is that group fold plus its interior-segment fold
+    (:meth:`~repro.core.occupancy.OccupancyLedger.segment_fold`), scored
+    with one fused pair scan (:func:`occupied_fit_end_pair`) — no union is
+    materialised.  Three exact cut-offs skip work, each counted in
+    ``candidates_pruned`` except the third:
+
+    1. ``release + duration >= best_end`` ends the search: no path
+       completes before its contention-free fit;
+    2. once a best exists, the group fold's own fit (one scan, before any
+       member's interior fold) bounds every member's completion from
+       below, since each member's union contains the group fold; the rest
+       of the group is skipped once that bound reaches ``best_end``;
+    3. a member's scan aborts the moment its completion reaches
+       ``best_end`` (``stop_at``).
+
+    Only a strictly earlier completion wins, so none of them changes the
+    choice of the literal algorithm
+    (:func:`repro.core.reference.reference_path_calculation`).
+    """
+    n = len(candidates)
+    profile.candidates_evaluated += n
+    floor = release + duration
+    best: tuple[Path, list[float], list[float]] | None = None
+    best_end = inf
+    group: tuple[int, ...] = ()
+    for i, p in enumerate(candidates):
+        long = len(p) >= 5
+        key = (p[0], p[1], p[-2], p[-1]) if long else (p[0], p[-1])
+        if key != group:
+            if not group or key[0] != group[0] or key[-1] != group[-1]:
+                ends = ledger.fold((key[0], key[-1]))
+            group = key
+            shared = ledger.fold((p[1], p[-2]), ends) if long else ends
+            bound = None
+        if best is not None:
+            if bound is None:
+                try:
+                    bound = occupied_fit_end_pair(
+                        shared, [], duration, release, horizon, best_end
+                    )
+                except ValueError:
+                    bound = inf  # the group's own links cannot fit it
+            if bound >= best_end:
+                profile.candidates_pruned += 1
+                continue
+        inner = ledger.segment_fold(p[2:-2] if long else p[1:-1])
+        try:
+            end = occupied_fit_end_pair(
+                shared, inner, duration, release, horizon, best_end
+            )
+        except ValueError:
+            continue  # this candidate cannot fit (blocked link)
+        if end < best_end:
+            best_end = end
+            best = (p, shared, inner)
+            if floor >= end:
+                profile.candidates_pruned += n - 1 - i
+                break
+    return best
 
 
 def path_calculation(
@@ -125,16 +208,12 @@ def path_calculation(
     ``profile`` (a :class:`~repro.obs.hotpath.HotPathCounters`) receives
     the candidate counts; without one they go to a private instance.
 
-    Candidates are scored without materialising their unions or idle
-    sets.  Those whose contention-free completion (``release + duration``,
-    a hard lower bound on any path) cannot beat the current best are
-    skipped outright, and the survivors are scored with a fused pair scan
-    over the path's partial union folds that aborts the moment it is
-    provably beaten.  Both cut-offs are exact — they only ever drop
-    candidates that compare as losers — and the scan computes the literal
-    ``union → complement → fit`` completion float-for-float, so the chosen
-    path is the one the literal algorithm picks
-    (:func:`repro.core.reference.reference_path_calculation`).
+    A single-candidate flow goes straight to Alg. 3
+    (:func:`time_allocation`).  Otherwise the winner is picked by group
+    (:func:`_best_candidate`) and sliced by one fused scan over its two
+    folds (:func:`~repro.util.intervals.occupied_first_fit_pair`), which
+    computes the literal ``union → complement → first_fit`` slices
+    float-for-float.
 
     Returns plans keyed by flow id.
     """
@@ -146,59 +225,30 @@ def path_calculation(
         duration = transmission_time(fs, capacity)
         release = max(now, up(f.release))
         candidates = paths.candidates(f.src, f.dst)
-        if not candidates:
-            raise AllocationError(f"no path for flow {f.flow_id}: {f.src}->{f.dst}")
-
-        best_occ: IntervalSet | None = None
         if len(candidates) == 1:
-            best_path = candidates[0]
+            path = candidates[0]
+            try:
+                slices, completion = time_allocation(
+                    ledger, path, duration, release, horizon
+                )
+            except AllocationError:
+                continue  # the one candidate cannot fit: no plan
+        elif not candidates:
+            raise AllocationError(f"no path for flow {f.flow_id}: {f.src}->{f.dst}")
         else:
-            # line 7–14: keep the path with the earliest completion.  Each
-            # candidate's union is available as two partial folds (shared
-            # endpoint fold + cached interior segment), and its completion
-            # is scored straight off the pair with one fused scan — no
-            # union is materialised for losing candidates.  Two exact
-            # cut-offs skip work:
-            #   1. release + duration >= best_end: free; kills every
-            #      later candidate once one found a contention-free fit;
-            #   2. the scan aborts the moment its earliest possible
-            #      completion reaches best_end (stop_at).
-            # Only the winner's union is merged, for slice building.
-            profile.candidates_evaluated += len(candidates)
-            best_path, best_end = None, float("inf")
-            best_parts: tuple[list[float], list[float]] | None = None
-            union_memo: dict[Path, list[float]] = {}
-            for p in candidates:
-                if best_path is not None and release + duration >= best_end:
-                    profile.candidates_pruned += 1
-                    continue
-                shared, inter = ledger.union_parts(p, union_memo)
-                try:
-                    end = occupied_fit_end_pair(
-                        shared, inter, duration, release, horizon,
-                        stop_at=best_end,
-                    )
-                except ValueError:
-                    continue  # this candidate cannot fit (blocked link)
-                if end < best_end:
-                    best_end, best_path = end, p
-                    best_parts = (shared, inter)
-            if best_parts is None:
+            best = _best_candidate(
+                candidates, ledger, duration, release, horizon, profile
+            )
+            if best is None:
                 continue  # no candidate fits: no plan
-            best_occ = IntervalSet._from_boundaries(
-                merge_boundaries(best_parts[0], best_parts[1])
-            )
-
-        try:
-            slices, completion = time_allocation(
-                ledger, best_path, duration, release, horizon,
-                occupied=best_occ,
-            )
-        except AllocationError:
-            continue  # the one candidate cannot fit: no plan
-        ledger.commit(best_path, slices)
+            path, shared, inner = best
+            slices = IntervalSet._from_boundaries(occupied_first_fit_pair(
+                shared, inner, duration, release, horizon
+            ))
+            completion = slices.end()
+        ledger.commit(path, slices)
         plans[f.flow_id] = FlowPlan(
-            flow_state=fs, path=best_path, slices=slices, completion=completion
+            flow_state=fs, path=path, slices=slices, completion=completion
         )
     return plans
 

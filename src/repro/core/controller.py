@@ -226,7 +226,7 @@ class TapsScheduler(Scheduler):
         self._capacity = topology.uniform_capacity()
         switch_set = set(topology.switches)
         self._switch_of_link = {
-            l.index: l.src for l in topology.links if l.src in switch_set
+            link.index: link.src for link in topology.links if link.src in switch_set
         }
         if self.trace is not None:
             # trace identity: what the auditor needs to pick invariants.
@@ -599,8 +599,8 @@ class TapsScheduler(Scheduler):
         for plan in {**frozen, **trial_plans}.values():
             if not plan.flow_state.active:
                 continue
-            for sw in {self._switch_of_link[l] for l in plan.path
-                       if l in self._switch_of_link}:
+            for sw in {self._switch_of_link[link] for link in plan.path
+                       if link in self._switch_of_link}:
                 count = per_switch.get(sw, 0) + 1
                 if count > self.flow_table_limit:
                     return False
@@ -705,8 +705,8 @@ class TapsScheduler(Scheduler):
         ledger = self._new_ledger()
         if self._down_links:
             block = IntervalSet.single(0.0, _BLOCK_HORIZON)
-            for l in self._down_links:
-                ledger.commit((l,), block)
+            for link in self._down_links:
+                ledger.commit((link,), block)
         return ledger
 
     def on_link_state_change(self, down_links: frozenset[int], now: float) -> None:

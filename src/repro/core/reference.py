@@ -43,16 +43,16 @@ class ReferenceLedger:
 
     def union_for(self, path: Path) -> IntervalSet:
         """``T_ocp`` — the union of the path's occupied sets (lines 1–4)."""
-        return union_all(self.occ[l] for l in path if l in self.occ)
+        return union_all(self.occ[link] for link in path if link in self.occ)
 
     def commit(self, path: Path, slices: IntervalSet) -> None:
-        for l in path:
-            held = self.occ.get(l)
-            self.occ[l] = slices.copy() if held is None else held.union(slices)
+        for link in path:
+            held = self.occ.get(link)
+            self.occ[link] = slices.copy() if held is None else held.union(slices)
 
     def copy(self) -> ReferenceLedger:
         out = ReferenceLedger()
-        out.occ = {l: s.copy() for l, s in self.occ.items()}
+        out.occ = {link: s.copy() for link, s in self.occ.items()}
         return out
 
     def begin_trial(self) -> None:

@@ -108,21 +108,21 @@ class TransmissionLog:
         for t0, t1, fs, rate, path in self.records:
             nbytes = rate * (t1 - t0)
             met = fs.met_deadline
-            for l in path or ():
-                totals[l] = totals.get(l, 0.0) + nbytes
+            for link in path or ():
+                totals[link] = totals.get(link, 0.0) + nbytes
                 if met:
-                    useful[l] = useful.get(l, 0.0) + nbytes
+                    useful[link] = useful.get(link, 0.0) + nbytes
         links = self.topology.links
         out = [
             LinkLoad(
-                link_index=l,
-                src=links[l].src,
-                dst=links[l].dst,
+                link_index=link,
+                src=links[link].src,
+                dst=links[link].dst,
                 bytes_total=t,
-                bytes_useful=useful.get(l, 0.0),
-                utilization=t / (links[l].capacity * horizon),
+                bytes_useful=useful.get(link, 0.0),
+                utilization=t / (links[link].capacity * horizon),
             )
-            for l, t in totals.items()
+            for link, t in totals.items()
         ]
         out.sort(key=lambda x: -x.bytes_total)
         return out

@@ -133,7 +133,7 @@ class Topology:
         """
         if not self._links:
             raise TopologyError("topology has no links")
-        caps = {l.capacity for l in self._links}
+        caps = {link.capacity for link in self._links}
         if len(caps) != 1:
             raise TopologyError(f"link capacities not uniform: {sorted(caps)}")
         return next(iter(caps))

@@ -5,14 +5,14 @@ path_calculation`: on every task arrival it re-plans all in-flight flows,
 and for each flow it evaluates every candidate path against the per-link
 occupancy sets.  :class:`HotPathCounters` counts some of the work that
 loop does — how often the :class:`~repro.core.occupancy.OccupancyLedger`
-segment cache hits, how many candidate paths the lower-bound prune skips,
+segment cache hits, how many candidate paths the exact lower bounds skip,
 how many occupancy intervals ``OccupancyLedger.union_for`` reads — so
 benchmarks report *work done*, not just elapsed seconds, and optimisation
 work has a trajectory to beat.  The interval count is narrow: only flows
-with a single candidate path reach ``union_for``, so the candidate folds
-and the merges inside commits, most of Alg. 2's merge work, are not in
-it.  The counters hold no time: two runs of one workload give equal
-counts.  Where time goes is the job of telemetry spans and of the
+with a single candidate path reach ``union_for``, so the group and
+segment folds and the splices inside commits, most of Alg. 2's merge
+work, are not in it.  The counters hold no time: two runs of one workload
+give equal counts.  Where time goes is the job of telemetry spans and of the
 benchmarks' own stopwatches.
 
 One instance lives on :class:`~repro.core.controller.TapsStats` (as
@@ -41,23 +41,28 @@ class HotPathCounters:
     ----------
     union_cache_hits, union_cache_misses:
         Interior-segment folds served from / missing the ledger's segment
-        cache (``OccupancyLedger.union_parts``).  Every
+        cache (``OccupancyLedger.segment_fold``).  Every
         ``OccupancyLedger.union_for`` call also counts as a miss:
-        full-path unions are never cached.
+        full-path unions are never cached.  Alg. 2 asks for a candidate's
+        interior fold only after its group's bound failed to skip it, so
+        group-bound skips are lookups never made: they lower both counts,
+        hits more than misses.
     intervals_scanned:
         Occupancy intervals fed into ``OccupancyLedger.union_for``'s
         full-path folds, which Alg. 3 runs only for a flow with a single
-        candidate path.  Multi-candidate flows are scored from
-        ``union_parts``' partial folds and sliced from the winner's merged
-        pair, and commits merge into the per-link sets: none of those
-        merges is counted.
+        candidate path.  Multi-candidate flows are scored from group and
+        segment folds and sliced straight from the winner's two folds,
+        and commits splice into the per-link lists: none of those merges
+        is counted.
     candidates_evaluated:
         Candidate paths considered by Alg. 2's multi-path comparison
         (single-candidate flows skip the comparison and are not counted).
     candidates_pruned:
-        Candidates skipped outright because their contention-free
-        completion (``release + duration``) could not beat the best
-        candidate so far; mid-scan ``stop_at`` aborts are not counted
+        Candidates skipped without a scan of their own: those after a
+        candidate reached the contention-free completion
+        (``release + duration``), and those whose group's exact bound
+        (the fit on the links the group shares) reached the best
+        completion so far.  Mid-scan ``stop_at`` aborts are not counted
         here (their partial scan is real work).
     path_calculation_calls:
         Planner calls, counted by
@@ -90,7 +95,7 @@ class HotPathCounters:
 
     @property
     def prune_rate(self) -> float:
-        """Fraction of evaluated candidates skipped by the lower bound."""
+        """Fraction of evaluated candidates skipped by the lower bounds."""
         return (
             self.candidates_pruned / self.candidates_evaluated
             if self.candidates_evaluated

@@ -55,7 +55,7 @@ class Baraat(Scheduler):
         exclusive_full_rate(
             self.active_flows,
             priority_key=self._priority,
-            capacity_of=lambda path: min(links[l].capacity for l in path),
+            capacity_of=lambda path: min(links[link].capacity for link in path),
         )
 
     def on_deadline_expired(self, fs: FlowState, now: float) -> None:

@@ -143,7 +143,7 @@ def exclusive_full_rate(
     for fs in sorted(flows, key=priority_key):
         path = fs.path
         assert path is not None, f"flow {fs.flow.flow_id} has no path"
-        if any(l in busy for l in path):
+        if any(link in busy for link in path):
             fs.rate = 0.0
         else:
             fs.rate = capacity_of(path)

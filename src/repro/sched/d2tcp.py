@@ -81,12 +81,12 @@ class D2TCP(Scheduler):
         # "current rate" reference, as D2TCP's Tc does with line rate
         weights = [
             self.deadline_factor(
-                fs, now, min(links[l].capacity for l in fs.path)  # type: ignore[union-attr]
+                fs, now, min(links[link].capacity for link in fs.path)  # type: ignore[union-attr]
             )
             for fs in flows
         ]
         rates = weighted_max_min(
-            flows, weights, link_capacity=lambda l: links[l].capacity
+            flows, weights, link_capacity=lambda link: links[link].capacity
         )
         for fs, r in zip(flows, rates):
             fs.rate = r

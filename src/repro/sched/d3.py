@@ -67,9 +67,9 @@ class D3(Scheduler):
         links = self.topology.links
         avail: dict[int, float] = {}
         for fs in flows:
-            for l in fs.path:  # type: ignore[union-attr]
-                if l not in avail:
-                    avail[l] = links[l].capacity
+            for link in fs.path:  # type: ignore[union-attr]
+                if link not in avail:
+                    avail[link] = links[link].capacity
 
         # pass 1: grant requests FCFS (arrival order == flow_id order,
         # since ids are assigned in arrival order)
@@ -77,18 +77,18 @@ class D3(Scheduler):
         for fs in ordered:
             ttd = fs.flow.deadline - now
             request = fs.remaining / ttd if ttd > 1e-12 else math.inf
-            bottleneck = min(avail[l] for l in fs.path)  # type: ignore[union-attr]
+            bottleneck = min(avail[link] for link in fs.path)  # type: ignore[union-attr]
             grant = min(request, bottleneck)
             fs.rate = grant
             if grant > 0:
-                for l in fs.path:  # type: ignore[union-attr]
-                    avail[l] -= grant
+                for link in fs.path:  # type: ignore[union-attr]
+                    avail[link] -= grant
 
         # pass 2: distribute leftovers max-min among all flows
         extras = weighted_max_min(
             ordered,
             [1.0] * len(ordered),
-            link_capacity=lambda l: avail[l],
+            link_capacity=lambda link: avail[link],
         )
         for fs, e in zip(ordered, extras):
             fs.rate += e

@@ -54,7 +54,7 @@ class FairSharing(Scheduler):
             return
         links = self.topology.links
         rates = weighted_max_min(
-            flows, [1.0] * len(flows), link_capacity=lambda l: links[l].capacity
+            flows, [1.0] * len(flows), link_capacity=lambda link: links[link].capacity
         )
         for fs, r in zip(flows, rates):
             fs.rate = r

@@ -54,7 +54,7 @@ class PDQ(Scheduler):
         # a flow "occupies a slot" at the switch that forwards it, i.e. the
         # source node of each link it traverses that is a switch
         self._switch_of_link = {
-            l.index: l.src for l in topology.links if l.src in set(topology.switches)
+            link.index: link.src for link in topology.links if link.src in set(topology.switches)
         }
 
     def on_task_arrival(self, task_state: TaskState, now: float) -> None:
@@ -72,7 +72,7 @@ class PDQ(Scheduler):
         if self.early_termination:
             doomed: list[FlowState] = []
             for fs in flows:
-                cap = min(links[l].capacity for l in fs.path)  # type: ignore[union-attr]
+                cap = min(links[link].capacity for link in fs.path)  # type: ignore[union-attr]
                 if fs.remaining > (fs.flow.deadline - now) * cap + 1e-6:
                     doomed.append(fs)
             for fs in doomed:
@@ -89,16 +89,16 @@ class PDQ(Scheduler):
             path = fs.path
             assert path is not None
             if limit is not None:
-                switches = {self._switch_of_link[l] for l in path if l in self._switch_of_link}
+                switches = {self._switch_of_link[link] for link in path if link in self._switch_of_link}
                 if any(slots.get(sw, 0) >= limit for sw in switches):
                     fs.rate = 0.0  # no room in some switch's flow list
                     continue
                 for sw in switches:
                     slots[sw] = slots.get(sw, 0) + 1
-            if any(l in busy for l in path):
+            if any(link in busy for link in path):
                 fs.rate = 0.0
             else:
-                fs.rate = min(links[l].capacity for l in path)
+                fs.rate = min(links[link].capacity for link in path)
                 busy.update(path)
 
     def on_deadline_expired(self, fs: FlowState, now: float) -> None:

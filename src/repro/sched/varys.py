@@ -81,10 +81,10 @@ class Varys(Scheduler):
         links = self.topology.links
         backlog: dict[int, float] = {}
         for fs in flows:
-            for l in fs.path:
-                backlog[l] = backlog.get(l, 0.0) + fs.remaining
+            for link in fs.path:
+                backlog[link] = backlog.get(link, 0.0) + fs.remaining
         return max(
-            (b / links[l].capacity for l, b in backlog.items()), default=0.0
+            (b / links[link].capacity for link, b in backlog.items()), default=0.0
         )
 
     def _sebf_rates(self, now: float) -> None:
@@ -108,18 +108,18 @@ class Varys(Scheduler):
             scale = 1.0
             need: dict[int, float] = {}
             for fs, d in demands:
-                for l in fs.path:
-                    need[l] = need.get(l, 0.0) + d
-            for l, d in need.items():
-                free = avail.get(l, links[l].capacity)
+                for link in fs.path:
+                    need[link] = need.get(link, 0.0) + d
+            for link, d in need.items():
+                free = avail.get(link, links[link].capacity)
                 if d > 1e-15:
                     scale = min(scale, max(0.0, free) / d)
             if scale <= 1e-12:
                 continue
             for fs, d in demands:
                 fs.rate = d * scale
-                for l in fs.path:
-                    avail[l] = avail.get(l, links[l].capacity) - fs.rate
+                for link in fs.path:
+                    avail[link] = avail.get(link, links[link].capacity) - fs.rate
 
     # -- shared entry points -----------------------------------------------------
 
@@ -147,12 +147,12 @@ class Varys(Scheduler):
             path = self.paths.ecmp_path(f.flow_id, f.src, f.dst)
             fs.path = path
             flow_rates.append((fs, rate))
-            for l in path:
-                demands[l] = demands.get(l, 0.0) + rate
+            for link in path:
+                demands[link] = demands.get(link, 0.0) + rate
 
         if feasible:
-            for l, demand in demands.items():
-                if self._reserved.get(l, 0.0) + demand > links[l].capacity * (1 + 1e-9):
+            for link, demand in demands.items():
+                if self._reserved.get(link, 0.0) + demand > links[link].capacity * (1 + 1e-9):
                     feasible = False
                     break
 
@@ -163,8 +163,8 @@ class Varys(Scheduler):
         task_state.accepted = True
         for fs, rate in flow_rates:
             self._rate_of[fs.flow.flow_id] = rate
-            for l in fs.path:  # type: ignore[union-attr]
-                self._reserved[l] = self._reserved.get(l, 0.0) + rate
+            for link in fs.path:  # type: ignore[union-attr]
+                self._reserved[link] = self._reserved.get(link, 0.0) + rate
             self.active_flows.append(fs)
 
     def assign_rates(self, now: float) -> None:
@@ -177,8 +177,8 @@ class Varys(Scheduler):
     def _release(self, fs: FlowState) -> None:
         rate = self._rate_of.pop(fs.flow.flow_id, None)
         if rate is not None and fs.path is not None:
-            for l in fs.path:
-                self._reserved[l] = max(0.0, self._reserved[l] - rate)
+            for link in fs.path:
+                self._reserved[link] = max(0.0, self._reserved[link] - rate)
 
     def on_flow_completed(self, fs: FlowState, now: float) -> None:
         self._release(fs)

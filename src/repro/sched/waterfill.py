@@ -55,26 +55,26 @@ def weighted_max_min(
     for idx, fs in enumerate(flows):
         assert fs.path is not None, f"flow {fs.flow.flow_id} unrouted"
         w = weights[idx]
-        for l in fs.path:
-            if l not in remaining:
-                consumed = 0.0 if base is None else base.get(l, 0.0)
-                remaining[l] = max(0.0, link_capacity(l) - consumed)
-                wsum[l] = 0.0
-                link_flows[l] = []
-            link_flows[l].append(idx)
-            wsum[l] += w
+        for link in fs.path:
+            if link not in remaining:
+                consumed = 0.0 if base is None else base.get(link, 0.0)
+                remaining[link] = max(0.0, link_capacity(link) - consumed)
+                wsum[link] = 0.0
+                link_flows[link] = []
+            link_flows[link].append(idx)
+            wsum[link] += w
 
     unfrozen = [True] * len(flows)
     rates = [0.0] * len(flows)
     count = len(flows)
     while count > 0:
         best_link, best_fill = -1, math.inf
-        for l, ws in wsum.items():
+        for link, ws in wsum.items():
             if ws <= 1e-15:
                 continue
-            fill = remaining[l] / ws
+            fill = remaining[link] / ws
             if fill < best_fill:
-                best_fill, best_link = fill, l
+                best_fill, best_link = fill, link
         if best_link < 0:
             break
         for i in link_flows[best_link]:
@@ -83,8 +83,8 @@ def weighted_max_min(
                 count -= 1
                 rate = best_fill * weights[i]
                 rates[i] = rate
-                for l in flows[i].path:  # type: ignore[union-attr]
-                    remaining[l] = max(0.0, remaining[l] - rate)
-                    wsum[l] -= weights[i]
+                for link in flows[i].path:  # type: ignore[union-attr]
+                    remaining[link] = max(0.0, remaining[link] - rate)
+                    wsum[link] -= weights[i]
         wsum[best_link] = 0.0  # exactly saturated; guard float residue
     return rates

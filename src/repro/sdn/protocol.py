@@ -180,7 +180,7 @@ class ProtocolDriver:
     def _path_nodes(self, path: Path) -> tuple[str, ...]:
         links = self.topology.links
         nodes = [links[path[0]].src]
-        nodes.extend(links[l].dst for l in path)
+        nodes.extend(links[link].dst for link in path)
         return tuple(nodes)
 
     def _install_route(self, flow_id: int, nodes: tuple[str, ...], now: float) -> None:

@@ -415,7 +415,7 @@ class Engine:
                 for fs in report:
                     # physics: a down link carries nothing, whatever was asked
                     if fs.rate > 0 and down_links and fs.path is not None and any(
-                        l in down_links for l in fs.path
+                        link in down_links for link in fs.path
                     ):
                         fs.rate = 0.0
                     if fs.rate > 0:

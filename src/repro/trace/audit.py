@@ -61,7 +61,6 @@ from typing import Any, Iterable
 
 from repro.trace.events import (
     FaultReallocation,
-    LinkStateChange,
     PlanRecord,
     TaskAccept,
     TraceEvent,

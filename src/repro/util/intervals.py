@@ -265,39 +265,14 @@ class IntervalSet:
         """First-fit slices treating *this* set as **occupied**.
 
         Exactly ``self.complement(lo, hi).first_fit(duration, lo)`` — one
-        fused scan instead of materialising the idle set first.  Used by
-        Alg. 3 to build the winning path's slices.
+        fused scan (:func:`occupied_first_fit_pair` over this one list)
+        instead of materialising the idle set first.
 
         Raises ``ValueError`` when ``[lo, hi)`` holds less than
         ``duration`` of idle time.
         """
-        if duration <= 0:
-            return IntervalSet()
-        remaining = duration
-        b = self._b
-        cursor = lo
-        out: list[float] = []
-        # every interval from here on ends after lo
-        k = bisect_right(b, lo)
-        for i in range(k - (k & 1), len(b), 2):
-            s = b[i]
-            if s >= hi:
-                break
-            if s > cursor:
-                width = s - cursor
-                if width >= remaining:
-                    out.extend((cursor, cursor + remaining))
-                    return IntervalSet._from_boundaries(out)
-                out.extend((cursor, s))
-                remaining -= width
-            e = b[i + 1]
-            cursor = e if e < hi else hi
-        if hi - cursor >= remaining:
-            out.extend((cursor, cursor + remaining))
-            return IntervalSet._from_boundaries(out)
-        raise ValueError(
-            f"insufficient idle time: needed {duration:g}, "
-            f"short by {remaining:g} after t={lo:g}"
+        return IntervalSet._from_boundaries(
+            occupied_first_fit_pair(self._b, [], duration, lo, hi)
         )
 
     def next_boundary(self, t: float) -> float | None:
@@ -382,6 +357,94 @@ def merge_boundaries(a: list[float], b: list[float]) -> list[float]:
                 e if e > hi else hi,
             )
     return out
+
+
+def splice_boundaries(a: list[float], b: list[float]) -> list[float]:
+    """Union two flat boundary lists, for a ``b`` that lies in ``a``'s gaps.
+
+    Same result as :func:`merge_boundaries`.  A commit's slices are idle
+    time on every link of their path, so each of ``b``'s intervals falls
+    in one gap of the link's list ``a``, at most touching its neighbours:
+    it is spliced into a copy of ``a`` by one bisection and coalesced
+    with the intervals it touches.  The first interval of ``b`` that
+    overlaps ``a`` sends the whole union to :func:`merge_boundaries`.
+    Returns a new list.
+    """
+    if not a or not b:
+        return merge_boundaries(a, b)
+    out = list(a)
+    for j in range(0, len(b), 2):
+        s, e = b[j], b[j + 1]
+        # out[k - 1] <= s < out[k]: an odd k puts s inside an interval,
+        # and an even k overlaps unless e reaches at most the next start
+        k = bisect_right(out, s)
+        n = len(out)
+        if k & 1 or (k < n and out[k] < e):
+            return merge_boundaries(a, b)
+        if k and out[k - 1] == s:
+            if k < n and out[k] == e:
+                del out[k - 1 : k + 1]  # fills the gap exactly
+            else:
+                out[k - 1] = e  # extends the interval ending at s
+        elif k < n and out[k] == e:
+            out[k] = s  # extends the interval starting at e
+        else:
+            out[k:k] = (s, e)
+    return out
+
+
+def occupied_first_fit_pair(
+    a: list[float],
+    b: list[float],
+    duration: float,
+    lo: float,
+    hi: float,
+) -> list[float]:
+    """First-fit slices over the **union** of two occupied boundary lists,
+    without materialising the union; returns the slices' boundary list.
+
+    Exactly ``merge(a, b) → complement(lo, hi) → first_fit(duration,
+    lo)``: the scan of :func:`occupied_fit_end_pair`, recording each idle
+    gap it uses.  Alg. 2 slices the winning candidate straight from its
+    two partial folds with it.  Pass ``b=[]`` for a single occupied list.
+    Raises ``ValueError`` when ``[lo, hi)`` holds less than ``duration``
+    of idle time.
+    """
+    if duration <= 0:
+        return []
+    remaining = duration
+    cursor = lo
+    out: list[float] = []
+    i = bisect_right(a, lo)
+    i -= i & 1
+    j = bisect_right(b, lo)
+    j -= j & 1
+    la, lb = len(a), len(b)
+    while i < la or j < lb:
+        if j >= lb or (i < la and a[i] <= b[j]):
+            s, e = a[i], a[i + 1]
+            i += 2
+        else:
+            s, e = b[j], b[j + 1]
+            j += 2
+        if s > cursor:
+            if s >= hi:
+                break
+            gap = s - cursor
+            if gap >= remaining:
+                out += (cursor, cursor + remaining)
+                return out
+            out += (cursor, s)
+            remaining -= gap
+        if e > cursor:
+            cursor = e if e < hi else hi
+    if hi - cursor >= remaining:
+        out += (cursor, cursor + remaining)
+        return out
+    raise ValueError(
+        f"insufficient idle time: needed {duration:g}, "
+        f"short by {remaining:g} after t={lo:g}"
+    )
 
 
 def occupied_fit_end_pair(

@@ -22,7 +22,7 @@ uses its own child stream so sweeping one knob does not reshuffle the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

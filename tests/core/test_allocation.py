@@ -2,13 +2,18 @@
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core.allocation import (
     allocation_horizon,
     path_calculation,
     time_allocation,
 )
 from repro.core.occupancy import OccupancyLedger
+from repro.core.reference import ReferenceLedger, reference_path_calculation
+from repro.net.fattree import FatTree
 from repro.net.paths import PathService
+from repro.obs.hotpath import HotPathCounters
 from repro.sim.state import FlowState
 from repro.util.errors import AllocationError
 from repro.util.intervals import IntervalSet, up
@@ -152,6 +157,134 @@ class TestPathCalculation:
         fs.remaining = 1.0  # 3 units already sent
         plans = path_calculation([fs], OccupancyLedger(), paths, 1.0, 0.0, 100.0)
         assert plans[0].slices.measure() == pytest.approx(1.0)
+
+
+FAT_TREE = FatTree(k=4)
+
+
+class TestGroupBound:
+    """Alg. 2 scores candidates by group on a k=4 fat-tree.
+
+    ``h0_0_0 → h1_0_0`` has four candidates in two groups of two: members
+    of a group share the access links and the edge↔aggregation hops, and
+    differ only in their aggregation↔core interior.  Each flow takes one
+    second at link rate, so a contention-free fit completes at 1.
+    """
+
+    SRC, DST = "h0_0_0", "h1_0_0"
+
+    def _plan(self, busy):
+        """Plan one flow around ``busy`` ((src node, dst node), start, end)
+        link blocks, with the planner and with the literal oracle; return
+        the planner's plan, its counters and its ledger."""
+        topo = FAT_TREE
+        paths = PathService(topo)
+        capacity = topo.uniform_capacity()
+        profile = HotPathCounters()
+        ledger = OccupancyLedger(profile=profile)
+        oracle = ReferenceLedger()
+        for nodes, start, end in busy:
+            block = IntervalSet.single(start, end)
+            ledger.commit(topo.nodes_to_path(list(nodes)), block)
+            oracle.commit(topo.nodes_to_path(list(nodes)), block)
+        plans = path_calculation(
+            [_fs(0, self.SRC, self.DST, capacity, 10.0)], ledger, paths,
+            capacity, 0.0, 100.0, profile=profile,
+        )
+        ref = reference_path_calculation(
+            [_fs(0, self.SRC, self.DST, capacity, 10.0)], oracle, paths,
+            capacity, 0.0, 100.0,
+        )
+        assert plans[0].path == ref[0].path
+        assert plans[0].slices == ref[0].slices
+        assert plans[0].completion == ref[0].completion
+        candidates = paths.candidates(self.SRC, self.DST)
+        assert len(candidates) == 4
+        assert candidates[0][1] == candidates[1][1] != candidates[2][1]
+        return plans[0], profile, ledger, candidates
+
+    def test_bound_at_best_skips_the_group_and_the_next(self):
+        """A busy access link delays every candidate equally: the first
+        completes at 2, and each group's bound reaches 2, so no other
+        candidate's interior is ever folded."""
+        plan, profile, _, candidates = self._plan([(("h0_0_0", "e0_0"), 0, 1)])
+        assert plan.path == candidates[0] and plan.completion == 2.0
+        assert profile.candidates_pruned == 3
+        assert profile.union_cache_misses + profile.union_cache_hits == 1
+
+    def test_fresh_bound_for_each_group(self):
+        """The first group's hop is busy, so its bound reaches the first
+        candidate's completion and skips its second member; the second
+        group needs a bound of its own, which lets its first member win."""
+        plan, profile, _, candidates = self._plan([(("e0_0", "a0_0"), 0, 1)])
+        assert plan.path == candidates[2] and plan.completion == 1.0
+        # the second member by its group's bound, the fourth because
+        # the third completes at the contention-free 1
+        assert profile.candidates_pruned == 2
+
+    def test_bound_skips_a_group_before_folding_its_interiors(self):
+        """Both interiors of the first group are busy and the second
+        group's first hop is busy for longer: the second group is skipped
+        on its bound, and its interiors are never folded."""
+        plan, profile, ledger, candidates = self._plan([
+            (("a0_0", "c0_0"), 0, 1),
+            (("a0_0", "c1_0"), 0, 1),
+            (("e0_0", "a0_1"), 0, 5),
+        ])
+        assert plan.path == candidates[0] and plan.completion == 2.0
+        assert profile.candidates_pruned == 2
+        assert profile.union_cache_misses == 2
+        for p in candidates[2:]:
+            assert p[2:-2] not in ledger._unions
+
+
+@st.composite
+def busy_fat_tree(draw):
+    """Random link blocks on a k=4 fat-tree and a few flows among a
+    handful of hosts, so candidates often tie and groups often lose."""
+    n_links = len(FAT_TREE.links)
+    busy = draw(st.lists(
+        st.tuples(st.integers(0, n_links - 1), st.integers(0, 6),
+                  st.integers(1, 4)),
+        max_size=24,
+    ))
+    hosts = list(FAT_TREE.hosts)[:6]
+    flows = draw(st.lists(
+        st.tuples(st.sampled_from(hosts), st.sampled_from(hosts),
+                  st.integers(1, 6), st.integers(0, 3)),
+        min_size=1, max_size=10,
+    ))
+    return busy, [f for f in flows if f[0] != f[1]]
+
+
+@given(busy_fat_tree())
+@settings(max_examples=150, deadline=None)
+def test_grouped_scoring_plans_like_the_reference(case):
+    """Whatever the contention, the grouped planner's plans equal the
+    literal Alg. 2/3's, flow for flow."""
+    busy, specs = case
+    topo = FAT_TREE
+    paths = PathService(topo)
+    capacity = topo.uniform_capacity()
+    ledger, oracle = OccupancyLedger(), ReferenceLedger()
+    for link, start, width in busy:
+        block = IntervalSet.single(start * 0.5, (start + width) * 0.5)
+        ledger.commit((link,), block)
+        oracle.commit((link,), block)
+
+    def flows():
+        return [_fs(i, src, dst, size * 0.25 * capacity, 10.0,
+                    release=release * 0.5)
+                for i, (src, dst, size, release) in enumerate(specs)]
+
+    plans = path_calculation(flows(), ledger, paths, capacity, 0.0, 200.0)
+    ref = reference_path_calculation(flows(), oracle, paths, capacity,
+                                     0.0, 200.0)
+    assert plans.keys() == ref.keys()
+    for fid, plan in plans.items():
+        assert plan.path == ref[fid].path
+        assert plan.slices == ref[fid].slices
+        assert plan.completion == ref[fid].completion
 
 
 class TestHorizon:

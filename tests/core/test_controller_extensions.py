@@ -30,8 +30,8 @@ class TestBatchWindow:
         ]
         immediate = Engine(topo, tasks, TapsScheduler()).run()
         by_tid = {ts.task.task_id: ts for ts in immediate.task_states}
-        # immediate admission: both actually fit by reallocation? verify
-        # the batched run admits the urgent one no matter what
+        assert by_tid[1].accepted is False
+        # the batched run admits the urgent one
         topo2 = dumbbell(2)
         batched = Engine(topo2, tasks, TapsScheduler(batch_window=0.1)).run()
         by_tid_b = {ts.task.task_id: ts for ts in batched.task_states}

@@ -18,8 +18,8 @@ def test_untouched_link_is_idle(ledger):
 def test_commit_marks_all_path_links(ledger):
     s = IntervalSet.single(0, 2)
     ledger.commit((1, 2, 3), s)
-    for l in (1, 2, 3):
-        assert ledger.occupied(l).intervals() == [(0, 2)]
+    for link in (1, 2, 3):
+        assert ledger.occupied(link).intervals() == [(0, 2)]
     assert not ledger.occupied(0)
 
 

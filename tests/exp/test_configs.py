@@ -1,7 +1,5 @@
 """Experiment scales."""
 
-import pytest
-
 from repro.exp.configs import MEDIUM, PAPER, SCALES, SMALL
 
 

@@ -5,10 +5,9 @@ live in the benchmarks; here a micro scale verifies the machinery and the
 robust claims (TAPS wins on average, waste ordering).
 """
 
-import numpy as np
 import pytest
 
-from repro.exp.configs import SMALL, Scale
+from repro.exp.configs import Scale
 from repro.exp.figures import FIGURES, run_figure
 from repro.util.errors import ConfigurationError
 

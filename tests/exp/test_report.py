@@ -117,5 +117,5 @@ def test_render_sweep_with_ci_single_seed_plain():
     out = render_sweep_with_ci(s, "task_completion_ratio",
                                exclude=("Fair Sharing",))
     # the "±" appears only in the header, not in single-seed data rows
-    data_rows = [l for l in out.splitlines() if l.lstrip().startswith("TAPS")]
+    data_rows = [line for line in out.splitlines() if line.lstrip().startswith("TAPS")]
     assert data_rows and all("±" not in row for row in data_rows)

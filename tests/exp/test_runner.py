@@ -1,7 +1,5 @@
 """Markdown report generation."""
 
-import pytest
-
 from repro.exp.configs import Scale
 from repro.exp.runner import figure_markdown, generate_report, motivation_markdown
 

@@ -1,7 +1,5 @@
 """Shape-claim registry."""
 
-import pytest
-
 from repro.exp.shapes import SHAPES, check_shapes
 from repro.exp.sweep import SweepResult
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exp.stats import SeriesStats, dominance_fraction, seed_stats, t95
+from repro.exp.stats import dominance_fraction, seed_stats, t95
 from repro.exp.sweep import SweepResult
 from repro.metrics.summary import RunMetrics
 

@@ -130,11 +130,11 @@ def test_link_capacity_never_oversubscribed():
             load = {}
             for fs in active:
                 if fs.rate > 0:
-                    for l in fs.path:
-                        load[l] = load.get(l, 0.0) + fs.rate
-            for l, r in load.items():
+                    for link in fs.path:
+                        load[link] = load.get(link, 0.0) + fs.rate
+            for link, r in load.items():
                 if r > cap * (1 + 1e-6):
-                    self.violations.append((t0, l, r))
+                    self.violations.append((t0, link, r))
 
     for name in PAPER_ORDER:
         audit = LinkAudit()

@@ -31,8 +31,8 @@ class TestStructure:
 
     def test_switches_never_interconnect(self, b41):
         switch_set = set(b41.switches)
-        for l in b41.links:
-            assert not (l.src in switch_set and l.dst in switch_set)
+        for link in b41.links:
+            assert not (link.src in switch_set and link.dst in switch_set)
 
     def test_k0_is_single_switch(self):
         b = BCube(n=3, k=0)
@@ -90,7 +90,7 @@ class TestRouting:
     def test_intermediate_hops_are_servers_and_switches_alternating(self, b41):
         switch_set = set(b41.switches)
         for p in b41.candidate_paths("s00", "s11"):
-            nodes = [b41.links[p[0]].src] + [b41.links[l].dst for l in p]
+            nodes = [b41.links[p[0]].src] + [b41.links[link].dst for link in p]
             for i, node in enumerate(nodes):
                 assert (node in switch_set) == (i % 2 == 1)
 

@@ -24,8 +24,8 @@ def diamond():
 
 class TestLink:
     def test_fields(self):
-        l = Link(index=0, src="a", dst="b", capacity=10.0)
-        assert l.capacity == 10.0
+        link = Link(index=0, src="a", dst="b", capacity=10.0)
+        assert link.capacity == 10.0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -43,7 +43,7 @@ class TestConstruction:
         assert diamond.num_links == 8  # 4 cables
 
     def test_dense_link_indices(self, diamond):
-        assert [l.index for l in diamond.links] == list(range(8))
+        assert [link.index for link in diamond.links] == list(range(8))
 
     def test_duplicate_node_rejected(self, diamond):
         with pytest.raises(TopologyError):
@@ -60,13 +60,13 @@ class TestConstruction:
             diamond.add_link("a", "nope")
 
     def test_link_lookup(self, diamond):
-        l = diamond.link("a", "s1")
-        assert (l.src, l.dst) == ("a", "s1")
+        link = diamond.link("a", "s1")
+        assert (link.src, link.dst) == ("a", "s1")
         with pytest.raises(TopologyError):
             diamond.link("s1", "s2")
 
     def test_out_links(self, diamond):
-        outs = {l.dst for l in diamond.out_links("a")}
+        outs = {link.dst for link in diamond.out_links("a")}
         assert outs == {"s1", "s2"}
         with pytest.raises(TopologyError):
             diamond.out_links("ghost")

@@ -18,19 +18,19 @@ def _fs(fid, path):
 
 def test_equal_weights_equal_split():
     flows = [_fs(0, (0,)), _fs(1, (0,)), _fs(2, (0,))]
-    rates = weighted_max_min(flows, [1, 1, 1], lambda l: 3.0)
+    rates = weighted_max_min(flows, [1, 1, 1], lambda link: 3.0)
     assert rates == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_weights_tilt_shares():
     flows = [_fs(0, (0,)), _fs(1, (0,))]
-    rates = weighted_max_min(flows, [2.0, 1.0], lambda l: 3.0)
+    rates = weighted_max_min(flows, [2.0, 1.0], lambda link: 3.0)
     assert rates == pytest.approx([2.0, 1.0])
 
 
 def test_uncontended_flow_gets_full_link():
     flows = [_fs(0, (0,)), _fs(1, (1,))]
-    rates = weighted_max_min(flows, [1, 1], lambda l: 5.0)
+    rates = weighted_max_min(flows, [1, 1], lambda link: 5.0)
     assert rates == pytest.approx([5.0, 5.0])
 
 
@@ -40,24 +40,24 @@ def test_classic_max_min_redistribution():
     # A then picks up link 0's slack: 1.5.
     flows = [_fs(0, (0,)), _fs(1, (0, 1)), _fs(2, (1,))]
     rates = weighted_max_min(flows, [1, 1, 1],
-                             lambda l: {0: 2.0, 1: 1.0}[l])
+                             lambda link: {0: 2.0, 1: 1.0}[link])
     assert rates == pytest.approx([1.5, 0.5, 0.5])
 
 
 def test_base_consumption_respected():
     flows = [_fs(0, (0,))]
-    rates = weighted_max_min(flows, [1.0], lambda l: 2.0, base={0: 1.5})
+    rates = weighted_max_min(flows, [1.0], lambda link: 2.0, base={0: 1.5})
     assert rates == pytest.approx([0.5])
 
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
-        weighted_max_min([_fs(0, (0,))], [1, 2], lambda l: 1.0)
+        weighted_max_min([_fs(0, (0,))], [1, 2], lambda link: 1.0)
 
 
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError):
-        weighted_max_min([_fs(0, (0,))], [0.0], lambda l: 1.0)
+        weighted_max_min([_fs(0, (0,))], [0.0], lambda link: 1.0)
 
 
 @st.composite
@@ -71,7 +71,7 @@ def scenarios(draw):
         )))
         flows.append(_fs(i, path))
         weights.append(draw(st.floats(0.1, 5.0)))
-    caps = {l: draw(st.floats(0.5, 10.0)) for l in range(n_links)}
+    caps = {link: draw(st.floats(0.5, 10.0)) for link in range(n_links)}
     return flows, weights, caps
 
 
@@ -79,15 +79,15 @@ def scenarios(draw):
 @given(scenarios())
 def test_never_oversubscribes_and_work_conserving(scenario):
     flows, weights, caps = scenario
-    rates = weighted_max_min(flows, weights, lambda l: caps[l])
+    rates = weighted_max_min(flows, weights, lambda link: caps[link])
     assert all(r >= 0 for r in rates)
     load = {}
     for fs, r in zip(flows, rates):
-        for l in fs.path:
-            load[l] = load.get(l, 0.0) + r
-    for l, total in load.items():
-        assert total <= caps[l] * (1 + 1e-9)
+        for link in fs.path:
+            load[link] = load.get(link, 0.0) + r
+    for link, total in load.items():
+        assert total <= caps[link] * (1 + 1e-9)
     # work conservation: every flow is bottlenecked somewhere
     for fs, r in zip(flows, rates):
-        slack = min(caps[l] - load[l] for l in fs.path)
+        slack = min(caps[link] - load[link] for link in fs.path)
         assert slack <= 1e-6, "a flow left usable capacity unused"

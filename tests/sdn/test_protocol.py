@@ -15,7 +15,6 @@ from repro.sdn.server import SenderAgent
 from repro.util.units import Gbps
 from repro.workload.flow import make_task
 from repro.workload.traces import testbed_trace as make_testbed_trace
-from repro.net.testbed import PartialFatTreeTestbed
 
 
 @pytest.fixture
@@ -96,7 +95,6 @@ class TestTableLimits:
 
 class TestSenderAgent:
     def test_probe_contains_task_variables(self):
-        topo = PartialFatTreeTestbed()
         task = make_task(0, 0.0, 1.0,
                          [("h0_0_0", "h1_0_0", 1000.0),
                           ("h0_0_0", "h0_1_0", 2000.0)], 0)

@@ -1,7 +1,5 @@
 """EngineCounters semantics across run shapes."""
 
-import pytest
-
 from repro.core.controller import TapsScheduler
 from repro.sched.fair import FairSharing
 from repro.sim.engine import Engine

@@ -36,11 +36,11 @@ class RandomRates(Scheduler):
         weights = self._rng.uniform(0.1, 1.0, size=len(self.active_flows))
         load: dict[int, float] = {}
         for fs, w in zip(self.active_flows, weights):
-            for l in fs.path:
-                load[l] = load.get(l, 0.0) + w
+            for link in fs.path:
+                load[link] = load.get(link, 0.0) + w
         assert self.topology is not None
         scale = min(
-            self.topology.links[l].capacity / total for l, total in load.items()
+            self.topology.links[link].capacity / total for link, total in load.items()
         )
         for fs, w in zip(self.active_flows, weights):
             fs.rate = w * scale

@@ -1,7 +1,5 @@
 """ASCII Gantt rendering."""
 
-import pytest
-
 from repro.core.allocation import FlowPlan
 from repro.sim.state import FlowState
 from repro.util.intervals import IntervalSet
@@ -76,7 +74,7 @@ def test_fig3_gantt_matches_paper_schedule():
     for ts in engine.task_states:
         sched.on_task_arrival(ts, 0.0)
     out = render_flow_gantt(sched.plans.values(), width=30, span=(0.0, 3.0))
-    f4_row = [l for l in out.splitlines() if l.strip().startswith("f3.3")][0]
+    f4_row = [line for line in out.splitlines() if line.strip().startswith("f3.3")][0]
     cells = f4_row.split(" ", 1)[1]
     # burst, gap, burst: at least one idle cell strictly between filled cells
     first = cells.find("█")

@@ -2,8 +2,9 @@
 
 The fast path of Alg. 2/3 replaces ``union → complement → fit`` with fused
 single-pass scans (:func:`occupied_fit_end_pair`,
-:meth:`IntervalSet.occupied_first_fit`) and the adaptive splice merge
-(:func:`merge_boundaries`).  Every one of them must agree with the literal
+:func:`occupied_first_fit_pair`), the adaptive splice merge
+(:func:`merge_boundaries`) and the commit splice
+(:func:`splice_boundaries`).  Every one of them must agree with the literal
 pipeline *float-for-float* — the reference oracle
 (:mod:`repro.core.reference`) plans with the literal pipeline, and any
 divergence here would surface as a different plan.
@@ -14,16 +15,21 @@ units apart: intervals that touch must merge and a one-unit gap must stay
 usable idle time, in the fused scans exactly as in the canonical merge.
 """
 
+from unittest import mock
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import repro.util.intervals as kernels
 from repro.util.intervals import (
     GRID,
     IntervalSet,
     _merge_union,
     merge_boundaries,
+    occupied_first_fit_pair,
     occupied_fit_end_pair,
+    splice_boundaries,
 )
 
 HORIZON = 2.0 ** 16  # always enough idle time: fits never raise against it
@@ -244,3 +250,99 @@ def test_pair_scan_interleaved_exactness():
         for lo in (0.0, 0.25, 1.0):
             ref = _literal_fit_end(union, dur, lo, HORIZON)
             assert occupied_fit_end_pair(a, b, dur, lo, HORIZON) == ref
+
+
+# -- splice_boundaries -----------------------------------------------------
+
+
+@st.composite
+def gap_fillers(draw):
+    """A set ``a`` and a boundary list ``b`` of intervals inside ``a``'s
+    gaps, each touching the gap's left and/or right end or neither."""
+    a = draw(interval_sets())
+    b: list[float] = []
+    for gs, ge in a.complement(0.0, 80.0):
+        if not draw(st.booleans()):
+            continue
+        lo_k, hi_k = round(gs / GRID), round(ge / GRID)
+        ks = draw(st.integers(lo_k, hi_k - 1))
+        ke = draw(st.integers(ks + 1, hi_k))
+        if draw(st.booleans()):
+            ks = lo_k
+        if draw(st.booleans()):
+            ke = hi_k
+        b += (ks * GRID, ke * GRID)
+    return a, b
+
+
+def _splice_counting_fallbacks(a, b):
+    with mock.patch.object(kernels, "merge_boundaries",
+                           wraps=kernels.merge_boundaries) as fallback:
+        out = splice_boundaries(a, b)
+    return out, fallback.call_count
+
+
+@given(gap_fillers())
+@settings(max_examples=200)
+def test_splice_into_gaps_equals_merge(case):
+    """Slices in the gaps splice without the fallback, coalescing every
+    end they touch, and equal the general merge exactly."""
+    a, b = case
+    out, fallbacks = _splice_counting_fallbacks(a._b, b)
+    assert out == merge_boundaries(a._b, b) == _merge_union(a._b, b)
+    assert fallbacks == (0 if a and b else 1)
+    IntervalSet._from_boundaries(out).check_invariants()
+
+
+@given(interval_sets(), interval_sets())
+def test_splice_takes_the_fallback_exactly_on_overlap(a, b):
+    out, fallbacks = _splice_counting_fallbacks(a._b, b._b)
+    assert out == _merge_union(a._b, b._b)
+    overlaps = bool(a.intersection(b))
+    assert fallbacks == (1 if overlaps or not (a and b) else 0)
+
+
+def test_splice_coalesces_touching_ends():
+    a = [0.0, 1.0, 3.0, 4.0]
+    assert splice_boundaries(a, [1.0, 3.0]) == [0.0, 4.0]
+    assert splice_boundaries(a, [1.0, 2.0]) == [0.0, 2.0, 3.0, 4.0]
+    assert splice_boundaries(a, [2.0, 3.0]) == [0.0, 1.0, 2.0, 4.0]
+    assert splice_boundaries(a, [-2.0, -1.0, 5.0, 6.0]) == [
+        -2.0, -1.0, 0.0, 1.0, 3.0, 4.0, 5.0, 6.0]
+    assert splice_boundaries(a, [1.0 + GRID, 3.0 - GRID]) == [
+        0.0, 1.0, 1.0 + GRID, 3.0 - GRID, 3.0, 4.0]
+    assert splice_boundaries(a, [0.5, 2.0]) == [0.0, 2.0, 3.0, 4.0]
+    assert a == [0.0, 1.0, 3.0, 4.0]  # the input is never mutated
+
+
+# -- occupied_first_fit_pair -----------------------------------------------
+
+
+@given(interval_sets(), interval_sets(), durations, releases,
+       st.one_of(st.just(HORIZON), grid_values(0.0, 80.0)))
+@settings(max_examples=300)
+def test_occupied_first_fit_pair_matches_merged_set(a, b, duration, lo, hi):
+    """The fused pair fit is the merged set's first fit boundary for
+    boundary, and fails with the same ``ValueError``."""
+    union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
+    try:
+        ref = union.occupied_first_fit(duration, lo, hi)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            occupied_first_fit_pair(a._b, b._b, duration, lo, hi)
+        assert str(got.value) == str(exc)
+        with pytest.raises(ValueError):
+            union.complement(lo, hi).first_fit(duration, lo)
+    else:
+        assert occupied_first_fit_pair(a._b, b._b, duration, lo, hi) == ref._b
+        literal = union.complement(lo, hi).first_fit(duration, lo)
+        assert ref._b == literal._b
+
+
+def test_occupied_first_fit_pair_keeps_one_grid_unit_gap():
+    a = [0.0, 10.0]
+    b = [10.0 + GRID, 11.0]
+    assert occupied_first_fit_pair(a, b, 5.0, 0.0, HORIZON) == [
+        10.0, 10.0 + GRID, 11.0, 16.0 - GRID]
+    assert occupied_first_fit_pair(a, [10.0, 11.0], 5.0, 0.0, HORIZON) == [
+        11.0, 16.0]

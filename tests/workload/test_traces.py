@@ -1,7 +1,5 @@
 """Hand-written traces of the paper's worked examples."""
 
-import pytest
-
 from repro.workload.traces import (
     dumbbell,
     fig1_trace,
