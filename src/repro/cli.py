@@ -53,16 +53,16 @@ from repro.exp.runner import (
 )
 
 
-def _at_least(low: float, kind=int):
-    """An argparse ``type`` that parses ``kind`` and refuses values below
+def _at_least(low: int):
+    """An argparse ``type`` that parses an int and refuses values below
     ``low`` with a usage error (exit 2)."""
-    def parse(text: str):
-        value = kind(text)
-        if not value >= low:  # also refuses a float NaN
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names the type on a bad parse
+    parse.__name__ = "int"  # argparse names the type on a bad parse
     return parse
 
 
@@ -420,11 +420,7 @@ def _cmd_diff(args) -> int:
     from repro.obs import DiffError, diff_paths
 
     try:
-        report = diff_paths(
-            args.run_a, args.run_b,
-            timing_threshold=args.timing_threshold,
-            strict_timing=args.strict_timing,
-        )
+        report = diff_paths(args.run_a, args.run_b)
     except DiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -588,13 +584,6 @@ def main(argv: list[str] | None = None) -> int:
     p_diff.add_argument("run_b", metavar="RUN_B")
     p_diff.add_argument("--json", action="store_true",
                         help="emit the report as machine-readable JSON")
-    p_diff.add_argument("--timing-threshold", type=_at_least(0, float),
-                        default=0.10, metavar="FRAC",
-                        help="relative threshold for timing comparisons "
-                             "(default 0.10)")
-    p_diff.add_argument("--strict-timing", action="store_true",
-                        help="timing drift beyond the threshold blocks "
-                             "(regression, exit 1) instead of warning")
     p_diff.set_defaults(func=_cmd_diff)
 
     p_aud = sub.add_parser("audit",

@@ -733,7 +733,7 @@ class TapsScheduler(Scheduler):
             # a task the outage made unmeetable: stop it now rather than
             # waste bandwidth on a doomed transfer (task-level philosophy)
             for tid in missing_tasks:
-                if self._drop_task_on_fault(tid, now):
+                if self._drop_task(tid, now, cause="fault"):
                     dropped.append(tid)
             flows = [fs for fs in flows if fs.flow.task_id not in missing_tasks]
             ledger.rollback_trial()
@@ -743,6 +743,7 @@ class TapsScheduler(Scheduler):
         for p in plans.values():
             p.flow_state.path = p.path
         self.stats.fault_reroutes += 1
+        self.stats.tasks_dropped_on_fault += len(dropped)
         if self.trace is not None:
             self.trace.emit(FaultReallocation(
                 now,
@@ -751,15 +752,12 @@ class TapsScheduler(Scheduler):
                 plans=self._plan_records(),
             ))
 
-    def _drop_task_on_fault(
-        self, task_id: int, now: float = 0.0, cause: str = "fault"
-    ) -> bool:
-        """Kill the task's flows and count the drop.
+    def _drop_task(self, task_id: int, now: float, cause: str) -> bool:
+        """Kill the task's flows, forget their plans and emit the drop.
 
         Returns whether anything was dropped — ``False`` when the task was
-        never registered (e.g. still pending in a batch window), in which
-        case the counter is *not* incremented and callers must not adjust
-        it either.
+        never registered (e.g. still pending in a batch window).  Callers
+        count the drops they cause.
         """
         ts = self._task_states.get(task_id)
         if ts is None:  # still pending in a batch window
@@ -769,7 +767,6 @@ class TapsScheduler(Scheduler):
                 fs.kill(FlowStatus.TERMINATED)
             self.plans.pop(fs.flow.flow_id, None)
             self._accepted_flows.pop(fs.flow.flow_id, None)
-        self.stats.tasks_dropped_on_fault += 1
         self._emit(TaskDrop(now, task_id=task_id, cause=cause))
         return True
 
@@ -785,12 +782,7 @@ class TapsScheduler(Scheduler):
         # numerical corner case).  Task-level no-waste: stop the whole
         # task, not just this flow.
         self.stats.backstop_kills += 1
-        if self._drop_task_on_fault(fs.flow.task_id, now, cause="backstop"):
-            # reclassify: this drop is a backstop kill, not a fault drop.
-            # When the task was never registered (still pending in a batch
-            # window) nothing was counted, so nothing may be decremented —
-            # the unconditional decrement used to drive the counter negative.
-            self.stats.tasks_dropped_on_fault -= 1
+        self._drop_task(fs.flow.task_id, now, cause="backstop")
         if fs.active:
             fs.kill(FlowStatus.TERMINATED)
 

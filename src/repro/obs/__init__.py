@@ -11,8 +11,9 @@ trace-in / report-out): :mod:`repro.obs.timeline` pivots a decision
 trace into per-task / per-flow / per-link timelines,
 :mod:`repro.obs.chrometrace` exports them as Perfetto-viewable Chrome
 trace-event JSON, :mod:`repro.obs.explain` renders reject/preempt/drop
-verdicts, and :mod:`repro.obs.diffing` compares two runs' artifact
-bundles with regression detection.
+verdicts, and :mod:`repro.obs.diffing` turns two runs' artifact
+bundles into named metrics and compares them in one loop, with
+regression detection.
 """
 
 from repro.obs.chrometrace import (
@@ -22,10 +23,8 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.diffing import (
     DIFF_SCHEMA_VERSION,
-    Bundle,
     DiffError,
     DiffReport,
-    MetricDelta,
     append_history,
     diff_bundles,
     diff_paths,
@@ -54,13 +53,11 @@ from repro.obs.timeline import (
 __all__ = [
     "DIFF_SCHEMA_VERSION",
     "TELEMETRY_SCHEMA_VERSION",
-    "Bundle",
     "Counter",
     "DiffError",
     "DiffReport",
     "Histogram",
     "HotPathCounters",
-    "MetricDelta",
     "MetricsRegistry",
     "RunTimeline",
     "SpanTimers",

@@ -3,13 +3,11 @@
 The decision trace (:mod:`repro.trace.events`) is a flat causal stream:
 one line per decision or physical fact.  Operators ask entity-shaped
 questions — *what happened to task 17*, *when was link 12 busy and for
-whom*, *how did task 9's deadline slack evolve as the controller
-re-planned around it* — so this module pivots the stream into per-task,
-per-flow, and per-link timelines:
+whom* — so this module pivots the stream into per-task, per-flow, and
+per-link timelines:
 
 * :class:`TaskTimeline` — arrival → trials → accept/reject →
-  preemption/drop → completion/expiry, plus a deadline-slack series
-  sampled at every committed plan table that mentions the task;
+  preemption/drop → completion/expiry;
 * :class:`FlowTimeline` — the physical transmission slices (after
   down-link zeroing), completion, expiry;
 * :class:`LinkTimeline` — busy intervals (which flow of which task held
@@ -99,9 +97,6 @@ class TaskTimeline:
     completed_at: float | None = None
     flows_completed: int = 0
     flows_expired: int = 0
-    #: ``(time, slack)`` samples: min over the task's planned flows of
-    #: ``deadline − planned completion``, one point per committed table
-    slack_series: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def outcome(self) -> str:
@@ -208,17 +203,6 @@ def _link(tl: RunTimeline, link: int) -> LinkTimeline:
     return entry
 
 
-def _sample_slack(tl: RunTimeline, time: float,
-                  plans: tuple[PlanRecord, ...]) -> None:
-    by_task: dict[int, float] = {}
-    for pr in plans:
-        slack = pr.deadline - pr.completion
-        prev = by_task.get(pr.task_id)
-        by_task[pr.task_id] = slack if prev is None else min(prev, slack)
-    for task_id, slack in by_task.items():
-        _task(tl, task_id).slack_series.append((time, slack))
-
-
 def build_timeline(
     events: Iterable[TraceEvent], meta: dict[str, Any] | None = None
 ) -> RunTimeline:
@@ -256,7 +240,6 @@ def build_timeline(
             tl.plan_snapshots.append(
                 PlanSnapshot(ev.time, ev.seq, kind, ev.plans)
             )
-            _sample_slack(tl, ev.time, ev.plans)
         elif kind == "task-reject":
             task = _task(tl, ev.task_id)
             task.decision = "rejected"
@@ -277,7 +260,6 @@ def build_timeline(
             tl.plan_snapshots.append(
                 PlanSnapshot(ev.time, ev.seq, kind, ev.plans)
             )
-            _sample_slack(tl, ev.time, ev.plans)
         elif kind == "task-drop":
             task = _task(tl, ev.task_id)
             task.dropped_cause = ev.cause

@@ -261,20 +261,6 @@ class IntervalSet:
             f"short by {remaining:g} after t={after:g}"
         )
 
-    def occupied_first_fit(self, duration: float, lo: float, hi: float) -> "IntervalSet":
-        """First-fit slices treating *this* set as **occupied**.
-
-        Exactly ``self.complement(lo, hi).first_fit(duration, lo)`` — one
-        fused scan (:func:`occupied_first_fit_pair` over this one list)
-        instead of materialising the idle set first.
-
-        Raises ``ValueError`` when ``[lo, hi)`` holds less than
-        ``duration`` of idle time.
-        """
-        return IntervalSet._from_boundaries(
-            occupied_first_fit_pair(self._b, [], duration, lo, hi)
-        )
-
     def next_boundary(self, t: float) -> float | None:
         """Earliest boundary later than ``t`` (slice starts and ends).
 

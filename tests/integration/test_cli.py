@@ -106,7 +106,6 @@ def test_run_with_fault_on_missing_link_fails_in_one_line(capsys):
     ["zoo", "--jobs", "-1"],
     ["report", "--jobs", "-1"],
     ["optimality", "--instances", "0"],
-    ["diff", "A", "A", "--timing-threshold", "-1"],
     ["audit", "t.jsonl", "--max-violations", "-1"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_out_of_range_flag_is_a_usage_error(argv, capsys):

@@ -12,8 +12,10 @@ from repro.obs.diffing import (
     latest_history,
     load_bundle,
 )
-from repro.obs.export import write_jsonl
+from repro.cli import main
+from repro.obs.export import load_jsonl, write_jsonl
 from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import span_tree
 from repro.trace.events import TaskArrival, TaskReject
 from repro.trace.recorder import TraceRecorder
 
@@ -45,20 +47,26 @@ def test_identical_run_dirs_diff_clean(traced_run, tmp_path):
     b = _write_run_dir(tmp_path, "b", recorder, registry)
     report = diff_paths(a, b)
     assert report.traces_identical is True
-    assert report.findings() == []
+    assert report.deltas == []
     assert report.ok and report.exit_code == 0
-    assert report.metrics_compared > 0
     js = report.to_json()
+    assert js["schema"] == 2 and "strict_timing" not in js
     assert js["regressions"] == 0 and js["warnings"] == 0
     assert js["deltas"] == []
+    # every span path is compared, not only the run root
+    metrics = load_bundle(a).metrics
+    for span in span_tree(registry):
+        assert f"telemetry/span/{span}/calls" in metrics
+        assert f"telemetry/span/{span}/seconds" in metrics
+    assert report.metrics_compared == len(metrics)
 
 
 # -- injected timing regression ------------------------------------------------
 
 
 def test_injected_admission_p99_regression_is_flagged(tmp_path):
-    """A >=10% admission-latency regression is surfaced as a warning by
-    default and escalates to a blocking regression under strict timing."""
+    """A >=10% admission-latency regression is a warning, never a
+    blocking regression: timing drift alone does not fail a diff."""
     ra = _registry(latencies=(1e-3,) * 100)
     rb = _registry(latencies=(1e-2,) * 100)  # 10x slower: way over 10%
     rec = TraceRecorder()  # identical (empty) traces on both sides
@@ -68,12 +76,8 @@ def test_injected_admission_p99_regression_is_flagged(tmp_path):
     report = diff_paths(a, b)
     flagged = {d.metric for d in report.warnings}
     assert "telemetry/admission_p99_seconds" in flagged
+    assert report.regressions == []
     assert report.exit_code == 0, "timing drift alone must not block"
-
-    strict = diff_paths(a, b, strict_timing=True)
-    blocked = {d.metric for d in strict.regressions}
-    assert "telemetry/admission_p99_seconds" in blocked
-    assert strict.exit_code == 1
 
 
 def test_timing_improvement_is_not_a_finding_severity_error(tmp_path):
@@ -97,10 +101,27 @@ def test_sub_threshold_timing_drift_is_ok(tmp_path):
         _write_run_dir(tmp_path, "a", rec, ra),
         _write_run_dir(tmp_path, "b", rec, rb),
     )
-    assert not any(
-        d.metric == "telemetry/admission_p99_seconds"
-        for d in report.findings()
-    )
+    assert report.deltas == []
+
+
+def test_doubled_span_total_is_one_warning_naming_the_span(
+        traced_run, tmp_path):
+    """One span's total doubled, everything else byte-identical: exactly
+    one finding, a warning on that span path's seconds."""
+    _result, recorder, registry = traced_run
+    a = _write_run_dir(tmp_path, "a", recorder, registry)
+    slower = load_jsonl(a / "telemetry.jsonl")
+    span = "run/arrival/admission/trial/path_calculation"
+    slower.get(f"span/{span}").sum *= 2
+    b = _write_run_dir(tmp_path, "b", recorder, slower)
+
+    report = diff_paths(a, b)
+    assert report.traces_identical is True
+    assert [d.metric for d in report.deltas] == [
+        f"telemetry/span/{span}/seconds"]
+    (delta,) = report.warnings
+    assert delta.kind == "timing" and delta.rel_change == pytest.approx(1.0)
+    assert report.exit_code == 0
 
 
 # -- deterministic count regressions are always blocking -----------------------
@@ -139,6 +160,24 @@ def test_count_improvement_reported_not_blocking(tmp_path):
                for d in report.improvements)
 
 
+def test_reject_reason_on_one_side_compares_against_zero(tmp_path):
+    """A clause (or reason) only one trace has counts 0 on the other."""
+    reg = _registry()
+    a_rec, b_rec = _trace_with_rejects(2), _trace_with_rejects(1)
+    b_rec.emit(TaskReject(0.9, task_id=3, reason="unreachable", clause=None,
+                          missing=(), lateness=()))
+    a = _write_run_dir(tmp_path, "a", a_rec, reg)
+    b = _write_run_dir(tmp_path, "b", b_rec, reg)
+    for x, y, before, after in ((a, b, 0, 1), (b, a, 1, 0)):
+        report = diff_paths(x, y)
+        found = {d.metric: d for d in report.deltas}
+        assert "trace/tasks_rejected" not in found  # 2 rejects each side
+        one_sided = found["trace/rejects[unreachable]"]
+        assert (one_sided.a, one_sided.b) == (before, after)
+        assert one_sided.severity == "info"
+        assert report.exit_code == 0
+
+
 # -- perf-record diffs ---------------------------------------------------------
 
 
@@ -162,11 +201,15 @@ def test_perf_record_diff_directions(tmp_path):
     warn = {d.metric for d in report.warnings}
     assert any(m.endswith("slow/controller_seconds") for m in warn)
     assert any(m.endswith("speedup/controller") for m in warn)
-    assert any(m.endswith("stats/tasks_accepted")
-               for m in (d.metric for d in report.regressions))
-    # workload/trace_events metadata is skipped, not compared
-    assert not any("workload" in d.metric or "trace_events" in d.metric
-                   for d in report.deltas)
+    assert [d.metric for d in report.regressions] == [
+        "perf/slow/stats/tasks_accepted"]
+    assert report.exit_code == 1
+    # the identity blocks are never compared
+    for side in ("a", "b"):
+        names = load_bundle(tmp_path / f"{side}.json").metrics
+        assert not any(n.startswith(("perf/scale", "perf/workload"))
+                       for n in names)
+        assert "perf/trace_events" in names
 
 
 def test_single_records_compare_across_names(tmp_path):
@@ -174,10 +217,10 @@ def test_single_records_compare_across_names(tmp_path):
     (tmp_path / "fresh.json").write_text(json.dumps(_perf_record()))
     report = diff_paths(tmp_path / "old-perf.json", tmp_path / "fresh.json")
     assert report.metrics_compared > 0
-    assert report.findings() == []
+    assert report.deltas == []
 
 
-def test_perf_records_of_different_workloads_are_refused(tmp_path):
+def test_perf_records_of_different_workloads_are_refused(tmp_path, capsys):
     smoke = _perf_record()
     full = {**_perf_record(), "scale": "full"}
     bigger = {**_perf_record(), "workload": {"num_tasks": 180}}
@@ -187,6 +230,12 @@ def test_perf_records_of_different_workloads_are_refused(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(other))
         with pytest.raises(DiffError, match=f"different {block}s"):
             diff_paths(tmp_path / "a.json", tmp_path / f"{name}.json")
+        # the CLI refuses the pair with one error line and exit 2
+        assert main(["diff", str(tmp_path / "a.json"),
+                     str(tmp_path / f"{name}.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"different {block}s" in err
 
 
 # -- history store -------------------------------------------------------------
@@ -206,13 +255,12 @@ def test_history_dir_loads_as_latest_record(tmp_path):
     append_history(_perf_record(controller=9.0), hist)
     append_history(_perf_record(controller=2.0), hist)
     bundle = load_bundle(hist)
-    assert set(bundle.perf) == {"latest"}
-    assert bundle.perf["latest"]["slow"]["controller_seconds"] == 2.0
+    assert bundle.metrics["perf/slow/controller_seconds"] == 2.0
     # diffing history-latest against a fresh record works across names
     (tmp_path / "fresh.json").write_text(
         json.dumps(_perf_record(controller=2.0)))
     report = diff_bundles(bundle, load_bundle(tmp_path / "fresh.json"))
-    assert report.findings() == []
+    assert report.deltas == []
 
 
 # -- loader errors -------------------------------------------------------------

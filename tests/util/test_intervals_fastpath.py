@@ -111,8 +111,10 @@ def test_occupied_fit_end_matches_reference(occ, duration, lo):
 @given(interval_sets(), durations, releases)
 @settings(max_examples=200)
 def test_occupied_first_fit_matches_reference(occ, duration, lo):
+    """The pair fit over one list (``b=[]``) is the literal first fit."""
     ref = occ.complement(lo, HORIZON).first_fit(duration, lo)
-    got = occ.occupied_first_fit(duration, lo, HORIZON)
+    got = IntervalSet._from_boundaries(
+        occupied_first_fit_pair(occ._b, [], duration, lo, HORIZON))
     assert got._b == ref._b
     got.check_invariants()
     # books exactly the duration, in idle time only
@@ -128,7 +130,7 @@ def test_first_fit_keeps_one_grid_unit_gap():
     idle = occ.complement(1.0, HORIZON)
     assert idle._b[:2] == [1.0, 1.0 + GRID]
     expected = [1.0, 1.0 + GRID, 2.0, 3.0 - GRID]
-    assert occ.occupied_first_fit(1.0, 1.0, HORIZON)._b == expected
+    assert occupied_first_fit_pair(occ._b, [], 1.0, 1.0, HORIZON) == expected
     assert idle.first_fit(1.0, 1.0)._b == expected
     assert idle.idle_fit_end(1.0, 1.0) == expected[-1]
     assert occupied_fit_end_pair(occ._b, [], 1.0, 1.0, HORIZON) == expected[-1]
@@ -154,7 +156,7 @@ def test_pair_scan_matches_union_fit(a, b, duration, lo):
     union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
     ref = _literal_fit_end(union, duration, lo, HORIZON)
     assert occupied_fit_end_pair(a._b, b._b, duration, lo, HORIZON) == ref
-    assert union.occupied_first_fit(duration, lo, HORIZON).end() == ref
+    assert occupied_first_fit_pair(union._b, [], duration, lo, HORIZON)[-1] == ref
 
 
 @given(interval_sets(), interval_sets(), durations, releases,
@@ -322,11 +324,12 @@ def test_splice_coalesces_touching_ends():
        st.one_of(st.just(HORIZON), grid_values(0.0, 80.0)))
 @settings(max_examples=300)
 def test_occupied_first_fit_pair_matches_merged_set(a, b, duration, lo, hi):
-    """The fused pair fit is the merged set's first fit boundary for
-    boundary, and fails with the same ``ValueError``."""
+    """The fused pair fit is the merged list's one-list fit boundary for
+    boundary, which is the literal complement → first fit, and fails with
+    the same ``ValueError``."""
     union = IntervalSet._from_boundaries(merge_boundaries(a._b, b._b))
     try:
-        ref = union.occupied_first_fit(duration, lo, hi)
+        ref = occupied_first_fit_pair(union._b, [], duration, lo, hi)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             occupied_first_fit_pair(a._b, b._b, duration, lo, hi)
@@ -334,9 +337,9 @@ def test_occupied_first_fit_pair_matches_merged_set(a, b, duration, lo, hi):
         with pytest.raises(ValueError):
             union.complement(lo, hi).first_fit(duration, lo)
     else:
-        assert occupied_first_fit_pair(a._b, b._b, duration, lo, hi) == ref._b
+        assert occupied_first_fit_pair(a._b, b._b, duration, lo, hi) == ref
         literal = union.complement(lo, hi).first_fit(duration, lo)
-        assert ref._b == literal._b
+        assert ref == literal._b
 
 
 def test_occupied_first_fit_pair_keeps_one_grid_unit_gap():
