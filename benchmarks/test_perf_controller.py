@@ -16,21 +16,25 @@ alike.  It asserts:
    float-identical plans at every commit), and every trace passes the
    schedule invariant auditor.
 2. **Speedup**: at full scale, controller time (admission + reallocation,
-   measured around the scheduler callbacks) improves by >= 2x.  Each
-   adjacent controller/oracle pair gives one ratio; the record keeps the
-   three per-pair ratios (``speedup_pairs``) and their median
-   (``speedup``), and each side's median times.
+   the engine's ``run/arrival`` span) improves by >= 2x.  Each adjacent
+   controller/oracle pair gives one ratio; the record keeps the three
+   per-pair ratios (``speedup_pairs``) and their median (``speedup``).
 
-A last controller run with a :class:`~repro.obs.registry.MetricsRegistry`
-attached must also trace byte-identically — telemetry is observational
-only.  Its span tree and admission latencies go into the record; its
-overhead is measured elsewhere (DESIGN.md §7's on/off pairs), not here.
+Every run is telemetered, and its times come from its own span tree —
+telemetry spans are the program's only timer: ``wall_seconds`` is the
+``run`` span (the event loop; building the engine is left out),
+``controller_seconds`` the ``run/arrival`` span and
+``path_calculation_seconds`` the ``path_calculation`` spans.  Each side
+records their medians over its three runs; the ``layers`` block
+(``{span path: {"calls", "seconds"}}``) and the admission span's p50/p99
+(``telemetry``) are per-span medians over the same three controller runs,
+so ``layers["run"]["seconds"]`` is ``fast["wall_seconds"]`` and
+``repro-taps diff`` compares two records layer by layer.  Telemetry's own
+cost falls on both sides of every ratio (DESIGN.md §7 measures it).
 
 The measured record is written to ``benchmarks/results/perf_controller*.json``
 (workload, timings, profile counters, speedups) for EXPERIMENTS.md and the
-CI artifact.  Its ``layers`` block is the telemetered run's span tree,
-``{span path: {"calls", "seconds"}}``, so ``repro-taps diff`` compares two
-records layer by layer.
+CI artifact.
 
 ``REPRO_PERF_SCALE=smoke`` (CI) shrinks the workload to seconds and skips
 the speedup floor — shared runners are too noisy to gate on a timing ratio —
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from statistics import median
 
 from repro.core.controller import TapsScheduler
@@ -50,7 +53,7 @@ from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import span_tree
+from repro.obs.spans import admission_histogram, span_tree
 from repro.sim.engine import Engine
 from repro.trace import TraceRecorder, audit_trace
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -70,49 +73,11 @@ HOSTS_USED = 64
 MAX_PATHS = 8
 #: each side's timings: the record keeps their median over its runs
 TIMES = ("wall_seconds", "controller_seconds", "path_calculation_seconds")
+#: the admission span's quantiles: the record keeps the controller's medians
+ADMISSION = ("admission_p50_seconds", "admission_p99_seconds")
 #: the run order, ABBA: C = controller, O = oracle; pair i is the i-th
 #: run of each
 ORDER = ("C", "O", "O", "C", "C", "O")
-
-
-class _Stopwatch:
-    """A controller-time stopwatch for a TAPS scheduler class.
-
-    ``controller_seconds`` sums wall time spent inside admission, the
-    honest "controller cost" (path calculation + trial ledger management
-    + reject rule); ``path_calculation_seconds`` sums the planner calls
-    (Alg. 2/3) within it.  Decisions are captured by the shared
-    :class:`~repro.trace.recorder.TraceRecorder` instead of ad-hoc
-    subclass hooks — the trace events carry float-exact plan snapshots,
-    so comparing serialized traces proves two runs scheduled identically.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.controller_seconds = 0.0
-        self.path_calculation_seconds = 0.0
-
-    def on_task_arrival(self, task_state, now):
-        t0 = time.perf_counter()
-        try:
-            super().on_task_arrival(task_state, now)
-        finally:
-            self.controller_seconds += time.perf_counter() - t0
-
-    def _path_calculation(self, ftmp, ledger, start, horizon):
-        t0 = time.perf_counter()
-        try:
-            return super()._path_calculation(ftmp, ledger, start, horizon)
-        finally:
-            self.path_calculation_seconds += time.perf_counter() - t0
-
-
-class _TimedScheduler(_Stopwatch, TapsScheduler):
-    pass
-
-
-class _TimedReference(_Stopwatch, ReferenceTaps):
-    pass
 
 
 def _workload(scale: dict):
@@ -122,20 +87,28 @@ def _workload(scale: dict):
     return topo, generate_workload(cfg, hosts)
 
 
-def _run(topo, tasks, cls, telemetry: MetricsRegistry | None = None):
+def _run(topo, tasks, cls):
     sched = cls()
     paths = PathService(topo, max_paths=MAX_PATHS)
     recorder = TraceRecorder()
-    t0 = time.perf_counter()
+    registry = MetricsRegistry()
     result = Engine(topo, tasks, sched, path_service=paths,
-                    trace=recorder, telemetry=telemetry).run()
-    wall = time.perf_counter() - t0
+                    trace=recorder, telemetry=registry).run()
     audit = audit_trace(recorder)
     assert audit.ok, audit.summary()
+    spans = span_tree(registry)
+    admission = admission_histogram(registry)
+    assert admission.count == (sched.stats.tasks_accepted
+                               + sched.stats.tasks_rejected)
     return {
-        "wall_seconds": wall,
-        "controller_seconds": sched.controller_seconds,
-        "path_calculation_seconds": sched.path_calculation_seconds,
+        "wall_seconds": spans["run"][1],
+        "controller_seconds": spans["run/arrival"][1],
+        "path_calculation_seconds": sum(
+            seconds for path, (_, seconds) in spans.items()
+            if path.endswith("path_calculation")),
+        "admission_p50_seconds": admission.quantile(0.5),
+        "admission_p99_seconds": admission.quantile(0.99),
+        "spans": spans,
         "trace_jsonl": recorder.dumps(),
         "trace_events": recorder.emitted,
         "audit_ok": audit.ok,
@@ -172,9 +145,9 @@ def test_perf_controller(results_dir):
     # 1. bit-identical scheduling: every serialized decision trace
     # matches the first controller run's byte for byte (same decision
     # sequence, same victims, float-identical plans), and the end-of-run
-    # flow/task outcomes agree.  The telemetered run proves
+    # flow/task outcomes agree.  Every run is telemetered, which proves
     # instrumentation is observational only.
-    classes = {"C": _TimedScheduler, "O": _TimedReference}
+    classes = {"C": TapsScheduler, "O": ReferenceTaps}
     runs: dict[str, list[dict]] = {"C": [], "O": []}
     first_trace = None
     for side in ORDER:
@@ -184,20 +157,15 @@ def test_perf_controller(results_dir):
             first_trace = trace
         assert trace == first_trace
         runs[side].append(run)
-    registry = MetricsRegistry()
-    telemetered = _run(topo, tasks, _TimedScheduler, telemetry=registry)
-    assert telemetered.pop("trace_jsonl") == first_trace
     fast, slow = runs["C"][0], runs["O"][0]
-    for run in runs["C"] + runs["O"] + [telemetered]:
+    for run in runs["C"] + runs["O"]:
         assert run["flows"] == fast["flows"]
         assert run["tasks"] == fast["tasks"]
         assert run["stats"] == fast["stats"]
-    for run in runs["C"] + [telemetered]:
+    calls = {path: n for path, (n, _) in fast["spans"].items()}
+    for run in runs["C"]:
         assert run["profile"] == fast["profile"]
-    hist = registry.get("controller/admission_latency_seconds")
-    decisions = (telemetered["stats"]["tasks_accepted"]
-                 + telemetered["stats"]["tasks_rejected"])
-    assert hist is not None and hist.count == decisions
+        assert {path: n for path, (n, _) in run["spans"].items()} == calls
 
     pairs = {
         name: [round(o[f"{name}_seconds"] / c[f"{name}_seconds"], 3)
@@ -205,14 +173,15 @@ def test_perf_controller(results_dir):
         for name in ("controller", "wall", "path_calculation")
     }
     speedup = {name: median(ratios) for name, ratios in pairs.items()}
-    # the per-layer split: the telemetered run's span tree
+    # the per-layer split: each controller span's median total
     layers = {
-        path: {"calls": calls, "seconds": seconds}
-        for path, (calls, seconds) in span_tree(registry).items()
+        path: {"calls": n,
+               "seconds": median(r["spans"][path][1] for r in runs["C"])}
+        for path, n in calls.items()
     }
     planner = layers.get("run/arrival/admission/trial/path_calculation")
     assert planner is not None, sorted(layers)
-    assert planner["calls"] == telemetered["profile"]["path_calculation_calls"]
+    assert planner["calls"] == fast["profile"]["path_calculation_calls"]
 
     record = {
         "scale": scale_name,
@@ -227,11 +196,7 @@ def test_perf_controller(results_dir):
         "slow": _side(runs["O"]),
         "speedup": speedup,
         "speedup_pairs": pairs,
-        "telemetry": {
-            "controller_seconds": telemetered["controller_seconds"],
-            "admission_p50_seconds": hist.quantile(0.5),
-            "admission_p99_seconds": hist.quantile(0.99),
-        },
+        "telemetry": {k: median(r[k] for r in runs["C"]) for k in ADMISSION},
         "layers": layers,
     }
     suffix = "" if scale_name == "full" else f"_{scale_name}"

@@ -266,6 +266,9 @@ def _cmd_run(args) -> int:
         faults = None
         if args.fault is not None:
             link, start, end = args.fault
+            if not link.is_integer():
+                raise ConfigurationError(
+                    f"--fault LINK must be a whole number, got {link:g}")
             faults = [LinkFault(int(link), start, end)]
         result, recorder = run_traced(
             scale=SCALES[args.scale], num_tasks=args.tasks, seed=args.seed,

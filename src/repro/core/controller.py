@@ -32,7 +32,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
-from time import perf_counter
 
 from repro.core.allocation import (
     FlowPlan,
@@ -139,11 +138,11 @@ class TapsScheduler(Scheduler):
         it to an un-traced TAPS scheduler automatically.
     telemetry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  The
-        controller records each admission's wall latency into the
-        ``controller/admission_latency_seconds`` histogram, opens
-        ``admission``/``trial``/``commit``/``rollback`` spans around the
-        Alg. 1 pipeline (with ``path_calculation`` nested inside), and
-        publishes its decision and hot-path counters at end of run via
+        controller opens ``admission``/``trial``/``commit``/``rollback``
+        spans around the Alg. 1 pipeline (with ``path_calculation``
+        nested inside) — one ``admission`` span per admission decision,
+        so that span's histogram is the admission latency — and publishes
+        its decision and hot-path counters at end of run via
         :meth:`publish_telemetry`.  Telemetry is strictly one-way
         observation — no decision ever reads it — so traces stay
         byte-identical with it on or off (see DESIGN.md §7).  ``None``
@@ -325,18 +324,8 @@ class TapsScheduler(Scheduler):
             self._admit_task(ts, now)
 
     def _admit_task(self, task_state: TaskState, now: float) -> None:
-        tel = self.telemetry
-        if tel is None:
+        with self._span("admission"):
             self._admit(task_state, now)
-            return
-        with tel.spans.span("admission"):
-            t0 = perf_counter()
-            try:
-                self._admit(task_state, now)
-            finally:
-                tel.histogram(
-                    "controller/admission_latency_seconds"
-                ).observe(perf_counter() - t0)
 
     def _admit(self, task_state: TaskState, now: float) -> None:
         """Alg. 1 for one task: trial, reject rule, preempt and retry,

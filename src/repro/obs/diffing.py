@@ -10,8 +10,8 @@ or telemetry JSONL file, a single perf record JSON, or a
   ``trace/rejects[<clause or reason>]`` for each reject clause or reason
   (one seen on only one side compares against 0 on the other);
 * ``telemetry/<counter>`` — every telemetry counter;
-* ``telemetry/admission_{p50,p99,mean}_seconds`` — the admission-latency
-  histogram;
+* ``telemetry/admission_{p50,p99,mean}_seconds`` — the admission span's
+  histogram (:func:`~repro.obs.spans.admission_histogram`);
 * ``telemetry/span/<path>/{calls,seconds}`` — each span path of
   :func:`~repro.obs.spans.span_tree`;
 * ``perf/<path>`` — a perf record's numeric leaves outside its ``scale``
@@ -56,7 +56,7 @@ from repro.metrics.tracestats import TraceDigest, trace_digest
 from repro.obs.export import TELEMETRY_SCHEMA_VERSION
 from repro.obs.export import load_jsonl as load_telemetry_jsonl
 from repro.obs.registry import Counter
-from repro.obs.spans import span_tree
+from repro.obs.spans import admission_histogram, span_tree
 from repro.trace.events import SCHEMA_VERSION as TRACE_SCHEMA_VERSION
 from repro.trace.recorder import load_jsonl as load_trace_jsonl
 from repro.util.jsonl import read_jsonl
@@ -128,7 +128,7 @@ def _load_telemetry(bundle: Bundle, path: Path) -> None:
     m = bundle.metrics
     m.update((f"telemetry/{c.name}", c.value)
              for c in registry.instruments() if isinstance(c, Counter))
-    h = registry.get("controller/admission_latency_seconds")
+    h = admission_histogram(registry)
     if h is not None:
         m["telemetry/admission_p50_seconds"] = h.quantile(0.5)
         m["telemetry/admission_p99_seconds"] = h.quantile(0.99)

@@ -12,8 +12,8 @@ work has a trajectory to beat.  The interval count is narrow: only flows
 with a single candidate path reach ``union_for``, so the group and
 segment folds and the splices inside commits, most of Alg. 2's merge
 work, are not in it.  The counters hold no time: two runs of one workload
-give equal counts.  Where time goes is the job of telemetry spans and of the
-benchmarks' own stopwatches.
+give equal counts.  Where time goes is the job of telemetry spans, the
+only timer.
 
 One instance lives on :class:`~repro.core.controller.TapsStats` (as
 ``stats.profile``); the controller hands it to every ledger it creates

@@ -1,9 +1,9 @@
 """Metrics registry for one run: counters and histograms.
 
 The registry is the single sink for everything a run observes about
-itself — controller decision counts, the admission-latency distribution,
-span timings, engine and hot-path work counts.  Design rules (see
-DESIGN.md §7):
+itself — controller decision counts, span timings (the only timer: the
+admission latency is the ``admission`` span's histogram), engine and
+hot-path work counts.  Design rules (see DESIGN.md §7):
 
 * **Negligible when absent.**  Every instrumented component takes
   ``telemetry=None`` and guards with one ``is None`` test — no registry,
@@ -19,7 +19,7 @@ DESIGN.md §7):
   traces byte-identical with telemetry on or off.
 
 Instrument names are hierarchical ``/``-separated paths
-(``controller/admission_latency_seconds``).
+(``controller/tasks_accepted``, ``span/run/arrival/admission``).
 """
 
 from __future__ import annotations

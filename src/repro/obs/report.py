@@ -16,8 +16,8 @@ Instrument names consumed here are the contract published in DESIGN.md
 from __future__ import annotations
 
 from repro.obs.export import TELEMETRY_SCHEMA_VERSION
-from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.spans import span_tree
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import admission_histogram, span_tree
 
 #: (key, counter) of each admission-decision count
 _DECISIONS = (
@@ -39,8 +39,8 @@ def stats_json(reg: MetricsRegistry) -> dict:
     renders as text (CI and scripts consume this instead of scraping the
     text report)."""
     out: dict = {"schema": TELEMETRY_SCHEMA_VERSION, "meta": dict(reg.meta)}
-    hist = reg.get("controller/admission_latency_seconds")
-    if isinstance(hist, Histogram) and hist.count:
+    hist = admission_histogram(reg)
+    if hist is not None and hist.count:
         out["admission_latency"] = {
             "count": hist.count, "mean": hist.mean, "sum": hist.sum,
             "max": hist.max, **hist.percentiles(0.50, 0.90, 0.99),

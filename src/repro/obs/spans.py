@@ -2,22 +2,23 @@
 
 A *span* is a named, timed region of code::
 
-    with registry.spans.span("controller/admission"):
+    with registry.spans.span("admission"):
         ...
 
 Spans nest: while one is open, inner spans extend its path, so the
-controller's ``path_calculation`` span opened inside the engine's
-``arrival`` span lands in the histogram
-``span/engine/arrival/controller/admission/path_calculation`` — the full
-causal pipeline is readable straight off the instrument name.
+controller's ``path_calculation`` span opened inside its admission trial,
+inside the engine's ``arrival`` span, lands in the histogram
+``span/run/arrival/admission/trial/path_calculation`` — the full causal
+pipeline is readable straight off the instrument name.
 :func:`span_tree` is the one reader of that naming: the ``repro-taps
 stats`` report, the Perfetto flame, ``repro-taps diff`` and the perf
-record's ``layers`` block all take each node's call count and total time
-from it.
+record all take each node's call count and total time from it.
 
 Every span exit records its wall duration into a histogram named
 ``span/<full-path>``, so span timings get call counts, totals and
-percentiles from one run's histograms.
+percentiles from one run's histograms.  Spans are the program's only
+timer: the admission latency is the ``admission`` span's histogram
+(:func:`admission_histogram`).
 
 One :class:`SpanTimers` (one stack) is shared per registry via
 ``registry.spans`` — components must not construct private instances, or
@@ -71,3 +72,15 @@ def span_tree(registry: MetricsRegistry) -> dict[str, tuple[int, float]]:
         for h in registry.instruments()
         if isinstance(h, Histogram) and h.name.startswith(_PREFIX)
     }
+
+
+def admission_histogram(registry: MetricsRegistry) -> Histogram | None:
+    """The controller's ``admission`` span, one observation per admission
+    decision: ``run/arrival/admission``, or ``run/rates/admission`` when a
+    batch window admits from the rate step (a run admits through one of
+    them only).  ``None`` if the run admitted nothing."""
+    for h in registry.instruments():
+        if (isinstance(h, Histogram) and h.name.startswith(_PREFIX)
+                and h.name.endswith("/admission")):
+            return h
+    return None

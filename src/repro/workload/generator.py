@@ -70,6 +70,8 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_tasks < 1:
             raise ConfigurationError("num_tasks must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
         if self.mean_deadline <= 0 or self.mean_flow_size <= 0:

@@ -100,6 +100,19 @@ def test_run_with_fault_on_missing_link_fails_in_one_line(capsys):
     assert "fault on link 99999" in err and "96 links" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--fault", "0.5", "0", "0.01"], "--fault LINK must be a whole number"),
+], ids=["negative-seed", "fractional-link"])
+def test_run_refuses_a_bad_value_in_one_line(argv, message, capsys):
+    """A value the workload or the fault cannot take is one ``error:``
+    line and exit 2, not a traceback or a run on a truncated link."""
+    assert main(["run", "--tasks", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["figure", "fig6", "--jobs", "-1"],
     ["all", "--jobs", "-1"],
@@ -202,7 +215,7 @@ def test_stats_json_flag(cli_run_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == TELEMETRY_SCHEMA_VERSION
     assert doc["decisions"]["accepted"] + doc["decisions"]["rejected"] == 24
-    assert doc["admission_latency"]["count"] > 0
+    assert doc["admission_latency"]["count"] == 24
     assert "links" not in doc
 
 

@@ -32,7 +32,7 @@ def _registry(counts=(3, 1), latencies=(1e-3,) * 100):
     reg = MetricsRegistry(meta={"seed": 7})
     reg.counter("controller/tasks_accepted").inc(counts[0])
     reg.counter("controller/tasks_rejected").inc(counts[1])
-    h = reg.histogram("controller/admission_latency_seconds")
+    h = reg.histogram("span/run/arrival/admission")
     for v in latencies:
         h.observe(v)
     return reg

@@ -23,7 +23,7 @@ def _sample_registry() -> MetricsRegistry:
     reg = MetricsRegistry(meta={"scale": "small", "seed": 3})
     reg.counter("controller/tasks_accepted").inc(12)
     reg.counter("alloc/intervals_scanned").inc(0)
-    h = reg.histogram("controller/admission_latency_seconds")
+    h = reg.histogram("span/run/arrival/admission")
     for v in (1e-4, 2e-4, 5e-3, 1e-2):
         h.observe(v)
     with reg.spans.span("run"):
@@ -59,9 +59,9 @@ def test_write_and_load_file(tmp_path):
 
 def test_loaded_histogram_quantiles_survive_round_trip():
     reg = _sample_registry()
-    live = reg.get("controller/admission_latency_seconds")
+    live = reg.get("span/run/arrival/admission")
     loaded = load_jsonl(dumps_jsonl(reg).splitlines())
-    rebuilt = loaded.get("controller/admission_latency_seconds")
+    rebuilt = loaded.get("span/run/arrival/admission")
     assert rebuilt.quantile(0.5) == live.quantile(0.5)
     assert rebuilt.quantile(0.99) == live.quantile(0.99)
 

@@ -100,8 +100,8 @@ def test_results_unchanged_by_telemetry():
 
 def test_published_counters_match_live_objects():
     """Every engine/controller counter in telemetry equals the field it
-    was published from, and the admission histogram saw one observation
-    per admission decision."""
+    was published from, and the admission span saw one observation per
+    admission decision."""
     from repro.core.controller import TapsScheduler
     from repro.net.paths import PathService
     from repro.sim.engine import Engine
@@ -122,7 +122,7 @@ def test_published_counters_match_live_objects():
         sched.stats.tasks_rejected
     assert tel.get("controller/reallocations").value == \
         sched.stats.reallocations
-    hist = tel.get("controller/admission_latency_seconds")
+    hist = tel.get("span/run/arrival/admission")
     assert isinstance(hist, Histogram)
     assert hist.count == sched.stats.tasks_accepted + \
         sched.stats.tasks_rejected
@@ -157,7 +157,8 @@ def test_engine_counters_published_exactly():
 
 def test_run_publishes_only_counters_and_histograms():
     """Every hot-path field lands as an ``alloc/<field>`` counter equal to
-    the live field, and a run records no instrument of any other kind."""
+    the live field, a run records no instrument of any other kind, and
+    every histogram is a span: spans are the only timer."""
     from repro.core.controller import TapsScheduler
     from repro.net.paths import PathService
     from repro.obs.hotpath import HotPathCounters
@@ -178,3 +179,29 @@ def test_run_publishes_only_counters_and_histograms():
         assert isinstance(inst, Counter), f.name
         assert inst.value == getattr(profile, f.name), f.name
     assert {type(i) for i in tel.instruments()} == {Counter, Histogram}
+    assert all(i.name.startswith("span/") for i in tel.instruments()
+               if isinstance(i, Histogram))
+
+
+def test_batched_admissions_time_under_the_rate_step():
+    """With a batch window the controller admits from ``assign_rates``, so
+    its admission spans nest under ``run/rates``; ``stats`` still counts
+    one admission per decision."""
+    from repro.core.controller import TapsScheduler
+    from repro.net.paths import PathService
+    from repro.obs.report import stats_json
+    from repro.sim.engine import Engine
+    from repro.workload.generator import generate_workload
+
+    tel = MetricsRegistry()
+    topo = DUMBBELL.build()
+    tasks = generate_workload(_workload(num_tasks=12, seed=3),
+                              list(topo.hosts))
+    sched = TapsScheduler(batch_window=0.5)
+    Engine(topo, tasks, sched, path_service=PathService(topo, max_paths=4),
+           telemetry=tel).run()
+    decisions = sched.stats.tasks_accepted + sched.stats.tasks_rejected
+    assert decisions == 12
+    assert tel.get("span/run/rates/admission").count == decisions
+    assert tel.get("span/run/arrival/admission") is None
+    assert stats_json(tel)["admission_latency"]["count"] == decisions

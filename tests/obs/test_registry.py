@@ -19,7 +19,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.spans import span_tree
+from repro.obs.spans import admission_histogram, span_tree
 
 
 def test_counter_accumulates_and_snapshots():
@@ -69,7 +69,7 @@ def test_span_records_on_exception():
 
 def test_span_tree_reads_only_span_timers_in_path_order():
     reg = MetricsRegistry()
-    reg.histogram("controller/admission_latency_seconds").observe(1.0)
+    reg.histogram("bench/latency_seconds").observe(1.0)  # not a span
     with reg.spans.span("run"):
         for _ in range(3):
             with reg.spans.span("rates"):
@@ -82,6 +82,19 @@ def test_span_tree_reads_only_span_timers_in_path_order():
     assert tree["run"] == (1, run.sum)
     assert tree["run/rates"][0] == 3
     assert span_tree(MetricsRegistry()) == {}
+
+
+def test_admission_histogram_is_the_admission_span():
+    """Admission latency is read from the ``admission`` span wherever it
+    nests, never from a histogram outside ``span/``."""
+    reg = MetricsRegistry()
+    assert admission_histogram(reg) is None
+    reg.histogram("bench/admission").observe(1.0)
+    with reg.spans.span("rates"):
+        with reg.spans.span("admission"):
+            with reg.spans.span("commit"):
+                pass
+    assert admission_histogram(reg) is reg.get("span/rates/admission")
 
 
 def test_histogram_quantile_empty_and_bounds():

@@ -30,6 +30,7 @@ class TestConfigValidation:
             ("mean_flow_size", 0.0),
             ("mean_flows_per_task", 0.5),
             ("flows_per_task_dist", "weibull"),
+            ("seed", -1),
         ],
     )
     def test_invalid_rejected(self, field, value):
