@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from repro.exp.configs import SCALES
 from repro.exp.executor import ExecutorConfig, make_executor
@@ -130,7 +131,28 @@ def _print_figure(figure_id: str, scale_name: str,
     return run
 
 
+def _missing_parent(path: str) -> bool:
+    """Whether the directory an output file goes to is missing (after
+    printing one ``error:`` line) — checked before any figure is
+    regenerated, not after."""
+    parent = Path(path).parent
+    if parent.is_dir():
+        return False
+    print(f"error: {path}: {parent} is not a directory", file=sys.stderr)
+    return True
+
+
+def _make_csv_dir(csv_dir: str | None) -> None:
+    """Create the ``--csv-dir`` before any figure is regenerated, so a
+    path that cannot be a directory fails first (``main`` prints the
+    ``OSError`` as one ``error:`` line)."""
+    if csv_dir is not None:
+        Path(csv_dir).mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_figure(args) -> int:
+    if args.csv is not None and _missing_parent(args.csv):
+        return 2
     executor = _executor_from_args(args)
     run = _print_figure(args.figure, args.scale, executor)
     if args.csv is not None:
@@ -144,6 +166,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_all(args) -> int:
+    _make_csv_dir(args.csv_dir)
     executor = _executor_from_args(args)
     for fid in sorted(FIGURES):
         run = _print_figure(fid, args.scale, executor)
@@ -297,7 +320,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_stats(args) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs import load_jsonl, render_stats, stats_json
 
@@ -323,8 +345,6 @@ def _cmd_stats(args) -> int:
 def _load_trace_or_fail(run_dir: str):
     """The trace of a run dir (or of the trace file ``run_dir``), or None
     after printing the error — shared by ``timeline`` and ``explain``."""
-    from pathlib import Path
-
     from repro.trace import load_jsonl
 
     target = Path(run_dir)
@@ -342,8 +362,6 @@ def _load_trace_or_fail(run_dir: str):
 
 
 def _cmd_timeline(args) -> int:
-    from pathlib import Path
-
     from repro.obs import load_jsonl, timeline_from, write_chrome_trace
 
     trace = _load_trace_or_fail(args.run_dir)
@@ -378,7 +396,7 @@ def _cmd_explain(args) -> int:
     import json
 
     from repro.obs import explain_run, explain_task, timeline_from
-    from repro.trace import audit_events
+    from repro.trace import audit_trace
 
     trace = _load_trace_or_fail(args.run_dir)
     if trace is None:
@@ -402,7 +420,7 @@ def _cmd_explain(args) -> int:
             for line in v.lines():
                 print(line)
         # cross-check the clause evidence against the trace auditor
-        report = audit_events(trace.events, trace.meta, trace.truncated)
+        report = audit_trace(trace)
         reject_violations = [
             v for v in report.violations if v.invariant == "reject-rule"
         ]
@@ -468,14 +486,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        # refuse before regenerating every figure, not after
-        print(f"error: {args.out}: {out_dir} is not a directory",
-              file=sys.stderr)
+    if _missing_parent(args.out):
         return 2
+    _make_csv_dir(args.csv_dir)
     executor = _executor_from_args(args)
     out = generate_report(
         args.out, SCALES[args.scale], args.figures,

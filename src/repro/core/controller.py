@@ -123,32 +123,33 @@ class TapsScheduler(Scheduler):
         The ``Ftmp`` sort order of Alg. 1 line 9.  The paper prescribes
         ``"edf_sjf"``; ``"edf"``, ``"sjf"`` and ``"fifo"`` are ablation
         variants (see :data:`repro.sched.base.PRIORITY_KEYS`).
+
+    Attributes
+    ----------
     trace:
-        Optional :class:`~repro.trace.recorder.TraceRecorder`: the
-        controller emits its decision pipeline into it as typed events
-        (trial begin/rollback, accept with the full committed plan
-        table, reject with its reason, lateness and the rule clause that
-        fired, preemptions, fault reallocations) for offline auditing
-        (:func:`~repro.trace.audit.audit_trace`) and per-task
-        explanation (``repro-taps explain``).  Events are stamped at the
-        decision time and record decisions only — never fast-path
-        internals — so decision-equal runs (e.g. this controller and
-        :class:`~repro.core.reference.ReferenceTaps`) emit identical
-        streams.  When the engine is constructed with a recorder it hands
-        it to an un-traced TAPS scheduler automatically.
+        The run's :class:`~repro.trace.recorder.TraceRecorder`, or
+        ``None``.  The engine sets it before :meth:`attach` when it
+        records a trace; the controller then emits its decision pipeline
+        into it as typed events (trial begin/rollback, accept with the
+        full committed plan table, reject with its reason, lateness and
+        the rule clause that fired, preemptions, fault reallocations)
+        for offline auditing (:func:`~repro.trace.audit.audit_trace`)
+        and per-task explanation (``repro-taps explain``).  Events are
+        stamped at the decision time and record decisions only — never
+        fast-path internals — so decision-equal runs (e.g. this
+        controller and :class:`~repro.core.reference.ReferenceTaps`)
+        emit identical streams.
     telemetry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`.  The
-        controller opens ``admission``/``trial``/``commit``/``rollback``
-        spans around the Alg. 1 pipeline (with ``path_calculation``
-        nested inside) — one ``admission`` span per admission decision,
-        so that span's histogram is the admission latency — and publishes
-        its decision and hot-path counters at end of run via
-        :meth:`publish_telemetry`.  Telemetry is strictly one-way
-        observation — no decision ever reads it — so traces stay
-        byte-identical with it on or off (see DESIGN.md §7).  ``None``
-        (default) disables instrumentation entirely; like ``trace``, the
-        engine hands its registry to an uninstrumented TAPS scheduler
-        automatically.
+        The run's :class:`~repro.obs.registry.MetricsRegistry`, or
+        ``None`` (no instrumentation at all); the engine sets it the same
+        way.  The controller opens ``admission``/``trial``/``commit``/
+        ``rollback`` spans around the Alg. 1 pipeline (with
+        ``path_calculation`` nested inside) — one ``admission`` span per
+        admission decision, so that span's histogram is the admission
+        latency — and publishes its decision and hot-path counters at end
+        of run via :meth:`publish_telemetry`.  Telemetry is strictly
+        one-way observation — no decision ever reads it — so traces stay
+        byte-identical with it on or off (see DESIGN.md §7).
     """
 
     name = "TAPS"
@@ -161,8 +162,6 @@ class TapsScheduler(Scheduler):
         flow_table_limit: int | None = None,
         reallocate_inflight: bool = True,
         priority: str = "edf_sjf",
-        trace: TraceRecorder | None = None,
-        telemetry: MetricsRegistry | None = None,
     ) -> None:
         super().__init__()
         if batch_window < 0 or control_latency < 0:
@@ -180,8 +179,8 @@ class TapsScheduler(Scheduler):
             )
         self.priority = priority
         self._priority_key = PRIORITY_KEYS[priority]
-        self.trace = trace
-        self.telemetry = telemetry
+        self.trace: TraceRecorder | None = None
+        self.telemetry: MetricsRegistry | None = None
         self._switch_of_link: dict[int, str] = {}
         self.stats = TapsStats()
         self.ledger = self._new_ledger()

@@ -8,7 +8,8 @@ nothing in this package is ever consulted by scheduling code.
 
 On top of the raw artifacts sits the diagnosis layer (all offline,
 trace-in / report-out): :mod:`repro.obs.timeline` pivots a decision
-trace into per-task / per-flow / per-link timelines,
+trace, live or loaded (both a ``TraceRecorder``), into per-task /
+per-flow / per-link timelines that keep the trace's own events,
 :mod:`repro.obs.chrometrace` exports them as Perfetto-viewable Chrome
 trace-event JSON, :mod:`repro.obs.explain` renders reject/preempt/drop
 verdicts, and :mod:`repro.obs.diffing` turns two runs' artifact

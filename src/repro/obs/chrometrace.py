@@ -34,6 +34,7 @@ from typing import Any
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import span_tree
 from repro.obs.timeline import RunTimeline
+from repro.trace.events import TaskAccept
 
 PID_TASKS = 1
 PID_NET = 2
@@ -67,7 +68,8 @@ def _task_events(tl: RunTimeline) -> list[dict]:
     out: list[dict] = []
     for tid in sorted(tl.tasks):
         task = tl.tasks[tid]
-        start = task.arrival if task.arrival is not None else 0.0
+        arrival = task.arrival
+        start = arrival.time if arrival is not None else 0.0
         end = task.settled_at
         if end is None:
             end = tl.end_time
@@ -76,27 +78,28 @@ def _task_events(tl: RunTimeline) -> list[dict]:
                   "name": name}
         out.append({**common, "ph": "b", "ts": _us(start),
                     "args": {"deadline": task.deadline,
-                             "flows": task.num_flows,
-                             "bytes": task.total_bytes,
+                             "flows": arrival.num_flows if arrival else 0,
+                             "bytes": arrival.total_bytes if arrival else 0.0,
                              "outcome": task.outcome}})
         out.append({**common, "ph": "e", "ts": _us(max(end, start)),
                     "args": {}})
         # decision markers live on the controller track
-        if task.decision == "accepted":
-            out.append(_instant(task.decision_time, f"accept task {tid}",
-                                {"victims": list(task.victims),
+        dec = task.decision
+        if isinstance(dec, TaskAccept):
+            out.append(_instant(dec.time, f"accept task {tid}",
+                                {"victims": list(dec.victims),
                                  "trials": len(task.trials)}))
-        elif task.decision == "rejected":
-            out.append(_instant(task.decision_time, f"reject task {tid}",
-                                {"reason": task.reject_reason,
-                                 "clause": task.reject_clause}))
-        if task.preempted_by is not None:
-            out.append(_instant(task.preempted_at, f"preempt task {tid}",
-                                {"by": task.preempted_by,
-                                 "killed_flows": list(task.killed_flows)}))
-        if task.dropped_cause is not None:
-            out.append(_instant(task.dropped_at, f"drop task {tid}",
-                                {"cause": task.dropped_cause}))
+        elif dec is not None:
+            out.append(_instant(dec.time, f"reject task {tid}",
+                                {"reason": dec.reason, "clause": dec.clause}))
+        pre = task.preemption
+        if pre is not None:
+            out.append(_instant(pre.time, f"preempt task {tid}",
+                                {"by": pre.by_task_id,
+                                 "killed_flows": list(pre.killed_flows)}))
+        if task.drop is not None:
+            out.append(_instant(task.drop.time, f"drop task {tid}",
+                                {"cause": task.drop.cause}))
     for snap in tl.plan_snapshots:
         if snap.kind == "fault-reallocation":
             out.append(_instant(snap.time, "fault reallocation",

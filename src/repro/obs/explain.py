@@ -105,17 +105,13 @@ def _window_pressure(
 ) -> tuple[list[LinkPressure], tuple[int, ...]]:
     """Committed link occupancy over ``[decision, deadline]`` from the
     plan table in force when the decision was made."""
-    if (
-        task.decision_seq is None
-        or task.decision_time is None
-        or task.deadline is None
-        or task.deadline <= task.decision_time
-    ):
+    decision, deadline = task.decision, task.deadline
+    if deadline is None or deadline <= decision.time:
         return [], ()
-    snap = tl.snapshot_before(task.decision_seq)
+    snap = tl.snapshot_before(decision.seq)
     if snap is None:
         return [], ()
-    w0, w1 = task.decision_time, task.deadline
+    w0, w1 = decision.time, deadline
     span = w1 - w0
     held: dict[int, float] = {}          # link -> occupied time
     holders: dict[int, dict[int, float]] = {}  # link -> task -> time
@@ -152,53 +148,48 @@ def _window_pressure(
 
 
 def _explain_rejected(tl: RunTimeline, task: TaskTimeline) -> TaskVerdict:
-    derived = derive_clause(task.task_id, task.reject_missing)
+    rej = task.rejection
+    derived = derive_clause(task.task_id, rej.missing)
     consistent = (
-        task.reject_clause == derived
-        if task.reject_reason == "would-miss"
-        else task.reject_clause is None
+        rej.clause == derived
+        if rej.reason == "would-miss"
+        else rej.clause is None
     )
-    worst = max((late for _, late in task.reject_lateness), default=None)
-    slack = (
-        task.deadline - task.decision_time
-        if task.deadline is not None and task.decision_time is not None
-        else None
-    )
-    clause_bit = (
-        f", clause {task.reject_clause}" if task.reject_clause else ""
-    )
+    worst = max((late for _, late in rej.lateness), default=None)
+    slack = task.deadline - rej.time if task.deadline is not None else None
+    clause_bit = f", clause {rej.clause}" if rej.clause else ""
     v = TaskVerdict(
         task_id=task.task_id,
         outcome="rejected",
-        time=task.decision_time,
+        time=rej.time,
         headline=(
-            f"task {task.task_id}: REJECTED at t={task.decision_time:.4f} "
-            f"(reason {task.reject_reason}{clause_bit})"
+            f"task {task.task_id}: REJECTED at t={rej.time:.4f} "
+            f"(reason {rej.reason}{clause_bit})"
         ),
-        reject_reason=task.reject_reason,
-        clause_recorded=task.reject_clause,
+        reject_reason=rej.reason,
+        clause_recorded=rej.clause,
         clause_derived=derived,
         clause_consistent=consistent,
         slack_at_decision=slack,
         worst_lateness=worst,
     )
-    why = REASON_TEXT.get(task.reject_reason, task.reject_reason)
-    if task.reject_clause in CLAUSE_TEXT:
-        why = CLAUSE_TEXT[task.reject_clause]
+    why = REASON_TEXT.get(rej.reason, rej.reason)
+    if rej.clause in CLAUSE_TEXT:
+        why = CLAUSE_TEXT[rej.clause]
     v.details.append(f"why: {why}")
-    if task.reject_reason == "would-miss":
+    if rej.reason == "would-miss":
         mark = "consistent" if consistent else "INCONSISTENT"
         v.details.append(
-            f"clause evidence: recorded {task.reject_clause}, derived "
-            f"{derived} from {len(task.reject_missing)} missing flow(s) "
+            f"clause evidence: recorded {rej.clause}, derived "
+            f"{derived} from {len(rej.missing)} missing flow(s) "
             f"across tasks "
-            f"{sorted({t for _, t in task.reject_missing})} — {mark} "
+            f"{sorted({t for _, t in rej.missing})} — {mark} "
             f"with the auditor's classification"
         )
-    if task.reject_clause == 3 and task.reject_victim_ratio is not None:
+    if rej.clause == 3 and rej.victim_ratio is not None:
         v.details.append(
-            f"ratio comparison: victim {task.reject_victim_ratio:.3f} vs "
-            f"newcomer {task.reject_new_ratio:.3f} — victim kept"
+            f"ratio comparison: victim {rej.victim_ratio:.3f} vs "
+            f"newcomer {rej.new_ratio:.3f} — victim kept"
         )
     if slack is not None:
         v.details.append(
@@ -211,10 +202,9 @@ def _explain_rejected(tl: RunTimeline, task: TaskTimeline) -> TaskVerdict:
     v.saturated_links = pressures
     v.competing_tasks = competing
     if pressures:
-        w1 = task.deadline
         v.details.append(
             f"busiest committed links over "
-            f"[{task.decision_time:.4f}, {w1:.4f}]:"
+            f"[{rej.time:.4f}, {task.deadline:.4f}]:"
         )
         for p in pressures:
             v.details.append(
@@ -230,48 +220,50 @@ def _explain_rejected(tl: RunTimeline, task: TaskTimeline) -> TaskVerdict:
 
 
 def _explain_preempted(tl: RunTimeline, task: TaskTimeline) -> TaskVerdict:
+    pre = task.preemption
     v = TaskVerdict(
         task_id=task.task_id,
         outcome="preempted",
-        time=task.preempted_at,
+        time=pre.time,
         headline=(
-            f"task {task.task_id}: PREEMPTED at t={task.preempted_at:.4f} "
-            f"by task {task.preempted_by} "
-            f"({len(task.killed_flows)} flow(s) killed)"
+            f"task {task.task_id}: PREEMPTED at t={pre.time:.4f} "
+            f"by task {pre.by_task_id} "
+            f"({len(pre.killed_flows)} flow(s) killed)"
         ),
     )
     v.details.append(
         "why: discard-victim — the newcomer's admission only succeeded "
         "after discarding this task's flows (paper Alg. 1)"
     )
-    preemptor = tl.tasks.get(task.preempted_by)
-    if preemptor is not None:
-        for trial in preemptor.trials:
-            if trial.rollback_victim == task.task_id:
-                v.details.append(
-                    f"ratio comparison at trial {trial.attempt}: victim "
-                    f"{trial.victim_ratio:.3f} < newcomer "
-                    f"{trial.new_ratio:.3f} — victim discarded"
-                )
-                break
-    v.competing_tasks = (task.preempted_by,)
+    preemptor = tl.tasks.get(pre.by_task_id)
+    rollbacks = preemptor.rollbacks if preemptor is not None else ()
+    for rb in rollbacks:
+        if rb.victim_task_id == task.task_id:
+            v.details.append(
+                f"ratio comparison at trial {rb.attempt}: victim "
+                f"{rb.victim_ratio:.3f} < newcomer {rb.new_ratio:.3f} "
+                f"— victim discarded"
+            )
+            break
+    v.competing_tasks = (pre.by_task_id,)
     return v
 
 
 def _explain_dropped(tl: RunTimeline, task: TaskTimeline) -> TaskVerdict:
+    drop = task.drop
     v = TaskVerdict(
         task_id=task.task_id,
         outcome="dropped",
-        time=task.dropped_at,
+        time=drop.time,
         headline=(
-            f"task {task.task_id}: DROPPED at t={task.dropped_at:.4f} "
-            f"(cause {task.dropped_cause})"
+            f"task {task.task_id}: DROPPED at t={drop.time:.4f} "
+            f"(cause {drop.cause})"
         ),
     )
-    if task.dropped_cause == "fault":
+    if drop.cause == "fault":
         down = sorted(
             link for link, entry in tl.links.items()
-            if entry.down_at(task.dropped_at)
+            if entry.down_at(drop.time)
         )
         v.details.append(
             "why: a link outage made the remaining flows unmeetable; "

@@ -65,11 +65,14 @@ class Histogram:
     entries.
 
     :meth:`quantile` walks the cumulative counts to the target rank and
-    returns the containing bucket's upper edge clamped into the observed
-    ``[min, max]`` — the estimate always lies inside the bucket that
-    holds the true order statistic, i.e. within one ``GROWTH`` factor of
-    the exact percentile (property-tested against numpy in
-    ``tests/obs/test_registry.py``).
+    interpolates by rank between the containing bucket's lower and upper
+    edges (the underflow bucket starts at the observed ``min``), clamped
+    into the observed ``[min, max]``; in the overflow bucket it returns
+    ``max``.  The estimate always lies inside the bucket that holds the
+    true order statistic, i.e. within one ``GROWTH`` factor of the exact
+    percentile (property-tested against numpy in
+    ``tests/obs/test_registry.py``), and it moves when the samples shift
+    by less than a bucket.
     """
 
     __slots__ = ("name", "counts", "sum", "count", "min", "max")
@@ -114,8 +117,13 @@ class Histogram:
                 break
         if idx >= BUCKETS + 1:  # overflow bucket: only max is known
             return self.max
-        # upper edge of the containing bucket, clamped into observed range
-        return max(self.min, min(_EDGES[idx], self.max))
+        # interpolate by rank across the containing bucket, whose lower
+        # edge is min for the underflow bucket; clamp into observed range
+        c = self.counts[idx]
+        lo = _EDGES[idx - 1] if idx else self.min
+        hi = _EDGES[idx]
+        est = lo + (hi - lo) * (rank - (cum - c)) / c
+        return max(self.min, min(est, self.max))
 
     def percentiles(self, *qs: float) -> dict[str, float]:
         """``{"p50": ..., "p99": ...}`` for the requested quantiles."""

@@ -6,8 +6,8 @@ questions — *what happened to task 17*, *when was link 12 busy and for
 whom* — so this module pivots the stream into per-task, per-flow, and
 per-link timelines:
 
-* :class:`TaskTimeline` — arrival → trials → accept/reject →
-  preemption/drop → completion/expiry;
+* :class:`TaskTimeline` — the task's own events (arrival, trials,
+  rollbacks, accept/reject, preemption, drop), then completion/expiry;
 * :class:`FlowTimeline` — the physical transmission slices (after
   down-link zeroing), completion, expiry;
 * :class:`LinkTimeline` — busy intervals (which flow of which task held
@@ -15,9 +15,11 @@ per-link timelines:
 
 Everything is trace-in, timeline-out: nothing here imports the scheduler
 or the engine, so a JSONL file from any run — or any machine — can be
-pivoted offline.  The timeline is the shared substrate for the Chrome
-trace exporter (:mod:`repro.obs.chrometrace`) and the rejection
-explainer (:mod:`repro.obs.explain`).
+pivoted offline.  A task's decisions and the committed plan tables stay
+the trace's own events, not copies of their fields.  The timeline is the
+shared substrate for the Chrome trace exporter
+(:mod:`repro.obs.chrometrace`) and the rejection explainer
+(:mod:`repro.obs.explain`).
 """
 
 from __future__ import annotations
@@ -26,21 +28,18 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.trace.events import PlanRecord, TraceEvent
-from repro.trace.recorder import LoadedTrace, TraceRecorder
-
-
-@dataclass(slots=True)
-class TrialRecord:
-    """One Alg. 1 trial during a task's admission."""
-
-    attempt: int
-    time: float
-    num_flows: int
-    #: set when the trial ended in discard-victim (the retried victim)
-    rollback_victim: int | None = None
-    victim_ratio: float | None = None
-    new_ratio: float | None = None
+from repro.trace.events import (
+    FaultReallocation,
+    Preemption,
+    TaskAccept,
+    TaskArrival,
+    TaskDrop,
+    TaskReject,
+    TraceEvent,
+    TrialBegin,
+    TrialRollback,
+)
+from repro.trace.recorder import TraceRecorder
 
 
 @dataclass(slots=True)
@@ -50,9 +49,6 @@ class FlowSlice:
     start: float
     end: float | None
     path: tuple[int, ...]
-
-    def duration(self, until: float) -> float:
-        return max(0.0, (self.end if self.end is not None else until) - self.start)
 
 
 @dataclass(slots=True)
@@ -69,44 +65,40 @@ class FlowTimeline:
 
 @dataclass(slots=True)
 class TaskTimeline:
-    """One task's full lifecycle, admission through settlement."""
+    """One task's full lifecycle, admission through settlement: its own
+    decision events, in trace order, and how its flows settled."""
 
     task_id: int
-    arrival: float | None = None
-    deadline: float | None = None
-    num_flows: int = 0
-    total_bytes: float = 0.0
+    arrival: TaskArrival | None = None
+    trials: list[TrialBegin] = field(default_factory=list)
+    #: the trials that ended in discard-victim, in order
+    rollbacks: list[TrialRollback] = field(default_factory=list)
+    decision: TaskAccept | TaskReject | None = None
+    preemption: Preemption | None = None
+    drop: TaskDrop | None = None
     flows: list[int] = field(default_factory=list)
-    trials: list[TrialRecord] = field(default_factory=list)
-    #: admission decision: ``"accepted"`` / ``"rejected"`` / ``None``
-    decision: str | None = None
-    decision_time: float | None = None
-    decision_seq: int | None = None
-    victims: tuple[int, ...] = ()
-    reject_reason: str | None = None
-    reject_clause: int | None = None
-    reject_missing: tuple[tuple[int, int], ...] = ()
-    reject_lateness: tuple[tuple[int, float], ...] = ()
-    reject_victim_ratio: float | None = None
-    reject_new_ratio: float | None = None
-    preempted_by: int | None = None
-    preempted_at: float | None = None
-    killed_flows: tuple[int, ...] = ()
-    dropped_cause: str | None = None
-    dropped_at: float | None = None
     completed_at: float | None = None
     flows_completed: int = 0
     flows_expired: int = 0
 
     @property
+    def deadline(self) -> float | None:
+        return self.arrival.deadline if self.arrival is not None else None
+
+    @property
+    def rejection(self) -> TaskReject | None:
+        """The decision, when it refused the task."""
+        return self.decision if isinstance(self.decision, TaskReject) else None
+
+    @property
     def outcome(self) -> str:
         """The settled fate: ``rejected`` / ``preempted`` / ``dropped`` /
         ``completed`` / ``expired`` / ``incomplete``."""
-        if self.decision == "rejected":
+        if self.rejection is not None:
             return "rejected"
-        if self.preempted_by is not None:
+        if self.preemption is not None:
             return "preempted"
-        if self.dropped_cause is not None:
+        if self.drop is not None:
             return "dropped"
         if self.completed_at is not None:
             return "completed"
@@ -116,14 +108,11 @@ class TaskTimeline:
 
     @property
     def settled_at(self) -> float | None:
-        """When the fate was sealed (decision, preemption, drop, or last
+        """When the fate was sealed (rejection, preemption, drop, or last
         flow completion) — ``None`` for incomplete tasks."""
-        if self.decision == "rejected":
-            return self.decision_time
-        if self.preempted_by is not None:
-            return self.preempted_at
-        if self.dropped_cause is not None:
-            return self.dropped_at
+        for ev in (self.rejection, self.preemption, self.drop):
+            if ev is not None:
+                return ev.time
         return self.completed_at
 
 
@@ -153,16 +142,6 @@ class LinkTimeline:
 
 
 @dataclass(slots=True)
-class PlanSnapshot:
-    """One committed plan table (accept or fault-reallocation)."""
-
-    time: float
-    seq: int
-    kind: str
-    plans: tuple[PlanRecord, ...]
-
-
-@dataclass(slots=True)
 class RunTimeline:
     """The pivoted view of one run's decision trace."""
 
@@ -170,11 +149,15 @@ class RunTimeline:
     tasks: dict[int, TaskTimeline] = field(default_factory=dict)
     flows: dict[int, FlowTimeline] = field(default_factory=dict)
     links: dict[int, LinkTimeline] = field(default_factory=dict)
-    plan_snapshots: list[PlanSnapshot] = field(default_factory=list)
+    #: every committed plan table: the ``task-accept`` and
+    #: ``fault-reallocation`` events, in trace order
+    plan_snapshots: list[TaskAccept | FaultReallocation] = field(
+        default_factory=list
+    )
     end_time: float = 0.0
     events: int = 0
 
-    def snapshot_before(self, seq: int) -> PlanSnapshot | None:
+    def snapshot_before(self, seq: int) -> TaskAccept | FaultReallocation | None:
         """The plan table in force just before event ``seq`` (the latest
         accept/reallocation with a smaller sequence number)."""
         seqs = [s.seq for s in self.plan_snapshots]
@@ -216,54 +199,22 @@ def build_timeline(
         tl.end_time = max(tl.end_time, ev.time)
         kind = ev.kind
         if kind == "task-arrival":
-            task = _task(tl, ev.task_id)
-            task.arrival = ev.time
-            task.deadline = ev.deadline
-            task.num_flows = ev.num_flows
-            task.total_bytes = ev.total_bytes
+            _task(tl, ev.task_id).arrival = ev
         elif kind == "trial-begin":
-            _task(tl, ev.task_id).trials.append(
-                TrialRecord(ev.attempt, ev.time, len(ev.flows))
-            )
+            _task(tl, ev.task_id).trials.append(ev)
         elif kind == "trial-rollback":
-            trials = _task(tl, ev.task_id).trials
-            if trials:
-                trials[-1].rollback_victim = ev.victim_task_id
-                trials[-1].victim_ratio = ev.victim_ratio
-                trials[-1].new_ratio = ev.new_ratio
+            _task(tl, ev.task_id).rollbacks.append(ev)
         elif kind == "task-accept":
-            task = _task(tl, ev.task_id)
-            task.decision = "accepted"
-            task.decision_time = ev.time
-            task.decision_seq = ev.seq
-            task.victims = ev.victims
-            tl.plan_snapshots.append(
-                PlanSnapshot(ev.time, ev.seq, kind, ev.plans)
-            )
+            _task(tl, ev.task_id).decision = ev
+            tl.plan_snapshots.append(ev)
         elif kind == "task-reject":
-            task = _task(tl, ev.task_id)
-            task.decision = "rejected"
-            task.decision_time = ev.time
-            task.decision_seq = ev.seq
-            task.reject_reason = ev.reason
-            task.reject_clause = ev.clause
-            task.reject_missing = ev.missing
-            task.reject_lateness = ev.lateness
-            task.reject_victim_ratio = ev.victim_ratio
-            task.reject_new_ratio = ev.new_ratio
+            _task(tl, ev.task_id).decision = ev
         elif kind == "preemption":
-            task = _task(tl, ev.victim_task_id)
-            task.preempted_by = ev.by_task_id
-            task.preempted_at = ev.time
-            task.killed_flows = ev.killed_flows
+            _task(tl, ev.victim_task_id).preemption = ev
         elif kind == "fault-reallocation":
-            tl.plan_snapshots.append(
-                PlanSnapshot(ev.time, ev.seq, kind, ev.plans)
-            )
+            tl.plan_snapshots.append(ev)
         elif kind == "task-drop":
-            task = _task(tl, ev.task_id)
-            task.dropped_cause = ev.cause
-            task.dropped_at = ev.time
+            _task(tl, ev.task_id).drop = ev
         elif kind == "link-state-change":
             new_down = set(ev.down_links)
             for link in sorted(new_down - down):
@@ -305,7 +256,8 @@ def build_timeline(
             flow.met_deadline = ev.met_deadline
             task = _task(tl, ev.task_id)
             task.flows_completed += 1
-            if task.num_flows and task.flows_completed == task.num_flows:
+            if (task.arrival is not None
+                    and task.flows_completed == task.arrival.num_flows):
                 task.completed_at = ev.time
         elif kind == "deadline-expired":
             flow = tl.flows.get(ev.flow_id)
@@ -321,6 +273,6 @@ def build_timeline(
     return tl
 
 
-def timeline_from(trace: TraceRecorder | LoadedTrace) -> RunTimeline:
-    """Pivot a recorder's buffer or a loaded JSONL trace."""
+def timeline_from(trace: TraceRecorder) -> RunTimeline:
+    """Pivot a recorded or loaded trace."""
     return build_timeline(trace.events, trace.meta)

@@ -3,9 +3,10 @@
 Wraps the fluid simulation with an instrumented TAPS controller that emits
 the control-plane messages of paper Fig. 4 as its decisions happen:
 probe on task arrival, accept replies with pre-allocated slices plus
-route installs on acceptance, reject notices otherwise, and
-TERM → withdraw on flow completion.  Switch flow-table limits are enforced
-(§IV-C), and the transcript can be audited afterwards.
+route installs on acceptance (after withdrawing the routes of the flows a
+preemption killed), reject notices otherwise, and TERM → withdraw on flow
+completion.  Switch flow-table limits are enforced (§IV-C), and the
+transcript can be audited afterwards.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ class _InstrumentedTaps(TapsScheduler):
     def on_task_arrival(self, task_state: TaskState, now: float) -> None:
         self._driver.emit_probes(task_state.task, now)
         before = self.stats.tasks_accepted
+        planned = [p.flow_state for p in self.plans.values()
+                   if p.flow_state.active]
         super().on_task_arrival(task_state, now)
         if self.stats.tasks_accepted > before:
+            self._driver.emit_kills(
+                [fs for fs in planned if not fs.active], now
+            )
             self._driver.emit_accepts(task_state, self, now)
         else:
             self._driver.emit_reject(task_state, now)
@@ -167,6 +173,12 @@ class ProtocolDriver:
         self.transcript.messages.append(reply)
         for host in {f.src for f in task_state.task.flows}:
             self.senders[host].on_reject(reply)
+
+    def emit_kills(self, killed: list[FlowState], now: float) -> None:
+        """Withdraw the routes of the flows an admission's preemption
+        killed: they lost their plans and will send no TERM."""
+        for fs in killed:
+            self._withdraw_route(fs.flow.flow_id, now)
 
     def emit_term(self, fs: FlowState, now: float) -> None:
         self.transcript.messages.append(

@@ -141,10 +141,10 @@ class Engine:
         Optional :class:`~repro.trace.recorder.TraceRecorder`.  The
         engine emits the physical timeline (arrivals, slice
         transitions after down-link zeroing, completions, deadline
-        expiries, link-state changes, run end) into it, and — when the
-        scheduler supports tracing but was built without a recorder —
-        hands the same recorder to the scheduler before ``attach`` so
-        controller decisions and engine facts interleave in one stream.
+        expiries, link-state changes, run end) into it, and hands the
+        same recorder to a scheduler that traces (one with a ``trace``
+        attribute, ``None`` until then) before ``attach``, so controller
+        decisions and engine facts interleave in one stream.
     telemetry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` for this
         one run.  The engine opens a ``run`` span over the whole
@@ -231,13 +231,11 @@ class Engine:
         sched = self.scheduler
         trace = self.trace
         if trace is not None and getattr(sched, "trace", False) is None:
-            # the scheduler supports tracing but has no recorder: share ours
-            # (must happen before attach — that's where meta is stamped)
+            # a scheduler that traces records into ours (before attach,
+            # which stamps the trace meta)
             sched.trace = trace
         tel = self.telemetry
         if tel is not None and getattr(sched, "telemetry", False) is None:
-            # same handoff for telemetry: a telemetry-capable scheduler
-            # built without a registry records into ours
             sched.telemetry = tel
         sched.attach(self.topology, self.path_service)
         run_span = None

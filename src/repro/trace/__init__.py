@@ -1,11 +1,12 @@
 """Decision tracing and schedule auditing.
 
 ``repro.trace`` is the debugging substrate for the scheduling pipeline:
-the controller and the engine emit typed events
-(:mod:`repro.trace.events`) into a ring-buffered
-:class:`~repro.trace.recorder.TraceRecorder` (JSONL export), and
-:func:`~repro.trace.audit.audit_trace` replays a finished trace against
-the paper's invariants — exclusive-link occupancy, EDF-then-SJF trial
+the engine and the controller (which gets the engine's recorder before
+the run) emit typed events (:mod:`repro.trace.events`) into one
+ring-buffered :class:`~repro.trace.recorder.TraceRecorder` (JSONL export;
+:func:`~repro.trace.recorder.load_jsonl` reads a file back into a
+recorder), and :func:`~repro.trace.audit.audit_trace` replays a finished
+trace, live or loaded, against the paper's invariants — exclusive-link occupancy, EDF-then-SJF trial
 ordering, the three-clause reject rule, and "no accepted task misses its
 deadline absent faults" — reporting the first violating event with full
 context.
@@ -44,7 +45,7 @@ from repro.trace.events import (
     TrialRollback,
     event_from_json,
 )
-from repro.trace.recorder import LoadedTrace, TraceRecorder, load_jsonl
+from repro.trace.recorder import TraceRecorder, load_jsonl
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -70,7 +71,6 @@ __all__ = [
     "TrialBegin",
     "TrialRollback",
     "event_from_json",
-    "LoadedTrace",
     "TraceRecorder",
     "load_jsonl",
 ]

@@ -65,7 +65,7 @@ from repro.trace.events import (
     TaskAccept,
     TraceEvent,
 )
-from repro.trace.recorder import LoadedTrace, TraceRecorder
+from repro.trace.recorder import TraceRecorder
 from repro.util.intervals import up
 
 #: slack on the engine's event times (matches :data:`repro.sim.state.EPS`)
@@ -507,6 +507,6 @@ def audit_events(
     )
 
 
-def audit_trace(trace: TraceRecorder | LoadedTrace) -> AuditReport:
-    """Audit a recorder's buffer or a loaded JSONL trace."""
+def audit_trace(trace: TraceRecorder) -> AuditReport:
+    """Audit a recorded or loaded trace."""
     return audit_events(trace.events, trace.meta, trace.truncated)

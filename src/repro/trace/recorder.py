@@ -16,7 +16,8 @@ Export is JSON Lines: one header object (schema version, metadata,
 emitted/dropped counters) followed by one object per event.  Serialization
 is deterministic — two runs that emitted identical events produce
 byte-identical files, which is exactly what the controller-vs-oracle
-equivalence tests assert.
+equivalence tests assert.  :func:`load_jsonl` reads a file back into a
+recorder, so a live trace and a loaded one are the same type.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -134,40 +134,29 @@ class TraceRecorder:
         return out
 
 
-@dataclass(slots=True)
-class LoadedTrace:
-    """A trace read back from JSONL: header fields + typed events."""
-
-    schema: int
-    meta: dict[str, Any]
-    emitted: int
-    dropped: int
-    events: list[TraceEvent] = field(default_factory=list)
-
-    @property
-    def truncated(self) -> bool:
-        return self.dropped > 0
-
-
-def load_jsonl(source: str | Path | Iterable[str]) -> LoadedTrace:
-    """Parse a JSONL trace (path or iterable of lines) back into events.
+def load_jsonl(source: str | Path | Iterable[str]) -> TraceRecorder:
+    """Parse a JSONL trace (path or iterable of lines) back into a
+    recorder holding its events, meta, ``emitted`` and ``dropped``, so
+    ``load_jsonl(p).dumps()`` gives back the bytes of a file that
+    :meth:`TraceRecorder.to_jsonl` wrote.
 
     Raises ``ValueError`` on a missing/foreign header, an unsupported
-    schema version, or an event line that is not JSON, not an object, of
-    an unknown kind, or with a missing, unknown or unreadable field (the
-    message names the line).
+    schema version, a header whose ``meta`` is not an object or whose
+    ``emitted``/``dropped`` is not an int, or an event line that is not
+    JSON, not an object, of an unknown kind, or with a missing, unknown
+    or unreadable field (the message names the line).
     """
     _, header, body = read_jsonl(source, {"trace": SCHEMA_VERSION})
-    events = []
+    for key, kind in (("meta", dict), ("emitted", int), ("dropped", int)):
+        if key in header and type(header[key]) is not kind:
+            raise ValueError(f"malformed trace header: {key!r} must be "
+                             f"{kind.__name__}, got {json.dumps(header[key])}")
+    trace = TraceRecorder(meta=header.get("meta"))
     for lineno, item in body:
         try:
-            events.append(event_from_json(item))
+            trace._events.append(event_from_json(item))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return LoadedTrace(
-        schema=header["schema"],
-        meta=header.get("meta", {}),
-        emitted=header.get("emitted", len(events)),
-        dropped=header.get("dropped", 0),
-        events=events,
-    )
+    trace._seq = header.get("emitted", len(trace))
+    trace.dropped = header.get("dropped", 0)
+    return trace

@@ -177,7 +177,8 @@ class TestRefusedTrialStopsEarly:
             make_task(2, 0.0, 3.0, [("L2", "R2", 1.0), ("L2", "R2", 3.0)], 2),
         ]
         rec = TraceRecorder()
-        sched = TapsScheduler(trace=rec)
+        sched = TapsScheduler()
+        sched.trace = rec  # what Engine(trace=rec).run() does before attach
         engine = Engine(topo, tasks, sched)
         sched.attach(topo, engine.path_service)
         return sched, rec, engine.task_states

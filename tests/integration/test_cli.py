@@ -156,6 +156,33 @@ def test_unwritable_output_is_one_error_line(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["figure-csv", "report-csv-dir",
+                                  "all-csv-dir"])
+def test_csv_output_refused_before_any_figure(
+    case, tmp_path, monkeypatch, capsys
+):
+    """A ``--csv`` file in a missing directory, or an existing file as
+    ``--csv-dir``, is one ``error:`` line and exit 2 before any figure
+    is regenerated, not after the sweep."""
+    a_file, missing = tmp_path / "F", tmp_path / "nodir"
+    a_file.write_text("")
+    argv = {
+        "figure-csv": ["figure", "fig12", "--csv", str(missing / "x.csv")],
+        "report-csv-dir": ["report", "--out", str(tmp_path / "r.md"),
+                           "--figures", "fig10", "--csv-dir", str(a_file)],
+        "all-csv-dir": ["all", "--csv-dir", str(a_file)],
+    }[case]
+    for where in ("repro.cli.run_figure", "repro.exp.runner.run_figure"):
+        monkeypatch.setattr(where,
+                            lambda *a, **k: pytest.fail("figure regenerated"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "r.md").exists()
+
+
 def test_run_out_dir_then_stats_roundtrip(tmp_path, capsys):
     """``run --out-dir`` writes the artifact bundle; ``stats`` renders a
     report from those artifacts alone (no re-simulation)."""

@@ -44,13 +44,13 @@ def test_every_rejection_matches_recorded_and_derived_clause(traced_run):
     auditor finds zero reject-rule violations for the same trace."""
     _result, recorder, _reg = traced_run
     tl = timeline_from(recorder)
-    rejected = [t for t in tl.tasks.values() if t.decision == "rejected"]
+    rejected = [t for t in tl.tasks.values() if t.rejection is not None]
     assert rejected, "seed 7 smoke workload must reject tasks"
     for task in rejected:
         verdict = explain_task(tl, task.task_id)
         assert verdict.outcome == "rejected"
-        assert verdict.clause_recorded == task.reject_clause
-        assert verdict.clause_derived == task.reject_clause
+        assert verdict.clause_recorded == task.rejection.clause
+        assert verdict.clause_derived == task.rejection.clause
         assert verdict.clause_consistent
     report = audit_trace(recorder)
     reject_violations = [
@@ -78,7 +78,7 @@ def test_faulted_run_verdicts_stay_consistent(faulted_run):
 def test_rejection_verdict_names_pressure_and_competitors(traced_run):
     _result, recorder, _reg = traced_run
     tl = timeline_from(recorder)
-    task = next(t for t in tl.tasks.values() if t.decision == "rejected")
+    task = next(t for t in tl.tasks.values() if t.rejection is not None)
     verdict = explain_task(tl, task.task_id)
     # the committed table before the rejection had traffic in the window
     assert verdict.saturated_links, "busiest links must be attributed"
@@ -108,6 +108,9 @@ def test_preempted_verdict_names_preemptor():
     assert verdict.outcome == "preempted"
     assert "task 1" in verdict.headline
     assert verdict.competing_tasks == (1,)
+    # task 1's first trial discarded task 0, which had sent nothing yet
+    assert ("  ratio comparison at trial 1: victim 0.000 < newcomer 1.000 "
+            "— victim discarded") in verdict.lines()
 
 
 def test_dropped_verdict_blames_downed_links():

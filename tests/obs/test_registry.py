@@ -119,6 +119,22 @@ def test_histogram_overflow_underflow():
     assert sum(snap["counts"]) == snap["count"] == 2
 
 
+def test_sub_bucket_shift_moves_the_median():
+    """A quantile interpolates by rank inside its bucket: scaling every
+    sample by less than one bucket (GROWTH = 1.41) moves p50 with the
+    true median, where the bucket's upper edge would stay put."""
+    base = np.random.default_rng(3).lognormal(np.log(0.9e-3), 0.5, 500)
+    medians = []
+    for scale in (1.0, 1.05, 1.10, 1.20):
+        h = Histogram("h")
+        for v in base * scale:
+            h.observe(float(v))
+        medians.append(h.quantile(0.5))
+        assert h.quantile(0.5) == pytest.approx(
+            np.median(base * scale), rel=0.05)
+    assert medians == sorted(set(medians))  # strictly increasing
+
+
 def _bucket_index(v: float) -> int:
     """Which (padded) bucket a value falls into, mirroring observe()."""
     return bisect_right([LO * GROWTH ** i for i in range(BUCKETS + 1)], v)

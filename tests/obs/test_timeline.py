@@ -50,14 +50,19 @@ def test_plan_snapshots(traced_run):
     tl = timeline_from(recorder)
     d = trace_digest(recorder.events)
     assert len(tl.plan_snapshots) == d.tasks_accepted + d.fault_reallocations
+    # the snapshots are the trace's own accept/reallocation events
+    assert tl.plan_snapshots == [
+        e for e in recorder.events
+        if e.kind in ("task-accept", "fault-reallocation")
+    ]
     seqs = [s.seq for s in tl.plan_snapshots]
     assert seqs == sorted(seqs)
     # snapshot_before finds the table in force at a rejection
-    rejected = [t for t in tl.tasks.values() if t.decision == "rejected"]
+    rejected = [t for t in tl.tasks.values() if t.rejection is not None]
     assert rejected
     for task in rejected:
-        snap = tl.snapshot_before(task.decision_seq)
-        assert snap is not None and snap.seq < task.decision_seq
+        snap = tl.snapshot_before(task.rejection.seq)
+        assert snap is not None and snap.seq < task.rejection.seq
 
 
 def test_completion_respects_deadlines_without_faults(traced_run):
@@ -91,19 +96,25 @@ def test_handcrafted_outcomes():
                          total_bytes=5.0))
     rec.emit(TaskArrival(0.1, task_id=3, deadline=1.0, num_flows=1,
                          total_bytes=5.0))
-    rec.emit(TaskAccept(0.0, task_id=1, victims=(), plans=()))
-    rec.emit(TaskReject(0.1, task_id=3, reason="would-miss", clause=2,
-                        missing=((7, 3),), lateness=((7, 0.5),)))
-    rec.emit(Preemption(0.2, victim_task_id=1, by_task_id=2,
-                        killed_flows=(4,)))
-    rec.emit(TaskDrop(0.3, task_id=2, cause="fault"))
+    accept = rec.emit(TaskAccept(0.0, task_id=1, victims=(), plans=()))
+    reject = rec.emit(TaskReject(0.1, task_id=3, reason="would-miss",
+                                 clause=2, missing=((7, 3),),
+                                 lateness=((7, 0.5),)))
+    preempt = rec.emit(Preemption(0.2, victim_task_id=1, by_task_id=2,
+                                  killed_flows=(4,)))
+    drop = rec.emit(TaskDrop(0.3, task_id=2, cause="fault"))
     tl = build_timeline(rec.events)
     assert tl.tasks[1].outcome == "preempted"
-    assert tl.tasks[1].preempted_by == 2
+    assert tl.tasks[1].decision is accept
+    assert tl.tasks[1].preemption is preempt
+    assert tl.tasks[1].preemption.by_task_id == 2
+    assert tl.tasks[1].settled_at == 0.2
     assert tl.tasks[2].outcome == "dropped"
-    assert tl.tasks[2].dropped_cause == "fault"
+    assert tl.tasks[2].drop is drop and drop.cause == "fault"
     assert tl.tasks[3].outcome == "rejected"
-    assert tl.tasks[3].reject_clause == 2
+    assert tl.tasks[3].decision is reject
+    assert tl.tasks[3].rejection.clause == 2
+    assert tl.tasks[3].deadline == 1.0
 
 
 def test_building_timeline_leaves_trace_bytes_identical(traced_run, tmp_path):

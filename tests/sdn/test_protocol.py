@@ -74,6 +74,23 @@ class TestTranscript:
         driver, _ = small_run
         assert all(len(sw.table) == 0 for sw in driver.switches.values())
 
+    def test_preempted_victims_entries_withdrawn(self):
+        """A preempted victim's flows die without a TERM; the admission
+        that kills them withdraws their entries, so every table still
+        ends empty.  Under the default policy no newcomer preempts."""
+        from repro.core.reject import PreemptionPolicy
+        from repro.sim.state import FlowStatus
+
+        topo, tasks = make_testbed_trace(num_flows=60, seed=3)
+        driver = ProtocolDriver(topo, tasks,
+                                preemption=PreemptionPolicy.PROSPECTIVE)
+        result = driver.run()
+        killed = {fs.flow.flow_id for fs in result.flow_states
+                  if fs.status is FlowStatus.TERMINATED}
+        installed = {m.flow_id for m in driver.transcript.of_type(InstallEntry)}
+        assert killed & installed, "the run must preempt an installed flow"
+        assert all(len(sw.table) == 0 for sw in driver.switches.values())
+
     def test_rejected_tasks_get_no_installs(self, small_run):
         driver, result = small_run
         installed = {m.flow_id for m in driver.transcript.of_type(InstallEntry)}

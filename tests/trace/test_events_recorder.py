@@ -94,11 +94,15 @@ class TestRecorder:
             rec.emit(ev)
         path = rec.to_jsonl(tmp_path / "trace.jsonl")
         loaded = load_jsonl(path)
-        assert loaded.schema == SCHEMA_VERSION
+        assert isinstance(loaded, TraceRecorder)
         assert loaded.meta == {"scheduler": "TAPS", "priority": "edf_sjf"}
         assert loaded.emitted == 5
         assert not loaded.truncated
         assert loaded.events == rec.events
+        # a loaded trace re-serializes to the file's bytes, header included
+        assert loaded.dumps() == path.read_text()
+        header = json.loads(loaded.dumps().splitlines()[0])
+        assert header["schema"] == SCHEMA_VERSION
 
     def test_dumps_is_deterministic(self):
         def build():
@@ -118,6 +122,20 @@ class TestRecorder:
             load_jsonl(['{"kind":"task-arrival"}'])
         with pytest.raises(ValueError, match="unsupported trace schema"):
             load_jsonl(['{"kind":"trace-header","schema":999}'])
+
+    @pytest.mark.parametrize("field,value", [
+        ("meta", 5), ("emitted", "many"), ("dropped", True),
+    ])
+    def test_load_rejects_a_mistyped_header_field(self, field, value):
+        """A header field of the wrong JSON type is a load error, not a
+        ``TypeError`` once the audit or the report reads it."""
+        lines = _sample_lines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError,
+                           match=f"malformed trace header: '{field}'"):
+            load_jsonl(lines)
 
     def test_load_rejects_non_json_event_line(self):
         lines = _sample_lines()
