@@ -12,8 +12,8 @@ On every task arrival the controller:
    whatever the rest of ``Ftmp`` does;
 3. applies the :class:`~repro.core.reject.RejectRule`; on *discard-victim*
    the trial repeats without the victim's flows.  The victim is killed
-   only when the new task commits, so if the new task is refused anyway
-   (e.g. by the flow-table limit) the victim keeps its plans;
+   only when the new task commits, so if the retry still misses and the
+   new task is refused, the victim keeps its plans;
 4. on acceptance commits the trial (plans + ledger); on rejection drops it
    — in-flight flows keep their previous slices untouched, and the rejected
    task never sends a byte.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heapreplace
 
 from repro.core.allocation import (
@@ -105,12 +105,6 @@ class TapsScheduler(Scheduler):
         Transmission slices are only allocated from ``now + latency``;
         reallocation of in-flight flows likewise pauses them for one
         RTT (a conservative model of rule installation delay).
-    flow_table_limit:
-        §IV-C's switch constraint: "only the first 1k entries are
-        installed on a particular switch."  When set, a task whose
-        admission would put more than this many concurrently-planned
-        flows through any one switch is rejected.  ``None`` (default)
-        models unconstrained tables, like the paper's simulations.
     reallocate_inflight:
         Alg. 1 re-path-calculates *all* of ``Ftmp`` on each arrival —
         in-flight flows may move to new slices and paths (the paper's
@@ -159,19 +153,15 @@ class TapsScheduler(Scheduler):
         preemption: PreemptionPolicy = PreemptionPolicy.PROGRESS,
         batch_window: float = 0.0,
         control_latency: float = 0.0,
-        flow_table_limit: int | None = None,
         reallocate_inflight: bool = True,
         priority: str = "edf_sjf",
     ) -> None:
         super().__init__()
         if batch_window < 0 or control_latency < 0:
             raise ValueError("batch_window/control_latency must be >= 0")
-        if flow_table_limit is not None and flow_table_limit < 1:
-            raise ValueError("flow_table_limit must be >= 1")
         self.rule = RejectRule(preemption)
         self.batch_window = batch_window
         self.control_latency = control_latency
-        self.flow_table_limit = flow_table_limit
         self.reallocate_inflight = reallocate_inflight
         if priority not in PRIORITY_KEYS:
             raise ValueError(
@@ -181,7 +171,6 @@ class TapsScheduler(Scheduler):
         self._priority_key = PRIORITY_KEYS[priority]
         self.trace: TraceRecorder | None = None
         self.telemetry: MetricsRegistry | None = None
-        self._switch_of_link: dict[int, str] = {}
         self.stats = TapsStats()
         self.ledger = self._new_ledger()
         self.plans = {}
@@ -222,10 +211,6 @@ class TapsScheduler(Scheduler):
         self._down_links = frozenset()
         self._accepted_flows = {}
         self._capacity = topology.uniform_capacity()
-        switch_set = set(topology.switches)
-        self._switch_of_link = {
-            link.index: link.src for link in topology.links if link.src in switch_set
-        }
         if self.trace is not None:
             # trace identity: what the auditor needs to pick invariants.
             # Deliberately excludes the implementation — decision-equal
@@ -264,12 +249,9 @@ class TapsScheduler(Scheduler):
         if tel is None:
             return
         s = self.stats
-        for name in (
-            "tasks_accepted", "tasks_rejected", "tasks_preempted",
-            "reallocations", "backstop_kills", "flows_planned",
-            "fault_reroutes", "tasks_dropped_on_fault",
-        ):
-            tel.counter("controller/" + name).inc(getattr(s, name))
+        for f in fields(TapsStats):
+            if f.name != "profile":
+                tel.counter("controller/" + f.name).inc(getattr(s, f.name))
         s.profile.publish_to(tel)
 
     # -- decision tracing ---------------------------------------------------
@@ -380,10 +362,6 @@ class TapsScheduler(Scheduler):
                 )
 
             if decision.decision is Decision.ACCEPT:
-                if not self._tables_fit(trial_plans, frozen):
-                    # §IV-C: some switch would exceed its install budget
-                    self._reject(task_state, now, "table-limit", ledger)
-                    return
                 with self._span("commit"):
                     ledger.commit_trial()
                     self._commit(task_state, {**frozen, **trial_plans},
@@ -412,9 +390,9 @@ class TapsScheduler(Scheduler):
             # DISCARD_VICTIM (full Alg. 1 only: an incremental trial plans
             # the newcomer alone, so every miss is its own): retry without
             # the victim's flows.  The kill is DEFERRED to commit time — if
-            # the newcomer ends up rejected anyway (e.g. by the table
-            # limit), the victim's committed plans were never touched and
-            # it survives intact.
+            # the retry still misses and the newcomer is refused, the
+            # victim's committed plans were never touched and it survives
+            # intact.
             assert decision.victim_task_id is not None
             self._emit(TrialRollback(
                 now, task_id=task_id, attempt=attempt,
@@ -574,26 +552,6 @@ class TapsScheduler(Scheduler):
             clause=clause, missing=missing, lateness=lateness,
             victim_ratio=victim_ratio, new_ratio=new_ratio,
         ))
-
-    def _tables_fit(
-        self, trial_plans: dict[int, FlowPlan], frozen: dict[int, FlowPlan]
-    ) -> bool:
-        """Whether every switch's concurrent planned-flow count fits its
-        install budget (``flow_table_limit``), counting the trial's plans
-        together with the ``frozen`` committed ones."""
-        if self.flow_table_limit is None:
-            return True
-        per_switch: dict[str, int] = {}
-        for plan in {**frozen, **trial_plans}.values():
-            if not plan.flow_state.active:
-                continue
-            for sw in {self._switch_of_link[link] for link in plan.path
-                       if link in self._switch_of_link}:
-                count = per_switch.get(sw, 0) + 1
-                if count > self.flow_table_limit:
-                    return False
-                per_switch[sw] = count
-        return True
 
     # -- sender model (paper §IV-D) -------------------------------------------
     #

@@ -41,8 +41,6 @@ REASON_TEXT = {
                         "(admission latency)",
     "unreachable": "no usable path existed between the endpoints",
     "would-miss": "the trial allocation missed at least one deadline",
-    "table-limit": "some switch would carry more planned flows than "
-                   "its flow-table limit (§IV-C install budget)",
 }
 
 

@@ -29,6 +29,9 @@ from repro.sim.state import TaskState
 
 #: the clamp D2TCP applies to its deadline factor
 D_MIN, D_MAX = 0.5, 2.0
+#: how far ahead the next weight refresh falls, as a fraction of the
+#: most urgent flow's remaining slack
+REFRESH_FRACTION = 0.125
 
 
 class D2TCP(Scheduler):
@@ -36,18 +39,12 @@ class D2TCP(Scheduler):
 
     Real D2TCP re-evaluates its gamma factor every RTT; the fluid model
     mirrors that by scheduling a rate-refresh change point a fraction of
-    the most urgent flow's remaining slack ahead (parameter
-    ``refresh_fraction``), so a flow that falls behind sees its weight —
-    and share — grow over time.
+    the most urgent flow's remaining slack ahead
+    (:data:`REFRESH_FRACTION`), so a flow that falls behind sees its
+    weight — and share — grow over time.
     """
 
     name = "D2TCP"
-
-    def __init__(self, refresh_fraction: float = 0.125) -> None:
-        super().__init__()
-        if not 0 < refresh_fraction <= 1:
-            raise ValueError("refresh_fraction must be in (0, 1]")
-        self.refresh_fraction = refresh_fraction
 
     def on_task_arrival(self, task_state: TaskState, now: float) -> None:
         task_state.accepted = True
@@ -61,7 +58,7 @@ class D2TCP(Scheduler):
         ]
         if not slacks:
             return None
-        return now + max(min(slacks) * self.refresh_fraction, 1e-6)
+        return now + max(min(slacks) * REFRESH_FRACTION, 1e-6)
 
     def deadline_factor(self, fs, now: float, capacity: float) -> float:
         """``d = Tc/D`` clamped to [0.5, 2] (the D2TCP paper's bounds)."""

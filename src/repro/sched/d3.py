@@ -30,29 +30,12 @@ from repro.sim.state import TaskState
 class D3(Scheduler):
     """Greedy FCFS deadline-rate allocation with leftover fair share.
 
-    Parameters
-    ----------
-    allocation_period:
-        Real D3 renegotiates rates once per RTT, not continuously; when
-        set, the fluid model schedules a rate-refresh change point every
-        ``allocation_period`` seconds (requests use the then-current
-        remaining size and slack).  ``None`` (default) refreshes only on
-        events — the idealised instantaneous-signalling model, slightly
-        *stronger* than deployable D3 (see docs/baselines.md).
+    Real D3 renegotiates rates once per RTT; this fluid model refreshes
+    them only on events — the idealised instantaneous-signalling model,
+    slightly *stronger* than deployable D3 (see docs/baselines.md).
     """
 
     name = "D3"
-
-    def __init__(self, allocation_period: float | None = None) -> None:
-        super().__init__()
-        if allocation_period is not None and allocation_period <= 0:
-            raise ValueError("allocation_period must be positive")
-        self.allocation_period = allocation_period
-
-    def next_change(self, now: float) -> float | None:
-        if self.allocation_period is None or not self.active_flows:
-            return None
-        return now + self.allocation_period
 
     def on_task_arrival(self, task_state: TaskState, now: float) -> None:
         task_state.accepted = True

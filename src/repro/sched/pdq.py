@@ -30,8 +30,6 @@ class PDQ(Scheduler):
 
     Parameters
     ----------
-    early_termination:
-        Kill flows that cannot meet their deadline even alone (default on).
     flow_list_limit:
         Per-switch flow-list capacity; flows beyond it are paused at that
         switch.  ``None`` = unbounded.
@@ -39,13 +37,8 @@ class PDQ(Scheduler):
 
     name = "PDQ"
 
-    def __init__(
-        self,
-        early_termination: bool = True,
-        flow_list_limit: int | None = None,
-    ) -> None:
+    def __init__(self, flow_list_limit: int | None = None) -> None:
         super().__init__()
-        self.early_termination = early_termination
         self.flow_list_limit = flow_list_limit
         self._switch_of_link: dict[int, str] = {}
 
@@ -69,18 +62,17 @@ class PDQ(Scheduler):
         links = self.topology.links
 
         # Early Termination: hopeless even at full rate, alone
-        if self.early_termination:
-            doomed: list[FlowState] = []
-            for fs in flows:
-                cap = min(links[link].capacity for link in fs.path)  # type: ignore[union-attr]
-                if fs.remaining > (fs.flow.deadline - now) * cap + 1e-6:
-                    doomed.append(fs)
-            for fs in doomed:
-                fs.kill(FlowStatus.TERMINATED)
-                self._drop(fs)
-            flows = self.active_flows
-            if not flows:
-                return
+        doomed: list[FlowState] = []
+        for fs in flows:
+            cap = min(links[link].capacity for link in fs.path)  # type: ignore[union-attr]
+            if fs.remaining > (fs.flow.deadline - now) * cap + 1e-6:
+                doomed.append(fs)
+        for fs in doomed:
+            fs.kill(FlowStatus.TERMINATED)
+            self._drop(fs)
+        flows = self.active_flows
+        if not flows:
+            return
 
         busy: set[int] = set()
         slots: dict[str, int] = {}
@@ -100,9 +92,3 @@ class PDQ(Scheduler):
             else:
                 fs.rate = min(links[link].capacity for link in path)
                 busy.update(path)
-
-    def on_deadline_expired(self, fs: FlowState, now: float) -> None:
-        # With ET on, a flow is killed before its deadline ever fires; this
-        # is the backstop for early_termination=False.
-        fs.kill(FlowStatus.TERMINATED)
-        self._drop(fs)

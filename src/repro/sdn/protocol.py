@@ -26,7 +26,7 @@ from repro.sdn.messages import (
     WithdrawEntry,
 )
 from repro.sdn.server import SenderAgent
-from repro.sdn.switch import SdnSwitch
+from repro.sdn.switch import FlowTable, SdnSwitch
 from repro.sim.engine import Engine, SimulationResult
 from repro.sim.state import FlowState, TaskState
 from repro.workload.flow import Task
@@ -95,11 +95,9 @@ class ProtocolDriver:
         self.tasks = tasks
         self.transcript = ProtocolTranscript()
         self.switches = {
-            name: SdnSwitch(name=name) for name in topology.switches
+            name: SdnSwitch(name, table=FlowTable(table_capacity, install_limit))
+            for name in topology.switches
         }
-        for sw in self.switches.values():
-            sw.table.capacity = table_capacity
-            sw.table.install_limit = install_limit
         capacity = topology.uniform_capacity()
         self.senders = {h: SenderAgent(host=h, capacity=capacity) for h in topology.hosts}
         self._emitted: dict[int, tuple] = {}

@@ -159,7 +159,7 @@ class AuditReport:
             lines.append(f"  {self.first_violation}")
             for v in self.violations[1:6]:
                 lines.append(f"  {v}")
-            if len(self.violations) > 7:
+            if len(self.violations) > 6:
                 lines.append(f"  ... and {len(self.violations) - 6} more")
         for kind in sorted(self.counts):
             lines.append(f"  {self.counts[kind]:>7d}  {kind}")
@@ -321,7 +321,7 @@ class _Auditor:
 
     def _check_reject(self, ev) -> None:
         if ev.reason != "would-miss":
-            return  # outside the three-clause rule (outage / latency / tables)
+            return  # outside the three-clause rule (outage / latency)
         if ev.clause not in (1, 2, 3):
             self.flag(
                 "reject-rule", ev,

@@ -175,8 +175,7 @@ class TaskReject(TraceEvent):
 
     ``reason`` is ``deadline-expired`` (dead on arrival, control latency
     included), ``unreachable`` (some new flow has no usable path — an
-    outage), ``would-miss`` (the trial allocation missed deadlines) or
-    ``table-limit`` (a switch's install budget would be exceeded).
+    outage) or ``would-miss`` (the trial allocation missed deadlines).
     ``clause`` is the reject-rule clause that fired for ``would-miss``
     (1 = several tasks missing, 2 = the new task's own flows missing,
     3 = single-victim ratio comparison lost), ``None`` for rejections

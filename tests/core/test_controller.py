@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.controller import TapsScheduler
-from repro.core.reject import PreemptionPolicy
+from repro.core.reject import (
+    Decision,
+    PreemptionPolicy,
+    RejectDecision,
+    RejectRule,
+)
 from repro.sim.engine import Engine
 from repro.sim.state import FlowStatus, TaskOutcome
 from repro.trace import TraceRecorder
@@ -158,6 +163,44 @@ class TestPreemption:
     def test_never_policy_rejects_newcomer(self):
         topo, tasks = self._victim_scenario()
         result, sched = _run(topo, tasks, preemption=PreemptionPolicy.NEVER)
+        by_tid = {ts.task.task_id: ts for ts in result.task_states}
+        assert by_tid[0].outcome is TaskOutcome.COMPLETED
+        assert by_tid[1].accepted is False
+
+    def test_refused_retry_leaves_victim_untouched(self):
+        """The victim dies only when the newcomer commits: a retry that
+        still refuses the newcomer leaves the victim's plans in force.
+        The rule is stubbed — no natural workload was found where a retry
+        without the victim still misses."""
+
+        class DiscardThenRefuse(RejectRule):
+            discarded = False
+
+            def evaluate(self, plans, new_task, task_states):
+                if new_task.task.task_id == 0:
+                    return super().evaluate(plans, new_task, task_states)
+                if not self.discarded:
+                    self.discarded = True
+                    return RejectDecision(
+                        Decision.DISCARD_VICTIM, victim_task_id=0, clause=3,
+                        victim_ratio=0.0, new_ratio=1.0,
+                    )
+                return RejectDecision(Decision.REJECT_NEW, clause=3)
+
+        topo = dumbbell(2)
+        tasks = [
+            make_task(0, 0.0, 10.0, [("L0", "R0", 2.0)], 0),
+            make_task(1, 0.5, 10.0, [("L1", "R1", 1.0)], 1),
+        ]
+        rec = TraceRecorder()
+        sched = TapsScheduler()
+        sched.rule = DiscardThenRefuse()
+        result = Engine(topo, tasks, sched, trace=rec).run()
+        decisions = [ev.kind for ev in rec.events
+                     if ev.kind in ("trial-rollback", "task-reject",
+                                    "preemption")]
+        assert decisions == ["trial-rollback", "task-reject"]
+        assert sched.stats.tasks_preempted == 0
         by_tid = {ts.task.task_id: ts for ts in result.task_states}
         assert by_tid[0].outcome is TaskOutcome.COMPLETED
         assert by_tid[1].accepted is False

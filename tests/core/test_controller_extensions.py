@@ -129,9 +129,9 @@ class TestCombined:
         assert sched.stats.backstop_kills == 0
 
 class TestFlowTableLimit:
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            TapsScheduler(flow_table_limit=0)
+    """§IV-C's install limit is modelled by :class:`repro.sdn.FlowTable`
+    alone: the controller plans any number of concurrent flows through a
+    switch."""
 
     def test_unconstrained_by_default(self):
         topo = dumbbell(4)
@@ -141,33 +141,6 @@ class TestFlowTableLimit:
         ]
         result = Engine(topo, tasks, TapsScheduler()).run()
         assert result.tasks_completed == 4
-
-    def test_tight_table_rejects_excess_concurrency(self):
-        """With a 2-entry budget at each switch, only two concurrent flows
-        can be planned through the shared dumbbell switches."""
-        topo = dumbbell(4)
-        tasks = [
-            make_task(i, 0.0, 20.0, [(f"L{i}", f"R{i}", 1.0)], i)
-            for i in range(4)
-        ]
-        sched = TapsScheduler(flow_table_limit=2)
-        result = Engine(topo, tasks, sched).run()
-        accepted = [ts for ts in result.task_states if ts.accepted]
-        assert len(accepted) == 2
-        assert sched.stats.tasks_rejected == 2
-        for ts in accepted:
-            assert ts.outcome is TaskOutcome.COMPLETED
-
-    def test_completions_free_table_slots(self):
-        """A task arriving after earlier flows complete reuses their
-        table entries."""
-        topo = dumbbell(2)
-        tasks = [
-            make_task(0, 0.0, 5.0, [("L0", "R0", 1.0)], 0),
-            make_task(1, 2.0, 7.0, [("L1", "R1", 1.0)], 1),
-        ]
-        result = Engine(topo, tasks, TapsScheduler(flow_table_limit=1)).run()
-        assert result.tasks_completed == 2
 
 
 class TestIncrementalAdmission:

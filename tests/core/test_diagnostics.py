@@ -58,16 +58,6 @@ class TestDiagnostics:
         assert d.missing == ((0, 0),)
         assert d.time == pytest.approx(1.5)
 
-    def test_table_limit_reason(self):
-        topo = dumbbell(2)
-        tasks = [
-            make_task(0, 0.0, 20.0, [("L0", "R0", 1.0)], 0),
-            make_task(1, 0.0, 20.0, [("L1", "R1", 1.0)], 1),
-        ]
-        (d,) = _rejects(topo, tasks, TapsScheduler(flow_table_limit=1))
-        assert d.reason == "table-limit"
-        assert d.task_id == 1
-
     def test_accepted_tasks_leave_no_diagnostics(self):
         topo = dumbbell(2)
         tasks = [make_task(i, 0.0, 10.0, [(f"L{i}", f"R{i}", 1.0)], i)

@@ -4,7 +4,7 @@ Hypothesis draws small workloads on the k=4 fat-tree and the small
 single-rooted tree — traffic packed onto a block of a few hosts or spread
 over all of them, up to three link outages, and every controller knob
 (batch window, control latency, preemption policy, ``Ftmp`` priority,
-incremental admission, switch table limit).  Each case runs through
+incremental admission).  Each case runs through
 :class:`~repro.core.controller.TapsScheduler` and
 :class:`~repro.core.reference.ReferenceTaps`, which share only Alg. 1's
 plumbing, and must produce byte-identical decision traces, identical
@@ -81,7 +81,6 @@ def cases(draw):
         preemption=draw(st.sampled_from(list(PreemptionPolicy))),
         priority=draw(st.sampled_from(sorted(PRIORITY_KEYS))),
         reallocate_inflight=draw(st.booleans()),
-        flow_table_limit=draw(st.sampled_from([None, None, 8, 24])),
     )
     return topo, tasks, faults, draw(st.integers(1, 8)), knobs
 

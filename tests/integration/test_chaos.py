@@ -1,7 +1,7 @@
 """Chaos testing: random workloads × random faults × random TAPS configs.
 
 Whatever combination of batch windows, control latency, preemption
-policy, flow-table limits and link outages is thrown at the controller,
+policy and link outages is thrown at the controller,
 the load-bearing invariants must hold:
 
 * the run terminates with every flow in a terminal state;
@@ -52,7 +52,6 @@ def chaos_case(draw):
         preemption=draw(st.sampled_from(list(PreemptionPolicy))),
         batch_window=draw(st.sampled_from([0.0, 0.05, 0.3])),
         control_latency=draw(st.sampled_from([0.0, 0.02])),
-        flow_table_limit=draw(st.sampled_from([None, 2, 4])),
         reallocate_inflight=draw(st.booleans()),
         priority=draw(st.sampled_from(["edf_sjf", "edf", "fifo"])),
     )

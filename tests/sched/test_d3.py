@@ -95,27 +95,7 @@ def test_admits_every_task():
 
 
 class TestAllocationPeriod:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            D3(allocation_period=0)
+    """D3 renegotiates rates on events only: no periodic refresh."""
 
     def test_default_no_change_points(self):
         assert D3().next_change(5.0) is None
-
-    def test_periodic_refresh_updates_requests(self):
-        """With periodic renegotiation a flow's request grows as its
-        slack shrinks; behaviour converges to the event-driven model."""
-        topo = dumbbell(2)
-        tasks = [
-            make_task(0, 0.0, 4.0, [("L0", "R0", 2.0)], 0),
-            make_task(1, 0.0, 8.0, [("L1", "R1", 2.0)], 1),
-        ]
-        ideal = Engine(topo, tasks, D3()).run()
-        rtt = Engine(topo, tasks, D3(allocation_period=0.05)).run()
-        # both complete everything; the periodic variant does more work
-        assert ideal.flows_met == rtt.flows_met == 2
-        assert rtt.counters.rate_recomputes > ideal.counters.rate_recomputes
-
-    def test_refresh_stops_when_idle(self):
-        sched = D3(allocation_period=0.1)
-        assert sched.next_change(0.0) is None  # no active flows yet

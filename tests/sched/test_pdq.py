@@ -77,15 +77,6 @@ def test_early_termination_frees_bandwidth_for_feasible_flow():
     assert by_id[1].status is FlowStatus.TERMINATED
 
 
-def test_no_early_termination_variant():
-    topo = dumbbell(1)
-    tasks = [make_task(0, 0.0, 5.0, [("L0", "R0", 10.0)], 0)]
-    result = Engine(topo, tasks, PDQ(early_termination=False)).run()
-    fs = result.flow_states[0]
-    # transmits until the deadline kills it
-    assert fs.bytes_sent == pytest.approx(5.0)
-
-
 def test_disjoint_paths_run_concurrently():
     topo, tasks = fig3_trace()
     result = Engine(topo, tasks, PDQ()).run()

@@ -12,6 +12,7 @@ from repro.sdn.messages import (
 )
 from repro.sdn.protocol import ProtocolDriver
 from repro.sdn.server import SenderAgent
+from repro.util.errors import ConfigurationError
 from repro.util.units import Gbps
 from repro.workload.flow import make_task
 from repro.workload.traces import testbed_trace as make_testbed_trace
@@ -108,6 +109,13 @@ class TestTableLimits:
         # with one entry per switch, concurrent flows through a shared
         # switch must overflow at least once
         assert driver.transcript.installs_refused > 0
+
+    def test_install_limit_above_capacity_refused(self):
+        """The driver builds its tables through FlowTable, so it refuses
+        the same limits FlowTable does."""
+        topo, tasks = make_testbed_trace(num_flows=4, seed=6)
+        with pytest.raises(ConfigurationError):
+            ProtocolDriver(topo, tasks, table_capacity=10, install_limit=50)
 
 
 class TestSenderAgent:

@@ -3,6 +3,7 @@ traces — a clean run passes; each seeded corruption is pinned to the
 invariant that must catch it."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.net.fattree import FatTree
 from repro.net.paths import PathService
 from repro.sim.engine import Engine
 from repro.trace import (
+    AuditReport,
     FlowCompleted,
     PlanRecord,
     Preemption,
@@ -24,6 +26,7 @@ from repro.trace import (
     TraceRecorder,
     TrialBegin,
     TrialRollback,
+    Violation,
     audit_events,
     audit_trace,
 )
@@ -114,6 +117,19 @@ class TestCleanTraces:
         report = audit_trace(rec)
         assert report.truncated
         assert "unsound" in report.summary()
+
+
+class TestSummary:
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_every_violation_is_listed_or_counted(self, n):
+        """The summary lists the first six violations and counts the
+        rest, so none goes unmentioned."""
+        violations = [Violation(f"inv-{i}", i, float(i), f"breach {i}")
+                      for i in range(n)]
+        text = AuditReport(events_audited=n, violations=violations).summary()
+        listed = sum(str(v) in text for v in violations)
+        more = re.search(r"\.\.\. and (\d+) more", text)
+        assert listed + (int(more.group(1)) if more else 0) == n
 
 
 class TestCorruptedPlans:
