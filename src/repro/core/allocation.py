@@ -32,6 +32,7 @@ from repro.util.errors import AllocationError
 from repro.util.intervals import (
     IntervalSet,
     occupied_first_fit_pair,
+    occupied_first_fit_walk,
     occupied_fit_end_pair,
     up,
 )
@@ -90,16 +91,24 @@ def time_allocation(
     :class:`~repro.util.errors.AllocationError`.  Alg. 2 calls it for a
     flow with a single candidate path; a multi-candidate winner is sliced
     straight from the two folds it was scored on.
+
+    Lines 1–5 (union, complement, first fit) are one walk over the path's
+    occupied lists (:func:`~repro.util.intervals.occupied_first_fit_walk`),
+    which never builds the union; the busy intervals it steps over count
+    in the ledger's ``intervals_scanned``.
     """
+    stepped = [0]
     try:
-        bounds = occupied_first_fit_pair(
-            ledger.union_for(path)._b, [], duration, release, horizon
+        bounds = occupied_first_fit_walk(
+            ledger.occupied_lists(path), duration, release, horizon, stepped
         )
     except ValueError as exc:
         raise AllocationError(
             f"horizon {horizon:g} too small for duration {duration:g} "
             f"after t={release:g}"
         ) from exc
+    finally:
+        ledger._profile.intervals_scanned += stepped[0]
     slices = IntervalSet._from_boundaries(bounds)
     return slices, slices.end()
 
@@ -209,7 +218,8 @@ def path_calculation(
     the candidate counts; without one they go to a private instance.
 
     A single-candidate flow goes straight to Alg. 3
-    (:func:`time_allocation`).  Otherwise the winner is picked by group
+    (:func:`time_allocation`), which walks its path's occupied lists
+    without merging them.  Otherwise the winner is picked by group
     (:func:`_best_candidate`) and sliced by one fused scan over its two
     folds (:func:`~repro.util.intervals.occupied_first_fit_pair`), which
     computes the literal ``union → complement → first_fit`` slices

@@ -8,8 +8,15 @@ admission plans on the live ledger around the committed plans.
 
 Every list the ledger holds is only ever *rebound*, never mutated in
 place: a commit builds each link's new list, and folds may hand out a
-link's own list without copying.  Four mechanisms keep Alg. 2's inner
+link's own list without copying.  Five mechanisms keep Alg. 2's inner
 loop cheap (all exact):
+
+**Unique paths build no union.**  A flow with a single candidate path is
+allocated by Alg. 3 straight from its links' own lists
+(:meth:`OccupancyLedger.occupied_lists`), walked by bisection
+(:func:`~repro.util.intervals.occupied_first_fit_walk`): nothing is
+merged, so the cost follows the idle gaps the fit visits, not the
+lengths of the busiest links' lists.
 
 **Folds without copies.**  Alg. 2 scores a candidate path from two partial
 folds: the links it shares with the other members of its candidate group
@@ -23,14 +30,14 @@ routed through them, so their folds are cached across flows, and
 cached folds that include a changed link, via a link → cached-segments
 reverse index.  Alg. 2 asks for a segment only for a candidate its group
 bound did not skip, so the cache sees fewer lookups, hits and misses
-than a scan of every candidate would make.  Full-path unions
-(:meth:`~OccupancyLedger.union_for`) are not cached: Alg. 3 asks for one
-only right before committing on that path, which would evict it at once.
+than a scan of every candidate would make.
 
 **Spliced commits.**  A commit's slices are idle time on every link of
 its path, so :func:`~repro.util.intervals.splice_boundaries` inserts them
 into each link's list by bisection, coalescing touching ends; a slice
-that overlaps a link's occupancy falls back to the general merge.
+that overlaps a link's occupancy falls back to the general merge.  A plan
+that starts at or after a link's last boundary, the common case, is
+appended by concatenation.
 
 **Trial journal.**  :meth:`~OccupancyLedger.begin_trial` records each
 link's boundary list lazily on first touch (by reference: the list is
@@ -60,11 +67,13 @@ class OccupancyLedger:
     ----------
     profile:
         The :class:`~repro.obs.hotpath.HotPathCounters` that receives
-        union-cache hits/misses, intervals scanned and rolled-back trials;
-        without one they go to a private instance.
+        segment-cache hits/misses and rolled-back trials (and, from Alg. 3,
+        the busy intervals its walk steps over); without one they go to a
+        private instance.
 
-    Note: :meth:`occupied`, :meth:`fold` and :meth:`segment_fold` share
-    the ledger's own boundary lists for zero-copy reads — callers must
+    Note: :meth:`occupied`, :meth:`occupied_lists`, :meth:`fold` and
+    :meth:`segment_fold` share the ledger's own boundary lists for
+    zero-copy reads — callers must
     not mutate them in place, or cached folds and the journal go stale
     (``IntervalSet`` operations never do: they rebind).
     """
@@ -102,26 +111,15 @@ class OccupancyLedger:
                 acc = merge_boundaries(acc, b) if acc else b
         return acc
 
-    def union_for(self, path: Path) -> IntervalSet:
-        """``T_ocp`` — union of occupied sets along a path (Alg. 3 lines 1–4).
+    def occupied_lists(self, path: Path) -> list[list[float]]:
+        """The boundary lists of ``path``'s occupied links, in path order.
 
-        Folded like :meth:`fold`, so no list is copied; ``IntervalSet``
-        operations rebind, so the caller may still ``add`` to it.  Counted
-        as one union-cache miss (full-path unions are never cached; see
-        the module docstring), plus the intervals it folds.
+        The ledger's own lists, not copies (merge or scan input only), and
+        neither cached nor counted: Alg. 3 walks them without building
+        their union (:func:`~repro.util.intervals.occupied_first_fit_walk`).
         """
         occ = self._occ
-        acc: list[float] = []
-        scanned = 0
-        for link in path:
-            b = occ.get(link)
-            if b:
-                scanned += len(b)
-                acc = merge_boundaries(acc, b) if acc else b
-        profile = self._profile
-        profile.union_cache_misses += 1
-        profile.intervals_scanned += scanned >> 1
-        return IntervalSet._from_boundaries(acc)
+        return [b for link in path if (b := occ.get(link))]
 
     def segment_fold(self, seg: Path) -> list[float]:
         """The fold of an interior segment, cached for two or more links.

@@ -11,16 +11,23 @@ Subclasses (:class:`~repro.net.trees.SingleRootedTree`,
 :class:`~repro.net.fattree.FatTree`, …) build their structure in
 ``__init__`` via :meth:`add_host` / :meth:`add_switch` / :meth:`add_cable`
 and may override :meth:`candidate_paths` with topology-aware enumeration.
+
+networkx is imported only by the generic path search (:meth:`graph` and
+the methods built on it), which the structured topologies never reach:
+they enumerate their paths in closed form, so a run on one of them does
+not load it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.net.link import Link
 from repro.util.errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Path = tuple[int, ...]
 """A path is a tuple of link indices from source host to destination host."""
@@ -142,6 +149,8 @@ class Topology:
 
     def graph(self) -> nx.DiGraph:
         """A networkx view of the topology (cached; rebuild on mutation)."""
+        import networkx as nx
+
         if self._graph_cache is None:
             g = nx.DiGraph()
             g.add_nodes_from(self._hosts, kind="host")
@@ -159,6 +168,8 @@ class Topology:
 
     def shortest_path(self, src: str, dst: str) -> Path:
         """One shortest path (hop count) from ``src`` to ``dst``."""
+        import networkx as nx
+
         try:
             nodes = nx.shortest_path(self.graph(), src, dst)
         except nx.NetworkXNoPath:
@@ -173,6 +184,8 @@ class Topology:
         networkx; structured topologies override this with closed-form
         enumeration (fat-tree core choice, etc.) for speed.
         """
+        import networkx as nx
+
         if src == dst:
             raise TopologyError(f"src == dst == {src!r}")
         gen = nx.all_shortest_paths(self.graph(), src, dst)
@@ -192,6 +205,8 @@ class Topology:
         O(hosts²) reachability via one BFS per host on the condensed graph;
         intended for tests and small topologies, not the 36k-server tree.
         """
+        import networkx as nx
+
         g = self.graph()
         for h in self._hosts:
             reach = nx.descendants(g, h)

@@ -6,14 +6,13 @@ and for each flow it evaluates every candidate path against the per-link
 occupancy sets.  :class:`HotPathCounters` counts some of the work that
 loop does — how often the :class:`~repro.core.occupancy.OccupancyLedger`
 segment cache hits, how many candidate paths the exact lower bounds skip,
-how many occupancy intervals ``OccupancyLedger.union_for`` reads — so
-benchmarks report *work done*, not just elapsed seconds, and optimisation
-work has a trajectory to beat.  The interval count is narrow: only flows
-with a single candidate path reach ``union_for``, so the group and
-segment folds and the splices inside commits, most of Alg. 2's merge
-work, are not in it.  The counters hold no time: two runs of one workload
-give equal counts.  Where time goes is the job of telemetry spans, the
-only timer.
+how many busy intervals Alg. 3's walk steps over — so benchmarks report
+*work done*, not just elapsed seconds, and optimisation work has a
+trajectory to beat.  The interval count is narrow: only flows with a
+single candidate path are walked, so the group and segment folds and the
+splices inside commits, most of Alg. 2's merge work, are not in it.  The
+counters hold no time: two runs of one workload give equal counts.  Where
+time goes is the job of telemetry spans, the only timer.
 
 One instance lives on :class:`~repro.core.controller.TapsStats` (as
 ``stats.profile``); the controller hands it to every ledger it creates
@@ -41,19 +40,21 @@ class HotPathCounters:
     ----------
     union_cache_hits, union_cache_misses:
         Interior-segment folds served from / missing the ledger's segment
-        cache (``OccupancyLedger.segment_fold``).  Every
-        ``OccupancyLedger.union_for`` call also counts as a miss:
-        full-path unions are never cached.  Alg. 2 asks for a candidate's
-        interior fold only after its group's bound failed to skip it, so
-        group-bound skips are lookups never made: they lower both counts,
-        hits more than misses.
+        cache (``OccupancyLedger.segment_fold``), so only flows with
+        several candidate paths count: a single-candidate flow builds no
+        union at all.  Alg. 2 asks for a candidate's interior fold only
+        after its group's bound failed to skip it, so group-bound skips
+        are lookups never made: they lower both counts, hits more than
+        misses.
     intervals_scanned:
-        Occupancy intervals fed into ``OccupancyLedger.union_for``'s
-        full-path folds, which Alg. 3 runs only for a flow with a single
-        candidate path.  Multi-candidate flows are scored from group and
-        segment folds and sliced straight from the winner's two folds,
-        and commits splice into the per-link lists: none of those merges
-        is counted.
+        Busy intervals that Alg. 3's walk
+        (:func:`~repro.util.intervals.occupied_first_fit_walk`) stepped
+        its cursor over, over all of a single-candidate path's occupied
+        links: a measure of the walk's work, which follows the idle gaps
+        it visits, not the lengths of the lists it bisects.
+        Multi-candidate flows are scored from group and segment folds and
+        sliced straight from the winner's two folds, and commits splice
+        into the per-link lists: none of those is counted.
     candidates_evaluated:
         Candidate paths considered by Alg. 2's multi-path comparison
         (single-candidate flows skip the comparison and are not counted).
@@ -88,8 +89,8 @@ class HotPathCounters:
 
     @property
     def union_cache_hit_rate(self) -> float:
-        """Fraction of segment-fold and full-path union requests served
-        from the cache (``union_for`` requests always miss)."""
+        """Fraction of interior-segment fold requests served from the
+        cache."""
         total = self.union_cache_hits + self.union_cache_misses
         return self.union_cache_hits / total if total else 0.0
 

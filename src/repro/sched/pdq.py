@@ -44,10 +44,13 @@ class PDQ(Scheduler):
 
     def attach(self, topology, paths) -> None:
         super().attach(topology, paths)
+        if self.flow_list_limit is None:
+            return  # the map serves only the flow-list limit
         # a flow "occupies a slot" at the switch that forwards it, i.e. the
         # source node of each link it traverses that is a switch
+        switches = set(topology.switches)
         self._switch_of_link = {
-            link.index: link.src for link in topology.links if link.src in set(topology.switches)
+            link.index: link.src for link in topology.links if link.src in switches
         }
 
     def on_task_arrival(self, task_state: TaskState, now: float) -> None:

@@ -354,10 +354,17 @@ def splice_boundaries(a: list[float], b: list[float]) -> list[float]:
     it is spliced into a copy of ``a`` by one bisection and coalesced
     with the intervals it touches.  The first interval of ``b`` that
     overlaps ``a`` sends the whole union to :func:`merge_boundaries`.
+    When ``b`` starts at or after ``a``'s last boundary (a plan that
+    begins after everything the link has booked), the two lists are
+    simply concatenated, coalescing the one pair of ends that touches.
     Returns a new list.
     """
     if not a or not b:
         return merge_boundaries(a, b)
+    if b[0] > a[-1]:
+        return a + b
+    if b[0] == a[-1]:
+        return a[:-1] + b[1:]
     out = list(a)
     for j in range(0, len(b), 2):
         s, e = b[j], b[j + 1]
@@ -427,6 +434,81 @@ def occupied_first_fit_pair(
     if hi - cursor >= remaining:
         out += (cursor, cursor + remaining)
         return out
+    raise ValueError(
+        f"insufficient idle time: needed {duration:g}, "
+        f"short by {remaining:g} after t={lo:g}"
+    )
+
+
+def occupied_first_fit_walk(
+    lists: list[list[float]],
+    duration: float,
+    lo: float,
+    hi: float,
+    stepped: list[int] | None = None,
+) -> list[float]:
+    """First-fit slices over the **union** of any number of occupied
+    boundary lists, without building it; returns the slices' boundary
+    list.
+
+    Exactly ``union_all → complement(lo, hi) → first_fit(duration, lo)``.
+    A cursor is pushed past every list's busy interval that covers it
+    until none does; the earliest busy start after it (or ``hi``) ends the
+    idle gap, which is sliced, and the walk goes on from that start.  One
+    bisection per list both tests whether the list covers the cursor (an
+    odd insertion point: the next boundary is that interval's end) and
+    finds its next start, and the next start collected so far is dropped
+    whenever the cursor moves.  So the cost follows the gaps visited and
+    the busy intervals stepped over, not the lengths of the lists.  Alg. 3
+    slices a flow with a single candidate path with it.
+
+    ``stepped``, when given, is a one-item tally that grows by the number
+    of busy intervals the cursor stepped over.  Returns ``[]`` for
+    ``duration <= 0``; raises ``ValueError`` when ``[lo, hi)`` holds less
+    than ``duration`` of idle time, a cursor pushed to or past ``hi``
+    included.
+    """
+    if duration <= 0:
+        return []
+    remaining = duration
+    cursor = lo
+    out: list[float] = []
+    n = len(lists)
+    i = steps = 0
+    while True:
+        # visit the lists round-robin until n in a row leave the cursor
+        # where it is; a list that moved it is one of those n
+        nxt = hi
+        still = 0
+        while still < n:
+            b = lists[i]
+            k = bisect_right(b, cursor)
+            if k & 1:
+                cursor = b[k]
+                k += 1
+                nxt = hi
+                still = 1
+                steps += 1
+            else:
+                still += 1
+            if k < len(b) and b[k] < nxt:
+                nxt = b[k]
+            i += 1
+            if i == n:
+                i = 0
+        if cursor >= hi:
+            break
+        gap = nxt - cursor
+        if gap >= remaining:
+            out += (cursor, cursor + remaining)
+            if stepped is not None:
+                stepped[0] += steps
+            return out
+        out += (cursor, nxt)
+        remaining -= gap
+        cursor = nxt
+    if stepped is not None:
+        stepped[0] += steps
     raise ValueError(
         f"insufficient idle time: needed {duration:g}, "
         f"short by {remaining:g} after t={lo:g}"

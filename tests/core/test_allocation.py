@@ -54,6 +54,23 @@ class TestTimeAllocation:
         slices, end = time_allocation(ledger, (0, 1), 1.5, release=0.0, horizon=100.0)
         assert slices.intervals() == [(1, 2), (3, 3.5)]
 
+    def test_counts_the_busy_intervals_it_steps_over(self):
+        """A unique path builds no union (no union-cache miss) and counts
+        each busy interval the walk steps the cursor over, including on
+        the way to a fit that fails."""
+        profile = HotPathCounters()
+        ledger = OccupancyLedger(profile=profile)
+        ledger.commit((0,), IntervalSet.single(0, 2))
+        ledger.commit((1,), IntervalSet.single(1, 3))
+        ledger.commit((1,), IntervalSet.single(9, 10))
+        slices, _ = time_allocation(ledger, (0, 1), 1.0, release=0.0, horizon=100.0)
+        assert slices.intervals() == [(3, 4)]
+        assert (profile.intervals_scanned, profile.union_cache_misses) == (2, 0)
+        with pytest.raises(AllocationError):
+            time_allocation(ledger, (0, 1), 7.0, release=2.5, horizon=10.0)
+        # [1, 3), then [9, 10) once the gap [3, 9) fell short
+        assert profile.intervals_scanned == 4
+
     def test_horizon_too_small_raises(self):
         ledger = OccupancyLedger()
         with pytest.raises(AllocationError):
@@ -64,7 +81,7 @@ class TestTimeAllocation:
         ledger = OccupancyLedger()
         ledger.commit((0,), IntervalSet.single(0.5, 2.5))
         _, end = time_allocation(ledger, (0,), 3.0, release=0.0, horizon=100.0)
-        idle = ledger.union_for((0,)).complement(0.0, 100.0)
+        idle = ledger.occupied(0).complement(0.0, 100.0)
         assert idle.idle_fit_end(3.0, 0.0) == pytest.approx(end)
 
 

@@ -36,22 +36,13 @@ def test_commit_copies_slices(ledger):
     assert ledger.occupied(0).intervals() == [(0, 1)]
 
 
-def test_union_for_path(ledger):
+def test_occupied_lists_are_the_ledgers_own_in_path_order(ledger):
     ledger.commit((0,), IntervalSet.single(0, 1))
     ledger.commit((1,), IntervalSet.single(2, 3))
-    tocp = ledger.union_for((0, 1, 5))
-    assert tocp.intervals() == [(0, 1), (2, 3)]
-
-
-def test_union_for_returns_copy(ledger):
-    ledger.commit((0,), IntervalSet.single(0, 1))
-    tocp = ledger.union_for((0,))
-    tocp.add(9, 10)
-    assert ledger.occupied(0).intervals() == [(0, 1)]
-
-
-def test_union_for_empty_path_links(ledger):
-    assert not ledger.union_for((7, 8))
+    lists = ledger.occupied_lists((1, 7, 0))
+    assert lists == [[2.0, 3.0], [0.0, 1.0]]
+    assert lists[0] is ledger.fold((1,))
+    assert ledger.occupied_lists((7, 8)) == []
 
 
 def test_touched_links_sorted(ledger):

@@ -4,10 +4,11 @@ The segment cache, the uncopied folds, the spliced commits and the journal
 are pure performance machinery — every observable value must be identical
 to an uncached, copy-based ledger.  The property test drives a ledger
 through arbitrary commit/query/trial sequences against a hand-rolled model
-(dict of link → IntervalSet with deep-copy trial snapshots) and checks
-``union_for`` and the recombined group and segment folds Alg. 2 scores a
-candidate from, float-for-float after every query; the unit tests pin the
-journal's edge semantics and the cache's admission/eviction behaviour.
+(dict of link → IntervalSet with deep-copy trial snapshots) and checks the
+union of a path's occupied lists and the recombined group and segment
+folds Alg. 2 scores a candidate from, float-for-float after every query;
+the unit tests pin the journal's edge semantics and the cache's
+admission/eviction behaviour.
 """
 
 import pytest
@@ -52,9 +53,17 @@ def _parts(ledger, path):
     return ends, ledger.segment_fold(path[1:-1])
 
 
+def _path_union(ledger, path):
+    """The union of ``path``'s occupied sets, from the ledger's lists."""
+    return union_all(ledger.occupied(link) for link in path)._b
+
+
 def _assert_matches(ledger, model, path):
     expected = _model_union(model, path)._b
-    assert ledger.union_for(path)._b == expected
+    assert _path_union(ledger, path) == expected
+    assert union_all(
+        IntervalSet._from_boundaries(b) for b in ledger.occupied_lists(path)
+    )._b == expected
     assert merge_boundaries(*_parts(ledger, path)) == expected
 
 
@@ -106,15 +115,15 @@ def test_cached_ledger_matches_model(sequence, probes):
 @given(ops, paths)
 @settings(max_examples=100)
 def test_group_and_segment_folds_recombine_to_union_for(sequence, path):
-    """merge(group fold, segment fold) equals union_for, for any ledger
-    state and any path length."""
+    """merge(group fold, segment fold) equals the path's union, for any
+    ledger state and any path length."""
     ledger = OccupancyLedger()
     for op in sequence:
         if op[0] == "commit":
             _, p, start, width = op
             ledger.commit(p, IntervalSet.single(start, start + width))
     shared, inter = _parts(ledger, path)
-    assert merge_boundaries(shared, inter) == ledger.union_for(path)._b
+    assert merge_boundaries(shared, inter) == _path_union(ledger, path)
 
 
 @given(ops)
@@ -200,19 +209,6 @@ def test_rollback_counts_in_profile():
 
 
 # -- cache admission and eviction -----------------------------------------
-
-
-def test_union_for_never_stores_full_paths():
-    """Alg. 2 asks for a full-path union only right before committing on
-    that path, so storing it would never pay: every call is a counted
-    miss and the store stays empty."""
-    profile = HotPathCounters()
-    ledger = OccupancyLedger(profile=profile)
-    ledger.commit((0,), IntervalSet.single(0, 1))
-    for _ in range(3):
-        assert ledger.union_for((0, 1)).intervals() == [(0, 1)]
-    assert ledger.cache_info()["entries"] == 0
-    assert (profile.union_cache_misses, profile.union_cache_hits) == (3, 0)
 
 
 def test_cache_hit_counted_and_value_correct():

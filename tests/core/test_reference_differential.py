@@ -12,6 +12,11 @@ outcomes and decision counters, a clean offline audit, and an
 ``explain`` verdict whose recorded reject clause agrees with the one
 re-derived from the evidence.
 
+One deterministic case has the shape of perfbench's ``fanout`` workload
+(large partition-aggregate tasks on the paper's single-rooted tree, where
+every flow has one path), so Alg. 3's walk meets occupancy lists far
+longer than the fuzz draws and cuts plans into three or more slices.
+
 A second fuzz checks the one part of that plumbing the oracle cannot
 referee, because it shares it: a trial that stops at the newcomer's last
 ``Ftmp`` flow once clause 2 is certain.  Against a controller whose trial
@@ -33,15 +38,17 @@ from repro.core.reference import ReferenceTaps
 from repro.core.reject import PreemptionPolicy
 from repro.exp.configs import SMALL
 from repro.net.paths import PathService
+from repro.net.trees import SingleRootedTree
 from repro.obs.explain import explain_run
 from repro.obs.timeline import timeline_from
 from repro.sched.base import PRIORITY_KEYS
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
 from repro.trace import TraceRecorder, audit_trace
-from repro.trace.events import TaskReject, TrialBegin
+from repro.trace.events import TaskAccept, TaskReject, TrialBegin
 from repro.util.units import KB, ms
 from repro.workload.flow import make_task
+from repro.workload.generator import WorkloadConfig, generate_workload
 
 TOPOLOGIES = {"fattree": SMALL.fat_tree(), "tree": SMALL.single_rooted()}
 
@@ -116,6 +123,24 @@ def test_controller_matches_reference_oracle(case):
     assert report.ok, report.summary()
     for verdict in explain_run(timeline_from(fast)):
         assert verdict.clause_consistent, verdict.lines()
+
+
+def test_unique_paths_at_fanout_list_lengths_match_reference_oracle():
+    """Twelve fan-out tasks of about 60 flows each on the 8×5×5 tree:
+    unique-path plans on long occupancy lists, including plans of three
+    or more slices, equal the oracle's byte for byte."""
+    topo = SingleRootedTree(servers_per_rack=8, racks_per_pod=5, pods=5)
+    tasks = generate_workload(WorkloadConfig(
+        seed=5, num_tasks=12, arrival_rate=40.0, mean_flows_per_task=60.0,
+        mean_flow_size=200_000.0, mean_deadline=0.1,
+    ), list(topo.hosts))
+    fast, fast_outcome = _run(TapsScheduler, topo, tasks, [], 8, {})
+    ref, ref_outcome = _run(ReferenceTaps, topo, tasks, [], 8, {})
+    assert fast.dumps() == ref.dumps()
+    assert fast_outcome == ref_outcome
+    plans = [p for ev in fast if isinstance(ev, TaskAccept) for p in ev.plans]
+    assert sum(len(p.slices) >= 6 for p in plans) >= 100
+    assert audit_trace(fast).ok
 
 
 class FullTrialTaps(TapsScheduler):

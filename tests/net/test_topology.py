@@ -1,5 +1,10 @@
 """Topology base class: construction, lookups, path computation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.net.link import Link
@@ -149,3 +154,25 @@ class TestPaths:
         diamond.add_cable("c", "s1")
         g2 = diamond.graph()
         assert g2.number_of_nodes() == g1.number_of_nodes() + 1
+
+
+def test_structured_topologies_run_without_networkx():
+    """Only the generic path search imports networkx: a fresh process that
+    imports ``repro`` and plans on a fat-tree and a single-rooted tree
+    (closed-form paths) never loads it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro import FatTree, PathService, SingleRootedTree\n"
+        "for topo in (FatTree(k=4), SingleRootedTree(4, 3, 3)):\n"
+        "    hosts = list(topo.hosts)\n"
+        "    assert PathService(topo).candidates(hosts[0], hosts[-1])\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.net.fattree import FatTree
+from repro.net.paths import PathService
 from repro.sched.pdq import PDQ
 from repro.sim.engine import Engine
 from repro.sim.state import FlowStatus
@@ -90,6 +92,24 @@ def test_flow_list_limit_reproduces_paper_fig3():
     assert result.flows_met == 3
     missed = [fs for fs in result.flow_states if not fs.met_deadline]
     assert [fs.flow.flow_id for fs in missed] == [3]  # f4, as in the paper
+
+
+def test_switch_map_is_built_only_for_a_flow_list_limit():
+    """The link → forwarding-switch map serves only the flow-list limit:
+    without one, attaching builds nothing; with one, it maps exactly the
+    links whose source is a switch."""
+    topo = FatTree(k=4)
+    plain = PDQ()
+    plain.attach(topo, PathService(topo))
+    assert plain._switch_of_link == {}
+    limited = PDQ(flow_list_limit=2)
+    limited.attach(topo, PathService(topo))
+    switches = set(topo.switches)
+    assert limited._switch_of_link == {
+        link.index: link.src for link in topo.links if link.src in switches
+    }
+    # every link but the hosts' own uplinks
+    assert len(limited._switch_of_link) == len(topo.links) - len(topo.hosts)
 
 
 def test_fig1_outcome_two_flows_no_tasks():

@@ -2,7 +2,8 @@
 
 The fast path of Alg. 2/3 replaces ``union → complement → fit`` with fused
 single-pass scans (:func:`occupied_fit_end_pair`,
-:func:`occupied_first_fit_pair`), the adaptive splice merge
+:func:`occupied_first_fit_pair`), a bisection walk over any number of
+lists (:func:`occupied_first_fit_walk`), the adaptive splice merge
 (:func:`merge_boundaries`) and the commit splice
 (:func:`splice_boundaries`).  Every one of them must agree with the literal
 pipeline *float-for-float* — the reference oracle
@@ -28,8 +29,10 @@ from repro.util.intervals import (
     _merge_union,
     merge_boundaries,
     occupied_first_fit_pair,
+    occupied_first_fit_walk,
     occupied_fit_end_pair,
     splice_boundaries,
+    union_all,
 )
 
 HORIZON = 2.0 ** 16  # always enough idle time: fits never raise against it
@@ -304,6 +307,41 @@ def test_splice_takes_the_fallback_exactly_on_overlap(a, b):
     assert fallbacks == (1 if overlaps or not (a and b) else 0)
 
 
+@st.composite
+def tail_cases(draw):
+    """A set ``a`` and a non-empty ``b`` that starts at ``a``'s last
+    boundary or zero to a few grid units after it."""
+    a = draw(interval_sets())
+    after = draw(st.one_of(
+        st.integers(min_value=0, max_value=3).map(lambda k: k * GRID),
+        grid_values(0.0, 5.0),
+    ))
+    first = (a._b[-1] if a else 0.0) + after
+    rest = draw(interval_sets())
+    b = IntervalSet([(first, first + draw(grid_values(GRID, 3.0)))])
+    b = b.union(IntervalSet([(s + first + 3.0, e + first + 3.0) for s, e in rest]))
+    return a, b._b
+
+
+@given(tail_cases())
+@settings(max_examples=200)
+def test_splice_tail_concatenates_without_bisection(case):
+    """A ``b`` starting at or after ``a``'s last boundary is ``a + b``, or
+    ``a[:-1] + b[1:]`` when the two touch: the general merge's result,
+    with no bisection and no fallback."""
+    a, b = case
+    with mock.patch.object(kernels, "bisect_right") as bisect:
+        out, fallbacks = _splice_counting_fallbacks(a._b, b)
+    assert out == merge_boundaries(a._b, b) == _merge_union(a._b, b)
+    assert fallbacks == (0 if a else 1)
+    if a:
+        assert bisect.call_count == 0
+        touch = b[0] == a._b[-1]
+        assert out == (a._b[:-1] + b[1:] if touch else a._b + b)
+        assert out is not a._b and out is not b
+    IntervalSet._from_boundaries(out).check_invariants()
+
+
 def test_splice_coalesces_touching_ends():
     a = [0.0, 1.0, 3.0, 4.0]
     assert splice_boundaries(a, [1.0, 3.0]) == [0.0, 4.0]
@@ -314,6 +352,10 @@ def test_splice_coalesces_touching_ends():
     assert splice_boundaries(a, [1.0 + GRID, 3.0 - GRID]) == [
         0.0, 1.0, 1.0 + GRID, 3.0 - GRID, 3.0, 4.0]
     assert splice_boundaries(a, [0.5, 2.0]) == [0.0, 2.0, 3.0, 4.0]
+    assert splice_boundaries(a, [4.0, 5.0, 6.0, 7.0]) == [
+        0.0, 1.0, 3.0, 5.0, 6.0, 7.0]
+    assert splice_boundaries(a, [4.0 + GRID, 5.0]) == [
+        0.0, 1.0, 3.0, 4.0, 4.0 + GRID, 5.0]
     assert a == [0.0, 1.0, 3.0, 4.0]  # the input is never mutated
 
 
@@ -349,3 +391,114 @@ def test_occupied_first_fit_pair_keeps_one_grid_unit_gap():
         10.0, 10.0 + GRID, 11.0, 16.0 - GRID]
     assert occupied_first_fit_pair(a, [10.0, 11.0], 5.0, 0.0, HORIZON) == [
         11.0, 16.0]
+
+
+# -- occupied_first_fit_walk ----------------------------------------------
+
+#: an outage block as the controller books it: "forever", past any horizon
+FOREVER = 1e15
+
+
+def _literal_first_fit(sets, duration, lo, hi):
+    """Alg. 3 lines 1–5 read literally: union, complement, first fit."""
+    return union_all(sets).complement(lo, hi).first_fit(duration, lo)._b
+
+
+@given(st.lists(interval_sets(), min_size=1, max_size=6),
+       st.one_of(durations, st.just(0.0), st.just(-GRID)),
+       releases,
+       st.one_of(st.just(HORIZON), grid_values(0.0, 80.0)),
+       st.one_of(st.none(), coords))
+@settings(max_examples=400)
+def test_walk_matches_literal_first_fit(sets, duration, lo, hi, block):
+    """The walk over 1–6 lists is the literal ``union_all → complement →
+    first_fit`` boundary for boundary, and raises exactly when it does;
+    ``block`` adds a list holding one busy interval reaching past ``hi``
+    (an outage)."""
+    if block is not None:
+        sets = sets + [IntervalSet([(block, FOREVER)])]
+    lists = [s._b for s in sets if s]
+    snapshot = [list(b) for b in lists]
+    try:
+        ref = _literal_first_fit(sets, duration, lo, hi)
+    except ValueError:
+        with pytest.raises(ValueError):
+            occupied_first_fit_walk(lists, duration, lo, hi)
+    else:
+        stepped = [0]
+        got = occupied_first_fit_walk(lists, duration, lo, hi, stepped)
+        assert got == ref
+        if duration <= 0:
+            assert got == [] and stepped == [0]
+        else:
+            assert IntervalSet._from_boundaries(got).measure() == duration
+        # every step leaves one busy interval behind the cursor
+        assert 0 <= stepped[0] <= sum(len(b) for b in lists) // 2
+    assert lists == snapshot  # the walk reads, never writes
+
+
+@st.composite
+def touching_lists(draw):
+    """Lists that hand the busy time over to each other: each interval
+    starts where the one before it, usually on another list, ends, or one
+    grid unit or half a second later."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    lists: list[list[float]] = [[] for _ in range(n)]
+    t = draw(grid_values(0.0, 2.0))
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        b = lists[k]
+        width = draw(grid_values(GRID, 1.0))
+        if b and b[-1] >= t:
+            t = b[-1] + GRID  # keep each list canonical
+        b += (t, t + width)
+        t += width + draw(st.sampled_from((0.0, 0.0, GRID, 0.5)))
+    return [b for b in lists if b]
+
+
+@given(touching_lists(), durations, releases)
+@settings(max_examples=300)
+def test_walk_across_touching_lists(lists, duration, lo):
+    """Busy time handed from list to list with no gap, or a gap of one
+    grid unit: touching ends glue as in the union, and a one-unit gap is
+    idle time."""
+    sets = [IntervalSet._from_boundaries(b) for b in lists]
+    assert occupied_first_fit_walk(lists, duration, lo, HORIZON) == (
+        _literal_first_fit(sets, duration, lo, HORIZON))
+
+
+def test_walk_pushes_through_lists_that_cover_in_turn():
+    """The cursor leaves a list, is caught by the next, and comes back to
+    the first; a one-grid-unit gap between two lists is used."""
+    a = [0.0, 2.0, 3.0, 5.0]
+    b = [1.0, 3.0, 5.0 + GRID, 6.0]
+    stepped = [0]
+    got = occupied_first_fit_walk([a, b], 1.0, 0.0, HORIZON, stepped)
+    assert got == [5.0, 5.0 + GRID, 6.0, 7.0 - GRID]
+    assert stepped == [4]  # [0, 2), [1, 3), [3, 5), then [5 + GRID, 6)
+    assert got == _literal_first_fit(
+        [IntervalSet._from_boundaries(a), IntervalSet._from_boundaries(b)],
+        1.0, 0.0, HORIZON)
+
+
+def test_walk_edge_cases():
+    assert occupied_first_fit_walk([], 2.0, 1.0, HORIZON) == [1.0, 3.0]
+    assert occupied_first_fit_walk([[0.0, 1.0]], 0.0, 0.5, 0.5) == []
+    assert occupied_first_fit_walk([[0.0, 1.0]], -1.0, 0.5, HORIZON) == []
+    # a gap that ends at hi still fits exactly; one unit more does not
+    assert occupied_first_fit_walk([[2.0, 3.0]], 1.0, 1.0, 2.0) == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        occupied_first_fit_walk([[2.0, 3.0]], 1.0 + GRID, 1.0, 2.0)
+    # a next start beyond hi counts as hi
+    with pytest.raises(ValueError):
+        occupied_first_fit_walk([[5.0, 6.0]], 2.0, 0.0, 1.0)
+    # an outage block pushes the cursor to or past hi
+    stepped = [0]
+    with pytest.raises(ValueError):
+        occupied_first_fit_walk([[0.0, 1.0], [0.5, FOREVER]], 1.0, 0.0,
+                                HORIZON, stepped)
+    assert stepped == [2]
+    with pytest.raises(ValueError):
+        occupied_first_fit_walk([[0.0, HORIZON]], 1.0, 0.0, HORIZON)
+    with pytest.raises(ValueError):
+        occupied_first_fit_walk([], 1.0, 3.0, 3.0)
